@@ -217,6 +217,7 @@ def cmd_defect(args, cfg, out: Path) -> int:
 def cmd_decay(args, cfg, out: Path) -> int:
     spec, eps, ds = _defect_run(args, cfg)
     gap = _gap(cfg)
+    dumped = min(len(ds.modes), int(cfg.get("dump_profiles", 3)))
     fits = []
     for i, m in enumerate(ds.modes):
         prof = profile(m, spec.defect, step=float(cfg.get("step", 0.125)))
@@ -225,7 +226,7 @@ def cmd_decay(args, cfg, out: Path) -> int:
         rec.update({"lambda": m.lam, "k1": m.k1,
                     "ct_shape": ct_shape(m.lam, gap)})
         fits.append(rec)
-        if i < int(cfg.get("dump_profiles", 3)):
+        if i < dumped:
             io.profile_csv(prof, out / f"profile_{i:03d}.csv",
                            fit.d_min, fit.d_max)
     corr = (rank_correlation([f["rate"] for f in fits],
@@ -235,7 +236,7 @@ def cmd_decay(args, cfg, out: Path) -> int:
         "fits": fits, "rank_correlation": corr,
         "provenance": _provenance(args, cfg, module="decay",
                                   grid_h=float(max(eps.grid.spacing)))})
-    if ds.modes:
+    if dumped > 0:
         io.emit_plot_script(out / "plot_decay.py", "decay",
                             out / "profile_000.csv", out / "decay.png")
     print(json.dumps({"modes": len(fits), "rank_correlation": corr}))

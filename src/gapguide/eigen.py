@@ -74,29 +74,10 @@ class DefectSpectrum:
         return all(flag for _, flag in self.coverage)
 
 
-def _matrix_1d(eps: SampledEpsilon, bloch_k: float) -> sp.csr_matrix:
-    """Flux-form -(d/dx)(1/eps)(d/dx) on one period, Bloch phase on the wrap."""
-    n = eps.grid.shape[0]
-    h = eps.grid.spacing[0]
-    lo, hi = eps.grid.extent(0)
-    ph = np.exp(1j * bloch_k * (hi - lo))
-    D = sp.lil_matrix((n, n), dtype=complex)
-    D.setdiag(-1.0)
-    D.setdiag(1.0, 1)
-    D[n - 1, 0] = ph
-    D = (D / h).tocsr()
-    inv = 1.0 / eps.values
-    w = 0.5 * (inv + np.roll(inv, -1))
-    return (D.conj().T @ sp.diags(w) @ D).tocsr()
-
-
 def _bulk_matrix(eps: SampledEpsilon, k) -> sp.csr_matrix:
-    if eps.grid.ndim == 1:
-        return _matrix_1d(eps, float(np.atleast_1d(k)[0]))
     kk = np.atleast_1d(np.asarray(k, dtype=float))
-    k1 = kk[0]
-    k2 = kk[1] if kk.size > 1 else 0.0
-    return scalar_matrix(eps, bloch_k1=k1, transverse_bc="periodic", bloch_k2=k2)
+    return scalar_matrix(eps, bloch_k1=kk[0], transverse_bc="periodic",
+                         bloch_k2=kk[1] if kk.size > 1 else 0.0)
 
 
 def _smallest_eigs(A: sp.csr_matrix, count: int) -> np.ndarray:
@@ -121,7 +102,7 @@ def band_structure(eps: SampledEpsilon, k_path, bands: int = 8) -> BandTable:
     for k in ks:
         try:
             vals = _smallest_eigs(_bulk_matrix(eps, k), bands)
-        except spla.ArpackNoConvergence as exc:
+        except spla.ArpackError as exc:
             raise IterationError(f"band solve failed at k={k!r}: {exc}") from exc
         eigs.append(np.maximum(vals, 0.0))
     return BandTable(k_samples=ks, eigenvalues=tuple(eigs),
@@ -146,7 +127,7 @@ def find_gaps(bt: BandTable, min_width: float) -> list:
     return gaps
 
 
-def _dense_window(A, window, tol):
+def _dense_window(A, window):
     Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
     vals, vecs = dla.eigh(Ad)
     sel = (vals > window[0]) & (vals < window[1])
@@ -233,7 +214,7 @@ def interior_eigs(op, window, count: int = 10, tol: float = 1e-8,
     is_matfree = isinstance(op, spla.LinearOperator) and not sp.issparse(op)
     try:
         if n <= dense_max and not is_matfree:
-            vals, vecs = _dense_window(op, window, tol)
+            vals, vecs = _dense_window(op, window)
         else:
             v0 = rng.standard_normal(n)
             if np.issubdtype(op.dtype, np.complexfloating):
@@ -241,12 +222,10 @@ def interior_eigs(op, window, count: int = 10, tol: float = 1e-8,
             kwargs = dict(k=min(count, n - 2), sigma=sigma, which="LM", v0=v0)
             if is_matfree:
                 kwargs["OPinv"] = _minres_inverse(op, sigma, inner_tol)
-                vals, vecs = spla.eigsh(op, **kwargs)
-            else:
-                vals, vecs = spla.eigsh(op, **kwargs)
+            vals, vecs = spla.eigsh(op, **kwargs)
             sel = (vals > window[0]) & (vals < window[1])
             vals, vecs = vals[sel], vecs[:, sel]
-    except spla.ArpackNoConvergence as exc:
+    except spla.ArpackError as exc:
         raise IterationError(f"interior eigensolve stalled: {exc}") from exc
 
     out = []

@@ -2,9 +2,17 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from gapguide import cli
+from gapguide.cross_section import Interval
+from gapguide.eigen import band_structure, interior_eigs
+from gapguide.errors import IterationError
 from gapguide.fields_io import read_json
+from gapguide.grids import GridSpec
+from gapguide.media import SampledEpsilon
+from gapguide.xsection import solve_nu_scalar
 
 GAP = [1.50647, 5.24793]
 
@@ -134,9 +142,35 @@ def test_decay_command_and_numerical_failure(tmp_path, capsys):
     assert len(doc["fits"]) >= 2
     assert all(f["rate"] > 0 for f in doc["fits"])
     assert (out / "profile_000.csv").is_file()
+    # no profiles dumped: no plot script pointing at a missing CSV
+    quiet = _defect_cfg(tmp_path, step=0.25, d_min=1.5, d_max=2.5,
+                        dump_profiles=0)
+    out0 = tmp_path / "o0"
+    assert cli.main(["decay", "--config", quiet, "--out", str(out0)]) == 0
+    assert (not (out0 / "plot_decay.py").exists()
+            or (out0 / "profile_000.csv").is_file())
     # empty fit window after the guards: numerical failure, exit 3
     bad = _defect_cfg(tmp_path, step=0.25, d_min=4.0, d_max=4.4)
     assert cli.main(["decay", "--config", bad, "--out", str(tmp_path / "o3")]) == 3
+
+
+def test_arpack_errors_exit_3(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise spla.ArpackError(3)
+
+    monkeypatch.setattr(spla, "eigsh", fail)
+    monkeypatch.setattr(spla, "eigs", fail)
+    A = sp.diags(np.arange(1.0, 65.0))
+    with pytest.raises(IterationError):
+        interior_eigs(A, (10.5, 20.5), count=4, dense_max=0)
+    grid = GridSpec((64,), (1 / 64,))
+    with pytest.raises(IterationError):
+        band_structure(SampledEpsilon(grid, np.ones(64)), [0.0], bands=6)
+    with pytest.raises(IterationError):
+        solve_nu_scalar(Interval(1.0), h=2 / 64)
+    cfg = _defect_cfg(tmp_path)
+    assert cli.main(["defect", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -113,6 +113,27 @@ def test_scalar_matrix_matches_apply():
                        rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape, spacing, k", [
+    ((16,), (1 / 16,), (0.0,)),
+    ((16,), (1 / 16,), (1.3,)),
+    ((6, 8), (1 / 6, 1 / 4), (0.9, -0.4)),
+])
+def test_periodic_scalar_matches_symbol(shape, spacing, k):
+    # homogeneous Bloch-periodic operator: eigenvalues are the symbol at
+    # every momentum k_a + 2 pi m_a / L_a the grid carries
+    eps_value = 2.5
+    grid = GridSpec(shape, spacing)
+    eps = SampledEpsilon(grid, np.full(shape, eps_value))
+    A = scalar_matrix(eps, k[0], "periodic", *k[1:])
+    got = np.sort(np.linalg.eigvalsh(A.toarray()))
+    h = np.asarray(spacing)
+    m = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"), -1)
+    kk = np.asarray(k) + 2 * np.pi * m / (np.asarray(shape) * h)
+    want = np.sort(np.sum((2 / h) ** 2 * np.sin(kk * h / 2) ** 2,
+                          axis=-1).ravel() / eps_value)
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * want.max())
+
+
 def test_scalar_dirichlet_eigenfunction():
     n1, n2, h = 4, 31, 1 / 32
     grid = GridSpec((n1, n2), (h, h))
