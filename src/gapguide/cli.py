@@ -2,8 +2,8 @@
 
 Commands dispatch to the library modules and leave deterministic artifacts
 (CSV/JSON/binary dumps) in the output directory; every artifact records the
-config hash and seed.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+config hash and seed, though no computation reads the seed.  Exit codes:
+0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ def _gap(cfg) -> GapInterval:
     raise ConfigError("config needs 'gap': [alpha, beta] or 'gap_width'")
 
 
-def _samples(block, default=None):
+def _samples(block):
     if block is None:
-        return default
+        return None
     if isinstance(block, dict):
         return np.linspace(block["start"], block["stop"], block["num"])
     return np.asarray(block, dtype=float)

@@ -46,7 +46,7 @@ class CrossSection:
         """Raise UnsupportedGeometryError if the domain has holes or pieces."""
         # analytic shapes are convex; masks override
 
-    def crossing(self, q: np.ndarray, p: np.ndarray, tol: float = 1e-13) -> float:
+    def crossing(self, q: np.ndarray, p: np.ndarray) -> float:
         """Fraction t in (0, 1] where segment q -> p first leaves the domain.
 
         q must be inside and p outside; default is bisection on `contains`.
@@ -60,7 +60,7 @@ class CrossSection:
                 a = m
             else:
                 b = m
-            if b - a < tol:
+            if b - a < 1e-13:
                 break
         return 0.5 * (a + b)
 
@@ -128,7 +128,7 @@ class Disk(CrossSection):
         d = np.asarray(points, dtype=float) - np.asarray(self.center)
         return self.radius - np.sqrt(np.sum(d * d, axis=-1))
 
-    def crossing(self, q, p, tol=1e-13):
+    def crossing(self, q, p):
         # exact: first root of |q + t (p - q)| = R on the segment
         c = np.asarray(self.center, dtype=float)
         q = np.asarray(q, dtype=float) - c

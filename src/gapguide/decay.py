@@ -11,7 +11,7 @@ constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -35,7 +35,6 @@ class DecayProfile:
     extent: float             # largest transverse distance the grid supports
     lam: float = np.nan
     k1: float = np.nan
-    gap: GapInterval | None = None
     truncated: bool = False   # some windows exited the grid
 
     def __post_init__(self):
@@ -74,15 +73,16 @@ class DecayFit:
 
 
 def profile(mode, strip: StripSpec, step: float = 0.25,
-            half_side: float = 1.0, axial_center: float | None = None,
             rays=None) -> DecayProfile:
     """Windowed norms marching outward from the strip along transverse rays.
 
     `mode` carries a sampled field (`.field.values` on `.field.grid`) plus
     eigenvalue metadata; rays default to both transverse directions of a 2D
-    supercell.  Windows that stick out of the grid truncate the profile and
+    supercell.  The windows are unit cubes centred on the axial midpoint of
+    the grid; windows that stick out of the grid truncate the profile and
     set its flag.
     """
+    half_side = 1.0
     fld = mode.field
     grid = fld.grid
     if grid.ndim != 2:
@@ -91,9 +91,7 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
     if rays is None:
         rays = (+1.0, -1.0)
     lo, hi = grid.extent(1)
-    if axial_center is None:
-        alo, ahi = grid.extent(0)
-        axial_center = 0.5 * (alo + ahi)
+    axial_center = 0.5 * sum(grid.extent(0))
     extent = max(hi, -lo) - radius
     dists = np.arange(0.0, extent + 0.5 * step, step)
     norms = np.zeros_like(dists)
@@ -123,15 +121,15 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
 
 
 def fit_decay(p: DecayProfile, d_min: float | None = None,
-              d_max: float | None = None, min_samples: int = 5,
-              floor_ratio: float = 1e-8) -> DecayFit:
+              d_max: float | None = None) -> DecayFit:
     """Fit log(norm) = log(prefactor) - rate * dist over the guarded window.
 
     Default guards drop the near field (dist below one strip radius) and the
     outer quarter of the available transverse range (wall contamination);
     only the asymptotic slope carries meaning.  Nonpositive norms, and norms
-    below floor_ratio times the profile peak (eigensolver noise floor, where
-    the logarithm is meaningless), are excluded and counted.
+    below 1e-8 times the profile peak (eigensolver noise floor, where the
+    logarithm is meaningless), are excluded and counted.  At least five
+    samples must remain.
     """
     if d_min is None:
         d_min = p.strip_radius
@@ -141,13 +139,13 @@ def fit_decay(p: DecayProfile, d_min: float | None = None,
         raise ValidationError(
             f"empty fit window [{d_min:g}, {d_max:g}] after guards")
     sel = (p.distances >= d_min) & (p.distances <= d_max)
-    floor = floor_ratio * float(np.max(p.norms)) if len(p.norms) else 0.0
+    floor = 1e-8 * float(np.max(p.norms)) if len(p.norms) else 0.0
     pos = sel & (np.asarray(p.norms) > floor)
     excluded = int(np.count_nonzero(sel) - np.count_nonzero(pos))
-    if np.count_nonzero(pos) < min_samples:
+    if np.count_nonzero(pos) < 5:
         raise IterationError(
             f"only {np.count_nonzero(pos)} usable samples in the fit window "
-            f"(need {min_samples})")
+            "(need 5)")
     x = p.distances[pos]
     y = np.log(p.norms[pos])
     res = stats.linregress(x, y)

@@ -174,14 +174,14 @@ def _minres_inverse(op, sigma, inner_tol, strict: bool = True):
     return spla.LinearOperator((n, n), matvec=solve, dtype=op.dtype)
 
 
-def _polish(op, lam, v, tol, iters: int = 5):
+def _polish(op, lam, v, tol):
     """Inverse iteration with Rayleigh-quotient updates to sharpen a pair.
 
     Used when the outer solver relied on inexact (iterative) shift-invert;
     the near-singular solves are accepted at whatever accuracy MINRES
     reaches, since any amplification along the eigenvector helps.
     """
-    for _ in range(iters):
+    for _ in range(5):
         res = float(np.linalg.norm(op @ v - lam * v))
         if res <= tol * max(abs(lam), 1.0):
             break
@@ -197,19 +197,19 @@ def _polish(op, lam, v, tol, iters: int = 5):
 
 
 def interior_eigs(op, window, count: int = 10, tol: float = 1e-8,
-                  wrap=None, dense_max: int = 3000, seed: int = 0,
-                  inner_tol: float = 1e-10):
+                  dense_max: int = 3000, inner_tol: float = 1e-10):
     """Eigenpairs with eigenvalue inside the window, residual-checked.
 
     Sparse matrices use factorized shift-invert at the window center; small
     problems (<= dense_max unknowns) fall back to full diagonalization;
     matrix-free operators use shift-invert with an inner MINRES solve.
+    ARPACK starts from a fixed random vector, so repeated solves agree.
     Returns possibly-empty list of ModeResult sorted by eigenvalue.
     """
     if window[0] < 0 or window[1] <= window[0]:
         raise ValidationError("window must satisfy 0 <= lo < hi")
     sigma = 0.5 * (window[0] + window[1])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = op.shape[0]
     is_matfree = isinstance(op, spla.LinearOperator) and not sp.issparse(op)
     try:
@@ -237,27 +237,26 @@ def interior_eigs(op, window, count: int = 10, tol: float = 1e-8,
         if res > tol * max(abs(lam), 1.0):
             raise IterationError(
                 f"eigenpair residual {res:.2e} above tolerance", residual=res)
-        out.append(ModeResult(lam=float(lam), field=wrap(v) if wrap else v,
-                              residual=res, k1=np.nan))
+        out.append(ModeResult(lam=float(lam), field=v, residual=res,
+                              k1=np.nan))
     return out
 
 
-def localization_fraction(values: np.ndarray, eps_grid, strip: StripSpec,
-                          margin: float = 1.0) -> float:
-    """Fraction of the squared norm within `margin` of the scaled section."""
+def localization_fraction(values: np.ndarray, eps_grid,
+                          strip: StripSpec) -> float:
+    """Fraction of the squared norm within one period of the scaled section."""
     grid = eps_grid
     mesh = grid.meshgrid()
     tpts = np.stack([mesh[a] for a in range(1, grid.ndim)], axis=-1)
-    near = strip.distance(tpts) <= margin
+    near = strip.distance(tpts) <= 1.0
     dens = np.abs(values) ** 2
     return float(np.sum(dens[near]) / np.sum(dens))
 
 
 def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
                     gap: GapInterval, k1_samples=None, delta: float = 0.15,
-                    count: int = 30, loc_fraction: float = 0.5,
-                    loc_margin: float = 1.0, edge_pad: float = 1e-3,
-                    mu_count: int = 9, tol: float = 1e-8) -> DefectSpectrum:
+                    count: int = 30,
+                    loc_fraction: float = 0.5) -> DefectSpectrum:
     """Localized eigenvalues inside the gap over a k1 sweep, with coverage.
 
     For each sampled mu point of the gap, reports whether some localized
@@ -268,25 +267,24 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     if k1_samples is None:
         a = eps_defect.bloch_period or 1.0
         k1_samples = np.linspace(0.0, np.pi / a, 8)
-    pad = edge_pad * gap.width
+    pad = 1e-3 * gap.width
     window = (gap.alpha + pad, gap.beta - pad)
     grid = eps_defect.grid
     modes = []
     for k1 in k1_samples:
         A = scalar_matrix(eps_defect, bloch_k1=float(k1),
                           transverse_bc="dirichlet")
-        found = interior_eigs(A, window, count=count, tol=tol,
-                              dense_max=0)
+        found = interior_eigs(A, window, count=count, dense_max=0)
         for m in found:
             vals2 = np.asarray(m.field).reshape(grid.shape)
-            frac = localization_fraction(vals2, grid, strip, loc_margin)
+            frac = localization_fraction(vals2, grid, strip)
             if frac < loc_fraction:
                 continue
             fld = ScalarField2(vals2, grid, bloch_k1=float(k1))
             modes.append(ModeResult(lam=m.lam, field=fld, residual=m.residual,
                                     k1=float(k1), localization=frac))
     modes.sort(key=lambda m: m.lam)
-    mus = gap_samples(gap, mu_count)
+    mus = gap_samples(gap)
     lams = np.array([m.lam for m in modes]) if modes else np.empty(0)
     coverage = tuple((float(mu),
                       bool(lams.size and np.min(np.abs(lams - mu)) < delta))

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from math import comb
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import ResolutionError, ValidationError
 from .grids import GridSpec
-from .xsection import NuEstimate, TestField
+from .xsection import NuEstimate, TestField, smoothstep_polynomial
 
 __all__ = [
     "GapInterval", "Profile", "TrialParams", "ConditionReport",
@@ -86,11 +85,8 @@ class Profile:
     @classmethod
     def bump(cls, k: int = 2) -> "Profile":
         """Smoothstep-of-distance bump; k=2 gives the C^2 quintic profile."""
-        step = Polynomial([0.0])
-        for j in range(k + 1):
-            step += comb(k + j, j) * comb(2 * k + 1, k - j) * Polynomial([0, -1]) ** j
-        step = Polynomial([0, 1]) ** (k + 1) * step      # smoothstep S_k(t)
-        return cls(step(Polynomial([1, -1])))            # t = 1 - x, x in [0, 1]
+        # S_k(t) at t = 1 - x, x in [0, 1]
+        return cls(smoothstep_polynomial(k)(Polynomial([1, -1])))
 
     def __call__(self, x):
         x = np.abs(np.asarray(x, dtype=float))
@@ -148,7 +144,8 @@ class TrialParams:
             raise ValidationError("longitudinal scale n must be >= 1")
         if abs(self.psi.norm_sq - 1.0) > 1e-8:
             raise ValidationError("profile psi must have unit L2 norm")
-        if abs(self.g.norm_sq - 1.0) > 1e-6:
+        g_norm_sq = np.sum(self.g.g ** 2) * self.g.grid.cell_volume
+        if abs(g_norm_sq - 1.0) > 1e-6:
             raise ValidationError("test field g must have unit L2 norm")
 
     @property
@@ -244,15 +241,13 @@ def residual_closed_form(tp: TrialParams) -> ResidualReport:
                           threshold=float(thr), passes=bool(total < thr))
 
 
-def quadrature_grid(tp: TrialParams, axial_cells: int = 4096,
-                    axial_factor: float = 1.25) -> GridSpec:
+def quadrature_grid(tp: TrialParams, axial_cells: int = 4096) -> GridSpec:
     """3D tensor grid resolving the trial field's support.
 
-    Axial box (-axial_factor n, axial_factor n); transverse grid is the
-    test field's own grid scaled by l, so the stream samples carry over
-    unchanged.
+    Axial box (-1.25 n, 1.25 n); transverse grid is the test field's own
+    grid scaled by l, so the stream samples carry over unchanged.
     """
-    half = axial_factor * tp.n
+    half = 1.25 * tp.n
     tg = tp.g.grid
     shape = (int(axial_cells), tg.shape[0], tg.shape[1])
     spacing = (2 * half / axial_cells, tp.l * tg.spacing[0], tp.l * tg.spacing[1])
@@ -299,8 +294,7 @@ def _spectral_factors(tp: TrialParams, grid: GridSpec):
     return a_hat, kap1, g2_hat, g3_hat, kap2, kap3
 
 
-def residual_quadrature(tp: TrialParams, grid: GridSpec,
-                        check: bool = True) -> float:
+def residual_quadrature(tp: TrialParams, grid: GridSpec) -> float:
     """Squared residual ||curl curl w - k^2 w||^2 by discrete Fourier quadrature.
 
     Assembles the full vector residual mode by mode (Parseval) rather than
@@ -325,12 +319,11 @@ def residual_quadrature(tp: TrialParams, grid: GridSpec,
         r3 = ac * (q * g3_hat[None, :, :] - k3m[None, :, :] * dot[None, :, :])
         acc += float(np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2 + np.abs(r3) ** 2))
     total = acc * grid.cell_volume / np.prod(grid.shape)
-    if check:
-        cf = residual_closed_form(tp).closed_form
-        if abs(total - cf) > 0.01 * abs(cf):
-            warnings.warn(
-                f"quadrature residual {total:.6g} vs closed form {cf:.6g}: "
-                "refine the quadrature grid", RuntimeWarning)
+    cf = residual_closed_form(tp).closed_form
+    if abs(total - cf) > 0.01 * abs(cf):
+        warnings.warn(
+            f"quadrature residual {total:.6g} vs closed form {cf:.6g}: "
+            "refine the quadrature grid", RuntimeWarning)
     return float(total)
 
 
@@ -344,7 +337,7 @@ def trial_norm_quadrature(tp: TrialParams, grid: GridSpec) -> float:
     return float(np.sqrt(axial * trans))
 
 
-def minimal_n(tp: TrialParams, n_cap: int = 2**40) -> int | None:
+def minimal_n(tp: TrialParams) -> int | None:
     """Smallest integer n with closed-form residual under the budget.
 
     Returns None ("unreachable") when the n-independent floor
@@ -362,7 +355,7 @@ def minimal_n(tp: TrialParams, n_cap: int = 2**40) -> int | None:
     lo, hi = 0, 1
     while value(hi) >= thr:
         lo, hi = hi, 2 * hi
-        if hi > n_cap:
+        if hi > 2**40:
             return None
     while hi - lo > 1:
         mid = (lo + hi) // 2

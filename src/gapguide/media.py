@@ -58,13 +58,10 @@ class StripSpec:
     cross_section: CrossSection
     l: float
     eps_inside: float
-    axis: int = 0
 
     def __post_init__(self):
         if self.l <= 0 or self.eps_inside <= 0:
             raise ValidationError("strip scale l and eps must be positive")
-        if self.axis != 0:
-            raise ValidationError("strip must be aligned with axis x1")
 
     def section(self) -> CrossSection:
         return self.cross_section.scale(self.l)

@@ -8,6 +8,9 @@ buckling eigenvalue
     Lap^2 psi = nu * (-Lap psi),    psi = dpsi/dn = 0 on the boundary,
 
 discretized with the 13-point bilaplacian / 5-point laplacian stencils.
+Every difference comes from :mod:`gapguide.discrete_op`: the Laplacian is
+-G^T G with G its Dirichlet gradient; the test fields use its forward
+differences with a zero ghost past the last node and their centered part.
 Outside values referenced by the stencil are eliminated with a quadratic
 ghost reflection across the true (curved) boundary, which enforces both
 clamped conditions to the order the stencil supports.  The ghost rows make
@@ -20,13 +23,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.polynomial import Polynomial
 from scipy import ndimage
 
-from .cross_section import CrossSection, Interval
+from .cross_section import CrossSection
+from .discrete_op import differences, gradient
 from .errors import GeometryError, IterationError, ValidationError
 from .grids import GridSpec
 
@@ -62,8 +68,8 @@ class TestField:
     """Divergence-free vector field with compact support inside the domain.
 
     g has unit discrete L2 norm and is the rotated gradient (d2, -d1) of the
-    stream function, so its centered-difference divergence vanishes
-    identically.
+    stream function, so its centered-difference divergence vanishes to
+    rounding.
     """
 
     g: np.ndarray
@@ -74,17 +80,16 @@ class TestField:
     lap_norm_sq: float
     ip_lap: float
     grad_norm_sq: float
-    norm_sq: float = 1.0
 
 
 # ---------------------------------------------------------------------------
 # grid and operator assembly
 # ---------------------------------------------------------------------------
 
-def _domain_grid(cs: CrossSection, h: float, pad_cells: int = 3):
+def _domain_grid(cs: CrossSection, h: float):
     lo, hi = cs.bbox()
-    lo = np.asarray(lo, dtype=float) - pad_cells * h
-    hi = np.asarray(hi, dtype=float) + pad_cells * h
+    lo = np.asarray(lo, dtype=float) - 3 * h
+    hi = np.asarray(hi, dtype=float) + 3 * h
     shape = tuple(int(np.ceil((b - a) / h)) for a, b in zip(lo, hi))
     grid = GridSpec(shape=shape, spacing=(h,) * len(shape), origin=tuple(lo))
     mesh = grid.meshgrid()
@@ -108,17 +113,16 @@ def _restriction(mask: np.ndarray) -> sp.csr_matrix:
                          shape=(m, mask.size))
 
 
-def _full_laplacian(shape, h) -> sp.csr_matrix:
+def _laplacian(grid: GridSpec) -> sp.csr_matrix:
     """5-point (3-point in 1D) Laplacian on the full grid, zero ghosts."""
-    ops = []
-    for n in shape:
-        e = np.ones(n)
-        ops.append(sp.diags([e[:-1], -2 * e, e[:-1]], [-1, 0, 1]) / h**2)
-    if len(shape) == 1:
-        return ops[0].tocsr()
-    I0 = sp.identity(shape[0])
-    I1 = sp.identity(shape[1])
-    return (sp.kron(ops[0], I1) + sp.kron(I0, ops[1])).tocsr()
+    G = gradient(grid, ("dirichlet",) * grid.ndim)
+    return (-(G.T @ G)).tocsr()
+
+
+def _centered(grid: GridSpec) -> list:
+    """(u[i+1] - u[i-1]) / 2h per axis with zero ghosts; the components
+    commute, so the rotated gradient is divergence free to rounding."""
+    return [0.5 * (d - d.T) for d in differences(grid, ("pec",) * grid.ndim)]
 
 
 def _ring_nodes(mask: np.ndarray, reach: int) -> np.ndarray:
@@ -167,7 +171,7 @@ def _buckling_system(cs: CrossSection, h: float):
     _check_resolution(cs, h)
     grid, mask, pts = _domain_grid(cs, h)
     P = _restriction(mask)
-    Lf = _full_laplacian(grid.shape, h)
+    Lf = _laplacian(grid)
     A = (P @ (Lf @ Lf) @ P.T).tolil()
     B = (-(P @ Lf @ P.T)).tocsr()
 
@@ -192,7 +196,7 @@ def _scalar_system(cs: CrossSection, h: float):
     _check_resolution(cs, h)
     grid, mask, pts = _domain_grid(cs, h)
     P = _restriction(mask)
-    Lf = _full_laplacian(grid.shape, h)
+    Lf = _laplacian(grid)
     A = (-(P @ Lf @ P.T)).tolil()
 
     idx = -np.ones(mask.shape, dtype=np.int64)
@@ -239,14 +243,14 @@ def _scalar_system(cs: CrossSection, h: float):
 # eigen solves
 # ---------------------------------------------------------------------------
 
-def _smallest_eig(A, B=None, tol=1e-10):
+def _smallest_eig(A, B=None):
     """Smallest eigenpair of A x = lam B x by ARPACK shift-invert at zero.
 
     The start vector is fixed so that repeated solves agree bitwise.
     """
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
-        vals, vecs = spla.eigs(A, k=1, M=B, sigma=0, tol=tol, v0=v0)
+        vals, vecs = spla.eigs(A, k=1, M=B, sigma=0, tol=1e-10, v0=v0)
     except spla.ArpackError as exc:
         raise IterationError(f"shift-invert eigensolve failed: {exc}") from exc
     lam, v = float(vals[0].real), vecs[:, 0].real
@@ -260,16 +264,15 @@ def _smallest_eig(A, B=None, tol=1e-10):
     return lam, v
 
 
-def solve_nu_vector(cs: CrossSection, h: float,
-                    tol: float = 1e-10) -> NuEstimate:
+def solve_nu_vector(cs: CrossSection, h: float) -> NuEstimate:
     """Cross-section constant via the clamped buckling eigenproblem."""
-    nu, _, _, _, quot = _buckling_minimizer(cs, h, tol)
+    nu, _, _, _, quot = _buckling_minimizer(cs, h)
     return NuEstimate(value=nu, grid_h=h, achieved_quotient=quot)
 
 
-def _buckling_minimizer(cs, h, tol=1e-10):
+def _buckling_minimizer(cs, h):
     A, B, grid, mask = _buckling_system(cs, h)
-    nu, v = _smallest_eig(A, B, tol)
+    nu, v = _smallest_eig(A, B)
     psi = np.zeros(mask.shape)
     psi[mask] = v
     # fix the overall sign so repeated runs agree
@@ -282,11 +285,10 @@ def _buckling_minimizer(cs, h, tol=1e-10):
     return float(nu), psi, grid, mask, quot
 
 
-def solve_nu_scalar(cs: CrossSection, h: float,
-                    tol: float = 1e-10) -> NuEstimate:
+def solve_nu_scalar(cs: CrossSection, h: float) -> NuEstimate:
     """Scalar-analog constant: smallest Dirichlet eigenvalue of -Laplace."""
     A, _, _ = _scalar_system(cs, h)
-    lam, _ = _smallest_eig(A, tol=tol)
+    lam, _ = _smallest_eig(A)
     return NuEstimate(value=lam, grid_h=h)
 
 
@@ -294,67 +296,23 @@ def solve_nu_scalar(cs: CrossSection, h: float,
 # test fields
 # ---------------------------------------------------------------------------
 
-def smoothstep(t: np.ndarray, k: int = 2) -> np.ndarray:
-    """C^k polynomial step: 0 at t<=0, 1 at t>=1 (k=2 is the quintic)."""
-    from math import comb
-
-    t = np.clip(t, 0.0, 1.0)
-    acc = np.zeros_like(t)
-    for j in range(k + 1):
-        acc = acc + comb(k + j, j) * comb(2 * k + 1, k - j) * (-t) ** j
-    return t ** (k + 1) * acc
+def smoothstep_polynomial(k: int) -> Polynomial:
+    """The C^k smoothstep S_k: 0 with k derivatives at 0, 1 at 1."""
+    t = Polynomial([0, 1])
+    return t ** (k + 1) * sum(comb(k + j, j) * comb(2 * k + 1, k - j) * (-t) ** j
+                              for j in range(k + 1))
 
 
-def _cgrad(f: np.ndarray, h: float):
-    """Centered gradient with zero ghosts; components commute exactly."""
-    grads = []
-    for axis in range(f.ndim):
-        up = np.zeros_like(f)
-        dn = np.zeros_like(f)
-        sl_hi = [slice(None)] * f.ndim
-        sl_lo = [slice(None)] * f.ndim
-        sl_hi[axis] = slice(1, None)
-        sl_lo[axis] = slice(None, -1)
-        up[tuple(sl_lo)] = f[tuple(sl_hi)]
-        dn[tuple(sl_hi)] = f[tuple(sl_lo)]
-        grads.append((up - dn) / (2 * h))
-    return grads
+_QUINTIC_STEP = smoothstep_polynomial(2)
 
 
-def _fgrad(f: np.ndarray, h: float):
-    """Forward-difference gradient with zero ghosts.
-
-    Adjoint to the 5-point Laplacian: <f, lap2(f)> = -sum |fgrad(f)|^2
-    exactly for fields supported away from the array edges.
-    """
-    grads = []
-    for axis in range(f.ndim):
-        up = np.zeros_like(f)
-        sl_hi = [slice(None)] * f.ndim
-        sl_lo = [slice(None)] * f.ndim
-        sl_hi[axis] = slice(1, None)
-        sl_lo[axis] = slice(None, -1)
-        up[tuple(sl_lo)] = f[tuple(sl_hi)]
-        grads.append((up - f) / h)
-    return grads
+def smoothstep(t: np.ndarray) -> np.ndarray:
+    """C^2 quintic step: 0 at t<=0, 1 at t>=1."""
+    # Horner's rule rounds a hair above 1 just below t = 1
+    return np.minimum(_QUINTIC_STEP(np.clip(t, 0.0, 1.0)), 1.0)
 
 
-def _lap2(f: np.ndarray, h: float) -> np.ndarray:
-    out = -2 * f.ndim * f.copy()
-    for axis in range(f.ndim):
-        sl_hi = [slice(None)] * f.ndim
-        sl_lo = [slice(None)] * f.ndim
-        sl_hi[axis] = slice(1, None)
-        sl_lo[axis] = slice(None, -1)
-        shifted = np.zeros_like(f)
-        shifted[tuple(sl_lo)] += f[tuple(sl_hi)]
-        shifted[tuple(sl_hi)] += f[tuple(sl_lo)]
-        out += shifted
-    return out / h**2
-
-
-def make_test_field(cs: CrossSection, rho: float, h: float,
-                    tol: float = 1e-10) -> TestField:
+def make_test_field(cs: CrossSection, rho: float, h: float) -> TestField:
     """Mollified buckling minimizer as a compactly supported test field.
 
     The stream eigenfunction is multiplied by a quintic smoothstep of the
@@ -367,7 +325,7 @@ def make_test_field(cs: CrossSection, rho: float, h: float,
     if not (0 < rho < cs.inradius() / 2):
         raise GeometryError(
             f"margin rho={rho:g} must lie in (0, inradius/2={cs.inradius() / 2:g})")
-    _, psi, grid, mask, _ = _buckling_minimizer(cs, h, tol)
+    _, psi, grid, mask, _ = _buckling_minimizer(cs, h)
     mesh = grid.meshgrid()
     d = cs.boundary_distance(np.stack(mesh, axis=-1))
     ramp_top = 0.5 * (rho + cs.inradius())
@@ -376,28 +334,32 @@ def make_test_field(cs: CrossSection, rho: float, h: float,
     stream = eta * psi
     if not np.any(stream):
         raise GeometryError("cutoff removed the whole field; rho too large")
-    d1, d2 = _cgrad(stream, h)
-    g = np.stack([d2, -d1])
+    c1, c2 = _centered(grid)
+    g = np.stack([c2 @ stream.ravel(), -(c1 @ stream.ravel())])
     cell = h * h
     nrm = np.sqrt(np.sum(g * g) * cell)
     g /= nrm
     stream = stream / nrm
-    lap_g = np.stack([_lap2(g[0], h), _lap2(g[1], h)])
+    lap = _laplacian(grid)
+    lap_g = np.stack([lap @ gc for gc in g])
     lap_norm_sq = float(np.sum(lap_g * lap_g) * cell)
     ip_lap = float(np.sum(lap_g * g) * cell)
-    grad_norm_sq = float(sum(np.sum(dc * dc) for c in range(2)
-                             for dc in _fgrad(g[c], h)) * cell)
-    return TestField(g=g, stream=stream, grid=grid, support_margin=rho,
+    # forward differences are adjoint to the Laplacian: <g, Lap g> equals
+    # -||grad g||^2 for fields supported away from the array edges
+    fwd = differences(grid, ("pec",) * 2)
+    grad_norm_sq = float(sum(np.sum((dk @ gc) ** 2) for gc in g
+                             for dk in fwd) * cell)
+    return TestField(g=g.reshape(2, *grid.shape), stream=stream, grid=grid,
+                     support_margin=rho,
                      quotient=float(np.sqrt(lap_norm_sq)),
                      lap_norm_sq=lap_norm_sq, ip_lap=ip_lap,
                      grad_norm_sq=grad_norm_sq)
 
 
 def divergence(tf: TestField) -> np.ndarray:
-    """Discrete divergence of the test field (identically zero by build)."""
-    d1 = _cgrad(tf.g[0], tf.grid.spacing[0])[0]
-    d2 = _cgrad(tf.g[1], tf.grid.spacing[0])[1]
-    return d1 + d2
+    """Discrete divergence of the test field (zero to rounding by build)."""
+    c1, c2 = _centered(tf.grid)
+    return (c1 @ tf.g[0].ravel() + c2 @ tf.g[1].ravel()).reshape(tf.grid.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_trial_params_validation(tf, psi):
         TrialParams(**{**good, "n": 0})
     with pytest.raises(ValidationError):
         TrialParams(**{**good, "delta": -0.5})
-    bad_g = dataclasses.replace(tf, norm_sq=2.0)
+    bad_g = dataclasses.replace(tf, g=2 * tf.g)
     with pytest.raises(ValidationError):
         TrialParams(**{**good, "g": bad_g})
     assert TrialParams(**good).k == pytest.approx(np.sqrt(2.5 * 12.0))

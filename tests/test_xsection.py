@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 import oracles
 from gapguide.cross_section import Disk, Interval
 from gapguide.errors import GeometryError, ValidationError
-from gapguide.xsection import (NuEstimate, divergence, make_test_field,
-                               refine_extrapolate, smoothstep, solve_nu_scalar,
-                               solve_nu_vector)
+from gapguide.grids import GridSpec
+from gapguide.xsection import (NuEstimate, _laplacian, divergence,
+                               make_test_field, refine_extrapolate, smoothstep,
+                               solve_nu_scalar, solve_nu_vector)
 
 
 def test_scalar_constant_interval():
@@ -38,6 +39,25 @@ def test_vector_constant_scaling_covariance():
 def test_resolution_guard():
     with pytest.raises(GeometryError):
         solve_nu_vector(Disk(1.0), h=0.2)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (6,)])
+def test_laplacian_is_the_closed_form_stencil(shape):
+    # 5-point (3-point in 1D) stencil with zero ghosts; h = 1/4 keeps every
+    # entry exact, so the comparison is bitwise
+    h = 0.25
+    n = int(np.prod(shape))
+    want = np.zeros((n, n))
+    for i, node in enumerate(np.ndindex(*shape)):
+        want[i, i] = -2 * len(shape) / h**2
+        for axis in range(len(shape)):
+            for step in (-1, 1):
+                nb = list(node)
+                nb[axis] += step
+                if 0 <= nb[axis] < shape[axis]:
+                    want[i, np.ravel_multi_index(nb, shape)] = 1 / h**2
+    got = _laplacian(GridSpec(shape, (h,) * len(shape))).toarray()
+    assert np.array_equal(got, want)
 
 
 def test_test_field_is_divergence_free_and_normalized():
