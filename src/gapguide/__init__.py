@@ -21,10 +21,8 @@ from .existence import (GapInterval, Profile, TrialParams, ConditionReport,
                         ResidualReport, gap_samples, check_condition,
                         residual_closed_form, residual_quadrature,
                         quadrature_grid, trial_norm_quadrature, minimal_n)
-from .discrete_op import (YeeField3, ScalarField2, curl_forward, curl_adjoint,
-                          grad_edges, apply_maxwell, maxwell_operator,
-                          apply_scalar, scalar_matrix, check_identities,
-                          plane_wave_eigenvalue)
+from .discrete_op import (ScalarField2, maxwell_operator, scalar_matrix,
+                          check_identities, plane_wave_eigenvalue)
 from .eigen import (BandTable, ModeResult, DefectSpectrum, band_structure,
                     find_gaps, interior_eigs, defect_spectrum,
                     localization_fraction)

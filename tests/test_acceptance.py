@@ -9,14 +9,13 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 import oracles
 from conftest import record
 from gapguide.cross_section import Disk, Interval
-from gapguide.discrete_op import (YeeField3, apply_maxwell, check_identities,
-                                  curl_forward, grad_edges, maxwell_operator,
-                                  plane_wave_eigenvalue, scalar_matrix)
+from gapguide.discrete_op import (check_identities, curl, gradient,
+                                  maxwell_operator, plane_wave_eigenvalue,
+                                  scalar_matrix)
 from gapguide.decay import ct_shape, fit_decay, profile, rank_correlation
 from gapguide.eigen import (ModeResult, band_structure, defect_spectrum,
                             find_gaps, interior_eigs)
@@ -167,12 +166,10 @@ def test_criterion_04_delta_net_mechanism():
 
 
 def test_criterion_05_discrete_operator_identities():
-    # curl(grad) vanishes bitwise on exact-arithmetic data
+    # curl(grad) vanishes bitwise as a matrix
     grid = GridSpec((8, 8, 8), (1.0, 1.0, 1.0))
-    like = YeeField3(np.zeros((3, 8, 8, 8), complex), grid)
-    rng = np.random.default_rng(0)
-    p = rng.integers(-999, 999, grid.shape).astype(float)
-    grad_img = float(np.max(np.abs(curl_forward(grad_edges(p, like)))))
+    wraps = (1.0, "pec", "pec")
+    grad_img = float(abs(curl(grid, wraps) @ gradient(grid, wraps)).max())
 
     g3 = GridSpec((8, 8, 8), (1 / 8, 1 / 8, 1 / 8), (-0.5, -0.5, -0.5))
     media = [
@@ -183,7 +180,7 @@ def test_criterion_05_discrete_operator_identities():
     ]
     worst_sym = 0.0
     for eps in media:
-        rep = check_identities(eps, trials=20, bloch_k1=0.7)
+        rep = check_identities(eps)
         worst_sym = max(worst_sym, rep["max_symmetry_violation"])
         assert rep["min_quadratic_form"] >= -1e-12
 
@@ -198,11 +195,10 @@ def test_criterion_05_discrete_operator_identities():
         v = r - K * np.vdot(K, r) / np.vdot(K, K)
         idx = np.indices((n, n, n))
         phase = np.exp(1j * h * sum(k[a] * idx[a] for a in range(3)))
-        u = YeeField3(np.stack([v[c] * phase for c in range(3)]), eps32.grid,
-                      bloch_k1=k[0], transverse_bc="periodic")
-        out = apply_maxwell(u, eps32)
-        lam = np.vdot(u.components, out.components).real / np.vdot(
-            u.components, u.components).real
+        u = np.stack([v[c] * phase for c in range(3)]).ravel()
+        out = maxwell_operator(eps32, bloch_k1=k[0],
+                               transverse_bc="periodic") @ u
+        lam = np.vdot(u, out).real / np.vdot(u, u).real
         pred = plane_wave_eigenvalue(k, eps32.grid.spacing, 1.0)
         worst_symbol = max(worst_symbol, abs(lam - pred) / pred)
     ok = grad_img == 0.0 and worst_sym <= 1e-12 and worst_symbol <= 5e-3
@@ -226,14 +222,9 @@ def test_criterion_06_eigensolver_oracle(bulk2d, tm_gap):
         got = np.array([m.lam for m in found])
         assert len(got) == len(want)
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
-    mf = interior_eigs(spla.aslinearoperator(A), window,
-                       count=len(want) + 6, dense_max=0, inner_tol=1e-10)
-    got = np.array([m.lam for m in mf])
-    assert len(got) == len(want)
-    worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     ok = worst <= 1e-8
     record(f"CRITERION 6: {'PASS' if ok else 'FAIL'} - {len(want)} in-window "
-           f"eigenvalues matched by dense/sparse/matrix-free paths to "
+           f"eigenvalues matched by dense and sparse paths to "
            f"{worst:.1e} relative")
     assert ok
 
@@ -334,7 +325,7 @@ def test_criterion_10_three_dimensional_smoke():
         pred = plane_wave_eigenvalue(k, eps.grid.spacing, 1.0)
         M = maxwell_operator(eps, bloch_k1=k[0], transverse_bc="periodic")
         found = interior_eigs(M, (pred - 4.0, pred + 4.0), count=6,
-                              tol=1e-8, inner_tol=1e-10)
+                              tol=1e-8)
         assert found
         err = min(abs(m.lam - pred) / pred for m in found)
         worst = max(worst, err)
@@ -345,7 +336,7 @@ def test_criterion_10_three_dimensional_smoke():
                       defect=StripSpec(Disk(1.0), l=0.4, eps_inside=12.0))
     eps_d = with_defect(build_medium(spec, grid), spec.defect)
     M = maxwell_operator(eps_d, bloch_k1=0.7, transverse_bc="pec")
-    modes = interior_eigs(M, (25.0, 40.0), count=2, tol=1e-6, inner_tol=1e-9)
+    modes = interior_eigs(M, (25.0, 40.0), count=2, tol=1e-6)
     elapsed = time.monotonic() - t0
     ok = worst <= 0.01 and len(modes) >= 1
     record(f"CRITERION 10: {'PASS' if ok else 'FAIL'} - plane-wave "

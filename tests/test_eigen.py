@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 
 import oracles
 from gapguide.cross_section import Interval
-from gapguide.discrete_op import scalar_matrix
+from gapguide.discrete_op import (maxwell_operator, plane_wave_eigenvalue,
+                                  scalar_matrix)
 from gapguide.eigen import (BandTable, band_structure, defect_spectrum,
                             find_gaps, interior_eigs, localization_fraction)
-from gapguide.errors import ValidationError
+from gapguide.errors import IterationError, ValidationError
 from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
 from gapguide.media import (BoxInclusion, MediumSpec, SampledEpsilon,
@@ -81,9 +82,7 @@ def test_interior_eigs_paths_agree(defected):
     assert len(want) >= 2
     dense = interior_eigs(A, window, count=12)
     sparse = interior_eigs(A, window, count=12, dense_max=0)
-    matfree = interior_eigs(spla.aslinearoperator(A), window, count=12,
-                            dense_max=0, inner_tol=1e-10)
-    for found in (dense, sparse, matfree):
+    for found in (dense, sparse):
         got = np.array([m.lam for m in found])
         assert len(got) == len(want)
         assert np.allclose(got, want, rtol=1e-8)
@@ -100,6 +99,30 @@ def test_interior_eigs_window_validation_and_empty(defected):
     lo = 0.5 * (ref[3] + ref[4])
     hole = (lo, lo + 1e-6)
     assert interior_eigs(A, hole, count=4) == []
+
+
+def test_interior_eigs_singular_shift_raises():
+    # the window centre 2000 is an eigenvalue: the shifted LU is singular
+    A = sp.diags(np.arange(1.0, 4001.0))
+    with pytest.raises(IterationError):
+        interior_eigs(A, (1999.0, 2001.0), dense_max=0)
+
+
+@pytest.mark.parametrize("mk, multiplicity",
+                         [((1, 0, 0), 12), ((1, 1, 0), 24), ((1, 1, 1), 16)])
+def test_interior_eigs_returns_every_copy_of_a_shell(mk, multiplicity):
+    # periodic homogeneous 12^3 cube: the plane waves of a shell share the
+    # symbol of (2 pi, 0, 0) up to permutation and sign, two polarizations
+    # each, so the window around the symbol holds exactly `multiplicity`
+    n, h = 12, 1 / 12
+    eps = SampledEpsilon(GridSpec((n,) * 3, (h,) * 3), np.ones((n,) * 3))
+    M = maxwell_operator(eps, bloch_k1=0.0, transverse_bc="periodic")
+    sym = plane_wave_eigenvalue(2 * np.pi * np.asarray(mk, dtype=float),
+                                (h,) * 3, 1.0)
+    found = interior_eigs(M, (sym - 4.0, sym + 4.0), count=multiplicity,
+                          dense_max=0)
+    assert len(found) == multiplicity
+    assert all(abs(m.lam - sym) <= 1e-8 * sym for m in found)
 
 
 def test_defect_eigenvalues_decrease_with_eps(supercell, tm_gap):

@@ -1,7 +1,8 @@
-"""Every defaulted parameter of the package is set by some caller.
+"""Every defaulted parameter of the package takes another value somewhere.
 
-A default that no call in src/, tests/, demos/ or bench/ ever overrides is
-a constant dressed up as an option: it doubles the configurations to cover
+A default that no call in src/, tests/, demos/ or bench/ ever overrides,
+or that every call overriding it sets to the default literal again, is a
+constant dressed up as an option: it doubles the configurations to cover
 and is exercised at one value only.  Constructors are left out; their
 defaults are the fields of value objects.
 """
@@ -21,7 +22,8 @@ def _name(node):
 
 
 def _defaulted_parameters():
-    """(qualified name, function name, parameter, positional index or None)."""
+    """(qualified name, function name, parameter, positional index or None,
+    default expression)."""
     for path in sorted((ROOT / "src" / "gapguide").glob("*.py")):
         tree = ast.parse(path.read_text())
         scopes = [(None, tree.body)] + [(c.name, c.body) for c in tree.body
@@ -35,15 +37,17 @@ def _defaulted_parameters():
                 a = fn.args
                 pos = a.posonlyargs + a.args
                 qual = f"{path.stem}.{cls + '.' if cls else ''}{fn.name}"
-                for i in range(len(pos) - len(a.defaults), len(pos)):
-                    yield qual, fn.name, pos[i].arg, i - skip
+                first = len(pos) - len(a.defaults)
+                for i, default in enumerate(a.defaults, first):
+                    yield qual, fn.name, pos[i].arg, i - skip, default
                 for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                     if default is not None:
-                        yield qual, fn.name, arg.arg, None
+                        yield qual, fn.name, arg.arg, None, default
 
 
 def _calls():
-    """name -> [(positional count, keyword names)] over every call site.
+    """name -> [(positional arguments, {keyword: argument})] over every call
+    site, positional arguments cut at the first starred one.
 
     `op(fn, *args, **kwargs)` wrappers, as the benchmark uses, also count as
     a call of `fn` with the remaining arguments.
@@ -54,22 +58,36 @@ def _calls():
             for node in ast.walk(ast.parse(path.read_text())):
                 if not isinstance(node, ast.Call):
                     continue
-                kws = {k.arg for k in node.keywords if k.arg}
+                kws = {k.arg: k.value for k in node.keywords if k.arg}
                 sites = [(_name(node.func), node.args)]
                 if node.args:
                     sites.append((_name(node.args[0]), node.args[1:]))
                 for name, args in sites:
                     npos = next((i for i, x in enumerate(args)
                                  if isinstance(x, ast.Starred)), len(args))
-                    calls.setdefault(name, []).append((npos, kws))
+                    calls.setdefault(name, []).append((args[:npos], kws))
     return calls
+
+
+def _is_literal(node, value):
+    try:
+        return ast.literal_eval(node) == value
+    except ValueError:
+        return False
 
 
 def test_every_defaulted_parameter_is_set_by_some_caller():
     calls = _calls()
-    unset = [f"{qual}({param})"
-             for qual, fn, param, index in _defaulted_parameters()
-             if not any(param in kws or (index is not None and npos > index)
-                        for npos, kws in calls.get(fn, []))]
-    assert not unset, ("defaulted parameters no caller sets; make them "
-                       "constants: " + ", ".join(unset))
+    unset = []
+    for qual, fn, param, index, default in _defaulted_parameters():
+        try:
+            value = ast.literal_eval(default)
+        except ValueError:
+            value = object()            # no call can repeat it as a literal
+        passed = [kws[param] if param in kws else args[index]
+                  for args, kws in calls.get(fn, [])
+                  if param in kws or (index is not None and len(args) > index)]
+        if all(_is_literal(node, value) for node in passed):
+            unset.append(f"{qual}({param})")
+    assert not unset, ("defaulted parameters no caller sets to another value; "
+                       "make them constants: " + ", ".join(unset))
