@@ -154,8 +154,9 @@ def maxwell_operator(eps: SampledEpsilon, bloch_k1: float = 0.0,
     Component c lives on edges parallel to axis c: offset by half a cell
     along c, on nodes along the other axes; the x1 wraparound carries the
     Bloch phase e^{i k1 a} with a the axial extent of the grid.
-    interior_eigs factors it directly; on a 16x32x32 supercell the LU
-    takes about 2 GiB and 25 s.
+    interior_eigs factors it directly, once at each end of the window for
+    the inertia count and once at its centre; on a 16x32x32 supercell the
+    three LUs take about 55 s and peak at 2.4 GiB.
     """
     wraps = _axis_wraps(eps.grid, bloch_k1, transverse_bc)
     return _operator(eps, wraps, curl(eps.grid, wraps))

@@ -9,6 +9,7 @@ the gap, filtered by transverse localization so that folded bulk bands
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,27 +135,59 @@ def _dense_window(A, window):
     return vals[sel], vecs[:, sel]
 
 
-def _shift_inverse(A, sigma: float) -> spla.LinearOperator:
-    """(A - sigma I)^{-1} from one sparse LU, for ARPACK's shift-invert mode.
-
-    Minimum-degree ordering of A + A^T with diagonal pivots preferred
-    (SuperLU's symmetric mode) keeps the LU of the 16x32x32 curl-curl
-    supercell near 2 GiB.  The threshold 1e-2 still pivots off the diagonal
-    where a shift on an eigenvalue leaves a tiny diagonal pivot: at 1e-3
-    such shifts gave eigenvector residuals up to 1e-5 on a degenerate
-    shell, and thresholds of 0.1 and above grow that LU's fill 1.7 to 2.1
-    times.
+def _factor(A, sigma: float, thresh: float):
+    """SuperLU of A - sigma I: minimum-degree ordering of A + A^T with
+    diagonal pivots preferred (SuperLU's symmetric mode) below the relative
+    pivot threshold `thresh`.  An exactly singular factor (SuperLU's
+    RuntimeError) raises IterationError.
     """
     n = A.shape[0]
     shifted = sp.csc_matrix(A) - sigma * sp.identity(n, format="csc")
     try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=1e-2,
-                       options=dict(SymmetricMode=True))
+        return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=thresh,
+                         options=dict(SymmetricMode=True))
     except RuntimeError as exc:        # SuperLU: "Factor is exactly singular"
         raise IterationError(
             f"shift {sigma:g} is an eigenvalue; cannot factor: {exc}") from exc
-    return spla.LinearOperator((n, n), matvec=lu.solve, dtype=shifted.dtype)
+
+
+def _negative_count(A, s: float) -> int:
+    """Number of eigenvalues of the Hermitian A below s (Sylvester inertia).
+
+    With pivot threshold 0 SuperLU takes every nonzero diagonal pivot, so
+    the factor is P (A - s I) P^T = L D L^H and the signs of diag(U) = D are
+    the inertia of A - s I.  A row permutation that differs from the column
+    one means an off-diagonal pivot was taken; that raises IterationError.
+    """
+    lu = _factor(A, s, 0.0)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise IterationError(
+            f"LU of A - {s:g} I pivoted off the diagonal: no inertia count")
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def _window_count(A, window) -> int:
+    """Eigenvalues of the Hermitian A inside the open window, by inertia."""
+    return _negative_count(A, window[1]) - _negative_count(A, window[0])
+
+
+def _shift_inverse(A, sigma: float) -> spla.LinearOperator:
+    """(A - sigma I)^{-1} from one sparse LU, for ARPACK's shift-invert mode.
+
+    interior_eigs builds it only when the inertia count m of the window is
+    positive (m = 0 returns no pairs and no Lanczos run); Lanczos on it is
+    asked for k = min(count, m) pairs and must return k in the window, and
+    m > count warns.  Minimum-degree ordering of A + A^T with diagonal
+    pivots preferred keeps the LU of the 16x32x32 curl-curl supercell near
+    2 GiB.  The threshold 1e-2 still pivots off the diagonal where a shift
+    on an eigenvalue leaves a tiny diagonal pivot: at 1e-3 such shifts gave
+    eigenvector residuals up to 1e-5 on a degenerate shell, and thresholds
+    of 0.1 and above grow that LU's fill 1.7 to 2.1 times.
+    """
+    n = A.shape[0]
+    return spla.LinearOperator((n, n), matvec=_factor(A, sigma, 1e-2).solve,
+                               dtype=np.result_type(A.dtype, float))
 
 
 def interior_eigs(op, window, count: int = 10, tol: float = 1e-8,
@@ -163,13 +196,20 @@ def interior_eigs(op, window, count: int = 10, tol: float = 1e-8,
 
     `op` is a sparse or dense matrix.  Up to dense_max unknowns it is
     diagonalized in full and every eigenvalue in the window is returned.
-    Above that, shift-invert Lanczos (ARPACK) at the window centre, with
-    one sparse LU of op - centre * I, returns at most the `count`
-    eigenvalues nearest the centre; raise `count` when the window may hold
-    more.  ARPACK starts from a fixed random vector, so repeated solves
-    agree.  A centre that makes the shifted LU exactly singular, an ARPACK
-    failure or an eigenpair residual above tol * max(|lam|, 1) raises
-    IterationError.
+    Above that, the window is first counted by Sylvester inertia: m is the
+    number of negative pivots of the LU of op - hi I minus that of op - lo I
+    (pivot threshold 0, symmetric permutation).  m = 0 returns [] without
+    any further factorization or Lanczos run.  Otherwise shift-invert
+    Lanczos (ARPACK) at the window centre, with one sparse LU of
+    op - centre * I, is asked for exactly k = min(count, m) pairs, the k
+    eigenvalues nearest the centre, all of which lie in the window.  When
+    m > count, a RuntimeWarning names m and the `count` pairs nearest the
+    centre are returned, so a caller that needs every eigenvalue raises
+    `count`.  ARPACK starts from a fixed random vector, so repeated solves
+    agree.  IterationError is raised when an end or centre LU is exactly
+    singular, when an end LU pivots off the diagonal (no inertia count),
+    when Lanczos returns other than k in-window pairs, on an ARPACK
+    failure, and for an eigenpair residual above tol * max(|lam|, 1).
     Returns a possibly-empty list of ModeResult sorted by eigenvalue.
     """
     if window[0] < 0 or window[1] <= window[0]:
@@ -179,18 +219,32 @@ def interior_eigs(op, window, count: int = 10, tol: float = 1e-8,
     if n <= dense_max:
         vals, vecs = _dense_window(op, window)
     else:
+        m = _window_count(op, window)
+        if m < 0:
+            raise IterationError(f"inertia counts give {m} eigenvalues in "
+                                 f"the window {window}")
+        if m == 0:
+            return []
+        k = min(count, m, n - 2)
+        if m > k:
+            warnings.warn(
+                f"window {window} holds {m} eigenvalues; returning the {k} "
+                "nearest its centre", RuntimeWarning)
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(n)
         if np.issubdtype(op.dtype, np.complexfloating):
             v0 = v0 + 1j * rng.standard_normal(n)
         try:
-            vals, vecs = spla.eigsh(op, k=min(count, n - 2), sigma=sigma,
-                                    which="LM", v0=v0,
+            vals, vecs = spla.eigsh(op, k=k, sigma=sigma, which="LM", v0=v0,
                                     OPinv=_shift_inverse(op, sigma))
         except spla.ArpackError as exc:
             raise IterationError(
                 f"interior eigensolve stalled: {exc}") from exc
         sel = (vals > window[0]) & (vals < window[1])
+        if np.count_nonzero(sel) != k:
+            raise IterationError(
+                f"Lanczos found {np.count_nonzero(sel)} eigenvalues in the "
+                f"window, inertia asked for {k}")
         vals, vecs = vals[sel], vecs[:, sel]
 
     out = []

@@ -71,3 +71,34 @@ def decay_rate(lam, k1, layers=LAYERS):
     """Exact Bloch decay rate at an in-gap lam: log of the monodromy growth."""
     eigs = np.linalg.eigvals(cell_T(lam, k1, layers))
     return float(np.log(np.max(np.abs(eigs))))
+
+
+def parseval_residual(tp, grid):
+    """Brute-force Parseval sum of |curl curl w - k^2 w|^2 over every
+    (k1, k2, k3) mode of the 3D quadrature grid.
+
+    Built from the test field's stream samples and the profile alone: at
+    wave vector K the residual of w_hat = a_hat(k1) (0, g2_hat, g3_hat) is
+    (|K|^2 - k^2) w_hat - K (K . w_hat), and g = (d3 s, -d2 s) is formed
+    spectrally and normalized to unit L2 norm in physical space.
+    """
+    n1, n2, n3 = grid.shape
+    h1, h2, h3 = grid.spacing
+    x1 = grid.origin[0] + (np.arange(n1) + 0.5) * h1
+    a = tp.psi(x1 / tp.n) / np.sqrt(tp.n) * np.exp(1j * tp.k * x1)
+    a_hat = np.fft.fft(a)
+    kk1 = 2 * np.pi * np.fft.fftfreq(n1, d=h1)
+    kk2 = 2 * np.pi * np.fft.fftfreq(n2, d=h2)[:, None]
+    kk3 = 2 * np.pi * np.fft.fftfreq(n3, d=h3)[None, :]
+    s_hat = np.fft.fft2(tp.g.stream)
+    g_hat = np.stack([np.zeros_like(s_hat), 1j * kk3 * s_hat,
+                      -1j * kk2 * s_hat])
+    g = np.fft.ifft2(g_hat)
+    g_hat /= np.sqrt(np.sum(np.abs(g) ** 2) * h2 * h3)
+    total = 0.0
+    for j in range(n1):
+        K = np.stack(np.broadcast_arrays(kk1[j], kk2, kk3))
+        w = a_hat[j] * g_hat
+        r = (np.sum(K**2, axis=0) - tp.k**2) * w - K * np.sum(K * w, axis=0)
+        total += np.sum(np.abs(r) ** 2)
+    return float(total * h1 * h2 * h3 / (n1 * n2 * n3))

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import oracles
 from gapguide.cross_section import Interval
 from gapguide.discrete_op import (maxwell_operator, plane_wave_eigenvalue,
                                   scalar_matrix)
-from gapguide.eigen import (BandTable, band_structure, defect_spectrum,
-                            find_gaps, interior_eigs, localization_fraction)
+from gapguide.eigen import (BandTable, _window_count, band_structure,
+                            defect_spectrum, find_gaps, interior_eigs,
+                            localization_fraction)
 from gapguide.errors import IterationError, ValidationError
 from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
@@ -102,10 +104,59 @@ def test_interior_eigs_window_validation_and_empty(defected):
 
 
 def test_interior_eigs_singular_shift_raises():
-    # the window centre 2000 is an eigenvalue: the shifted LU is singular
+    # an eigenvalue at the lower end (1999) makes an inertia-count LU
+    # singular, one at the centre (2000) the shift-invert LU
     A = sp.diags(np.arange(1.0, 4001.0))
-    with pytest.raises(IterationError):
-        interior_eigs(A, (1999.0, 2001.0), dense_max=0)
+    for window in ((1999.0, 2000.5), (1999.5, 2000.5)):
+        with pytest.raises(IterationError):
+            interior_eigs(A, window, dense_max=0)
+
+
+def test_interior_eigs_cross_checks_lanczos_against_the_count(monkeypatch):
+    A = sp.diags(np.arange(1.0, 4001.0))
+    eigsh = spla.eigsh
+
+    def one_short(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals[1:], vecs[:, 1:]
+
+    monkeypatch.setattr(spla, "eigsh", one_short)
+    with pytest.raises(IterationError, match="Lanczos found 9"):
+        interior_eigs(A, (1995.5, 2005.5), count=20, dense_max=0)
+
+
+def test_window_count_matches_dense_count(supercell, defected, tm_gap):
+    window = (tm_gap.alpha, tm_gap.beta)
+    for k1 in (4.5, 5.0, 5.5):
+        A = scalar_matrix(defected, bloch_k1=k1, transverse_bc="dirichlet")
+        ref = np.linalg.eigvalsh(A.toarray())
+        want = np.count_nonzero((ref > window[0]) & (ref < window[1]))
+        assert want > 0
+        assert _window_count(A, window) == want
+        bare = scalar_matrix(supercell, bloch_k1=k1, transverse_bc="dirichlet")
+        assert _window_count(bare, window) == 0
+
+
+def test_empty_window_skips_lanczos(supercell, tm_gap, monkeypatch):
+    def fail(*args, **kwargs):
+        raise spla.ArpackError(3)
+
+    monkeypatch.setattr(spla, "eigsh", fail)
+    A = scalar_matrix(supercell, bloch_k1=5.0, transverse_bc="dirichlet")
+    assert interior_eigs(A, (tm_gap.alpha, tm_gap.beta), count=8,
+                         dense_max=0) == []
+
+
+def test_interior_eigs_warns_when_the_window_holds_more_than_count():
+    n, h = 12, 1 / 12
+    eps = SampledEpsilon(GridSpec((n,) * 3, (h,) * 3), np.ones((n,) * 3))
+    M = maxwell_operator(eps, bloch_k1=0.0, transverse_bc="periodic")
+    sym = plane_wave_eigenvalue(np.array([2 * np.pi, 0.0, 0.0]), (h,) * 3,
+                                1.0)
+    with pytest.warns(RuntimeWarning, match="holds 12 eigenvalues"):
+        found = interior_eigs(M, (sym - 4.0, sym + 4.0), count=6, dense_max=0)
+    assert len(found) == 6
+    assert all(abs(m.lam - sym) <= 1e-8 * sym for m in found)
 
 
 @pytest.mark.parametrize("mk, multiplicity",

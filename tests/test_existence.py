@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gapguide.cross_section import Disk
 from gapguide.errors import ResolutionError, ValidationError
 from gapguide.existence import (GapInterval, Profile, TrialParams,
@@ -135,6 +136,15 @@ def test_quadrature_matches_closed_form(tf, psi):
     quad = residual_quadrature(tp, grid)
     assert quad == pytest.approx(residual_closed_form(tp).closed_form, rel=1e-6)
     assert trial_norm_quadrature(tp, grid) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("l, eps, mu, n", [(1.0, 12.0, 2.5, 8),
+                                           (1.7, 3.0, 3.5, 30)])
+def test_quadrature_matches_brute_force_parseval(tf, psi, l, eps, mu, n):
+    tp = TrialParams(l=l, eps=eps, mu=mu, delta=1.0, n=n, psi=psi, g=tf)
+    grid = quadrature_grid(tp, axial_cells=512)
+    assert residual_quadrature(tp, grid) == pytest.approx(
+        oracles.parseval_residual(tp, grid), rel=1e-12)
 
 
 def test_quadrature_grid_guards(tf, psi):
