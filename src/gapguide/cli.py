@@ -31,7 +31,7 @@ from .decay import ct_shape, fit_decay, profile, rank_correlation
 SCHEMA_VERSION = 1
 
 
-def _load_config(path) -> dict:
+def _load_config(path, command: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
@@ -41,6 +41,9 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}")
+    unread = sorted(set(cfg) - CONFIG_KEYS[command] - {"schema"})
+    if unread:
+        raise ConfigError(f"{command} does not read config keys {unread}")
     return cfg
 
 
@@ -192,8 +195,7 @@ def _defect_run(args, cfg):
         eps, spec.defect, _gap(cfg),
         k1_samples=_samples(cfg.get("k1_samples")),
         delta=float(cfg.get("delta", 0.15)),
-        count=int(cfg.get("count", 30)),
-        loc_fraction=float(cfg.get("loc_fraction", 0.5)))
+        count=int(cfg.get("count", 30)))
     return spec, eps, ds
 
 
@@ -339,6 +341,20 @@ def _maybe(path: Path):
         return None
 
 
+# top-level config keys each command reads; any other key is a ConfigError,
+# so a misspelt or retired key cannot run silently with its default
+_DEFECT_KEYS = {"medium", "grid", "gap", "k1_samples", "delta", "count"}
+CONFIG_KEYS = {
+    "nu": {"cross_section", "kind", "h", "h_values"},
+    "check": {"l", "eps", "gap", "gap_width", "nu", "cross_section", "h"},
+    "residual": {"l", "eps", "mu", "delta", "n", "cross_section", "h", "rho",
+                 "profile_k", "quadrature"},
+    "bands": {"medium", "grid", "k_samples", "bands", "min_gap_width"},
+    "defect": _DEFECT_KEYS | {"dump_fields"},
+    "decay": _DEFECT_KEYS | {"step", "d_min", "d_max", "dump_profiles"},
+    "sweep": _DEFECT_KEYS | {"l_values", "eps_values", "nu"},
+    "report": set(),
+}
 COMMANDS = {"nu": cmd_nu, "check": cmd_check, "residual": cmd_residual,
             "bands": cmd_bands, "defect": cmd_defect, "decay": cmd_decay,
             "sweep": cmd_sweep, "report": cmd_report}
@@ -366,7 +382,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        cfg = _load_config(args.config) if args.config else {}
+        cfg = _load_config(args.config, args.command) if args.config else {}
         return COMMANDS[args.command](args, cfg, out)
     except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

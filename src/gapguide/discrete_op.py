@@ -50,11 +50,12 @@ def _axis_wraps(grid: GridSpec, bloch_k1: float, transverse_bc: str,
 
 @dataclass(frozen=True)
 class ScalarField2:
-    """Scalar nodal field in 2D; Bloch along x1, Dirichlet or periodic in x2.
+    """Scalar field in 2D; Bloch along x1, Dirichlet or periodic in x2.
 
-    On a Bloch/periodic axis the nodes sit at origin + i h; on a Dirichlet
-    axis at origin + (i+1) h, so both walls are zero ghosts one spacing
-    outside the unknowns.
+    Values sit at the cell centres origin + (i + 1/2) h of the grid, as
+    media, localization and decay sample them.  On a Dirichlet axis the
+    zero ghosts are the centres of the cells just outside the grid, half a
+    cell beyond its ends.
     """
 
     values: np.ndarray

@@ -81,30 +81,18 @@ def _bulk_matrix(eps: SampledEpsilon, k) -> sp.csr_matrix:
                          bloch_k2=kk[1] if kk.size > 1 else 0.0)
 
 
-def _smallest_eigs(A: sp.csr_matrix, count: int) -> np.ndarray:
-    n = A.shape[0]
-    if count >= n - 1:
-        vals = dla.eigvalsh(A.toarray())
-        return np.sort(vals.real)[:count]
-    scale = abs(A).sum() / n
-    vals = spla.eigsh(A, k=count, sigma=-1e-3 * scale, which="LM",
-                      return_eigenvectors=False)
-    return np.sort(vals.real)
-
-
 def band_structure(eps: SampledEpsilon, k_path, bands: int = 8) -> BandTable:
     """Lowest `bands` eigenvalues of the periodic bulk at each k-sample.
 
     1D media take scalar Bloch momenta; 2D media take scalars (transverse
-    momentum zero) or (k1, k2) pairs.
+    momentum zero) or (k1, k2) pairs.  Each sample is one (bitwise
+    repeatable) `_nearest_eigs` solve shifted just below the spectrum.
     """
     ks = tuple(k_path)
     eigs = []
     for k in ks:
-        try:
-            vals = _smallest_eigs(_bulk_matrix(eps, k), bands)
-        except spla.ArpackError as exc:
-            raise IterationError(f"band solve failed at k={k!r}: {exc}") from exc
+        A = _bulk_matrix(eps, k)
+        vals, _ = _nearest_eigs(A, -1e-3 * abs(A).sum() / A.shape[0], bands)
         eigs.append(np.maximum(vals, 0.0))
     return BandTable(k_samples=ks, eigenvalues=tuple(eigs),
                      meta={"bands": bands, "grid": eps.grid.shape})
@@ -126,13 +114,6 @@ def find_gaps(bt: BandTable, min_width: float) -> list:
         if top[j] > 0 and bot[j + 1] - top[j] >= min_width:
             gaps.append(GapInterval(float(top[j]), float(bot[j + 1])))
     return gaps
-
-
-def _dense_window(A, window):
-    Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
-    vals, vecs = dla.eigh(Ad)
-    sel = (vals > window[0]) & (vals < window[1])
-    return vals[sel], vecs[:, sel]
 
 
 def _factor(A, sigma: float, thresh: float):
@@ -172,86 +153,85 @@ def _window_count(A, window) -> int:
     return _negative_count(A, window[1]) - _negative_count(A, window[0])
 
 
-def _shift_inverse(A, sigma: float) -> spla.LinearOperator:
-    """(A - sigma I)^{-1} from one sparse LU, for ARPACK's shift-invert mode.
+def _nearest_eigs(A, sigma: float, k: int):
+    """The k eigenpairs of the Hermitian A nearest sigma, by ascending
+    eigenvalue, as (values, vectors in columns).
 
-    interior_eigs builds it only when the inertia count m of the window is
-    positive (m = 0 returns no pairs and no Lanczos run); Lanczos on it is
-    asked for k = min(count, m) pairs and must return k in the window, and
-    m > count warns.  Minimum-degree ordering of A + A^T with diagonal
-    pivots preferred keeps the LU of the 16x32x32 curl-curl supercell near
-    2 GiB.  The threshold 1e-2 still pivots off the diagonal where a shift
-    on an eigenvalue leaves a tiny diagonal pivot: at 1e-3 such shifts gave
+    Shift-invert Lanczos (ARPACK, Ericsson & Ruhe 1980) with OPinv from one
+    sparse LU of A - sigma I, started from the fixed vector of
+    default_rng(0) (complex for complex A), so repeated solves agree
+    bitwise.  Minimum-degree ordering of A + A^T with diagonal pivots
+    preferred keeps the LU of the 16x32x32 curl-curl supercell near 2 GiB.
+    The pivot threshold 1e-2 still pivots off the diagonal where a shift on
+    an eigenvalue leaves a tiny diagonal pivot: at 1e-3 such shifts gave
     eigenvector residuals up to 1e-5 on a degenerate shell, and thresholds
-    of 0.1 and above grow that LU's fill 1.7 to 2.1 times.
+    of 0.1 and above grow that LU's fill 1.7 to 2.1 times.  ARPACK cannot
+    take k >= n - 1; then A is diagonalized in full.  An exactly singular
+    LU or an ARPACK failure raises IterationError.
     """
     n = A.shape[0]
-    return spla.LinearOperator((n, n), matvec=_factor(A, sigma, 1e-2).solve,
-                               dtype=np.result_type(A.dtype, float))
+    if k >= n - 1:
+        vals, vecs = dla.eigh(A.toarray() if sp.issparse(A) else A)
+        near = np.sort(np.argsort(np.abs(vals - sigma), kind="stable")[:k])
+        return vals[near], vecs[:, near]
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n)
+    if np.issubdtype(A.dtype, np.complexfloating):
+        v0 = v0 + 1j * rng.standard_normal(n)
+    opinv = spla.LinearOperator((n, n), matvec=_factor(A, sigma, 1e-2).solve,
+                                dtype=np.result_type(A.dtype, float))
+    try:
+        vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
+                                OPinv=opinv)
+    except spla.ArpackError as exc:
+        raise IterationError(
+            f"Lanczos at shift {sigma:g} failed: {exc}") from exc
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
 
 
-def interior_eigs(op, window, count: int = 10, tol: float = 1e-8,
-                  dense_max: int = 3000):
+def interior_eigs(op, window, count: int = 10):
     """Eigenpairs of a Hermitian matrix with eigenvalue inside the window.
 
-    `op` is a sparse or dense matrix.  Up to dense_max unknowns it is
-    diagonalized in full and every eigenvalue in the window is returned.
-    Above that, the window is first counted by Sylvester inertia: m is the
-    number of negative pivots of the LU of op - hi I minus that of op - lo I
-    (pivot threshold 0, symmetric permutation).  m = 0 returns [] without
-    any further factorization or Lanczos run.  Otherwise shift-invert
-    Lanczos (ARPACK) at the window centre, with one sparse LU of
-    op - centre * I, is asked for exactly k = min(count, m) pairs, the k
-    eigenvalues nearest the centre, all of which lie in the window.  When
-    m > count, a RuntimeWarning names m and the `count` pairs nearest the
-    centre are returned, so a caller that needs every eigenvalue raises
-    `count`.  ARPACK starts from a fixed random vector, so repeated solves
-    agree.  IterationError is raised when an end or centre LU is exactly
-    singular, when an end LU pivots off the diagonal (no inertia count),
-    when Lanczos returns other than k in-window pairs, on an ARPACK
-    failure, and for an eigenpair residual above tol * max(|lam|, 1).
-    Returns a possibly-empty list of ModeResult sorted by eigenvalue.
+    `op` is a sparse or dense matrix.  The window is first counted by
+    Sylvester inertia: m is the number of negative pivots of the LU of
+    op - hi I minus that of op - lo I (pivot threshold 0, symmetric
+    permutation).  m = 0 returns [] without any further factorization or
+    Lanczos run.  Otherwise `_nearest_eigs` at the window centre is asked
+    for exactly k = min(count, m) pairs, the k eigenvalues nearest the
+    centre, all of which lie in the window.  When m > count, a
+    RuntimeWarning names m and the `count` pairs nearest the centre are
+    returned, so a caller that needs every eigenvalue raises `count`.
+    Repeated solves agree bitwise.  IterationError is raised when an end
+    or centre LU is exactly singular, when an end LU pivots off the
+    diagonal (no inertia count), when Lanczos returns other than k
+    in-window pairs, on an ARPACK failure, and for an eigenpair residual
+    above 1e-8 * max(|lam|, 1).  Returns a possibly-empty list of
+    ModeResult sorted by eigenvalue.
     """
     if window[0] < 0 or window[1] <= window[0]:
         raise ValidationError("window must satisfy 0 <= lo < hi")
-    sigma = 0.5 * (window[0] + window[1])
-    n = op.shape[0]
-    if n <= dense_max:
-        vals, vecs = _dense_window(op, window)
-    else:
-        m = _window_count(op, window)
-        if m < 0:
-            raise IterationError(f"inertia counts give {m} eigenvalues in "
-                                 f"the window {window}")
-        if m == 0:
-            return []
-        k = min(count, m, n - 2)
-        if m > k:
-            warnings.warn(
-                f"window {window} holds {m} eigenvalues; returning the {k} "
-                "nearest its centre", RuntimeWarning)
-        rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(n)
-        if np.issubdtype(op.dtype, np.complexfloating):
-            v0 = v0 + 1j * rng.standard_normal(n)
-        try:
-            vals, vecs = spla.eigsh(op, k=k, sigma=sigma, which="LM", v0=v0,
-                                    OPinv=_shift_inverse(op, sigma))
-        except spla.ArpackError as exc:
-            raise IterationError(
-                f"interior eigensolve stalled: {exc}") from exc
-        sel = (vals > window[0]) & (vals < window[1])
-        if np.count_nonzero(sel) != k:
-            raise IterationError(
-                f"Lanczos found {np.count_nonzero(sel)} eigenvalues in the "
-                f"window, inertia asked for {k}")
-        vals, vecs = vals[sel], vecs[:, sel]
-
+    m = _window_count(op, window)
+    if m < 0:
+        raise IterationError(f"inertia counts give {m} eigenvalues in "
+                             f"the window {window}")
+    if m == 0:
+        return []
+    k = min(count, m)
+    if m > k:
+        warnings.warn(
+            f"window {window} holds {m} eigenvalues; returning the {k} "
+            "nearest its centre", RuntimeWarning)
+    vals, vecs = _nearest_eigs(op, 0.5 * (window[0] + window[1]), k)
+    inside = np.count_nonzero((vals > window[0]) & (vals < window[1]))
+    if inside != k:
+        raise IterationError(f"Lanczos found {inside} eigenvalues in the "
+                             f"window, inertia asked for {k}")
     out = []
-    for lam, v in sorted(zip(vals.real, vecs.T), key=lambda t: t[0]):
+    for lam, v in zip(vals, vecs.T):
         v = v / np.linalg.norm(v)
         res = float(np.linalg.norm(op @ v - lam * v))
-        if res > tol * max(abs(lam), 1.0):
+        if res > 1e-8 * max(abs(lam), 1.0):
             raise IterationError(
                 f"eigenpair residual {res:.2e} above tolerance", residual=res)
         out.append(ModeResult(lam=float(lam), field=v, residual=res,
@@ -272,14 +252,14 @@ def localization_fraction(values: np.ndarray, eps_grid,
 
 def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
                     gap: GapInterval, k1_samples=None, delta: float = 0.15,
-                    count: int = 30,
-                    loc_fraction: float = 0.5) -> DefectSpectrum:
+                    count: int = 30) -> DefectSpectrum:
     """Localized eigenvalues inside the gap over a k1 sweep, with coverage.
 
     For each sampled mu point of the gap, reports whether some localized
-    eigenvalue lies within delta.  Folded bulk bands are rejected by the
-    localization filter; run the same function on the bulk medium (same
-    strip argument for the distance geometry) as a negative control.
+    eigenvalue (half or more of its squared norm within one period of the
+    scaled section) lies within delta.  Folded bulk bands are rejected by
+    this filter; run the same function on the bulk medium (same strip
+    argument for the distance geometry) as a negative control.
     """
     if k1_samples is None:
         a = eps_defect.bloch_period or 1.0
@@ -291,11 +271,11 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     for k1 in k1_samples:
         A = scalar_matrix(eps_defect, bloch_k1=float(k1),
                           transverse_bc="dirichlet")
-        found = interior_eigs(A, window, count=count, dense_max=0)
+        found = interior_eigs(A, window, count=count)
         for m in found:
             vals2 = np.asarray(m.field).reshape(grid.shape)
             frac = localization_fraction(vals2, grid, strip)
-            if frac < loc_fraction:
+            if frac < 0.5:
                 continue
             fld = ScalarField2(vals2, grid, bloch_k1=float(k1))
             modes.append(ModeResult(lam=m.lam, field=fld, residual=m.residual,

@@ -216,15 +216,13 @@ def test_criterion_06_eigensolver_oracle(bulk2d, tm_gap):
     window = (tm_gap.alpha + 0.01, tm_gap.beta - 0.01)
     want = ref[(ref > window[0]) & (ref < window[1])]
     assert len(want) >= 3
-    worst = 0.0
-    for kwargs in (dict(), dict(dense_max=0),):
-        found = interior_eigs(A, window, count=len(want) + 6, **kwargs)
-        got = np.array([m.lam for m in found])
-        assert len(got) == len(want)
-        worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+    found = interior_eigs(A, window, count=len(want) + 6)
+    got = np.array([m.lam for m in found])
+    assert len(got) == len(want)
+    worst = float(np.max(np.abs(got - want) / np.abs(want)))
     ok = worst <= 1e-8
     record(f"CRITERION 6: {'PASS' if ok else 'FAIL'} - {len(want)} in-window "
-           f"eigenvalues matched by dense and sparse paths to "
+           f"eigenvalues matched against dense eigvalsh to "
            f"{worst:.1e} relative")
     assert ok
 
@@ -316,19 +314,20 @@ def test_criterion_09_rate_shape(bulk2d):
 
 
 def test_criterion_10_three_dimensional_smoke():
-    # (a) homogeneous 16^3 cell: lowest plane-wave eigenvalues to 1%
+    # (a) homogeneous 16^3 cell: every copy of the lowest plane-wave shells,
+    # two polarizations of each wave vector, to 1%
     n, h = 16, 1 / 16
     eps = SampledEpsilon(GridSpec((n, n, n), (h, h, h)), np.ones((n, n, n)))
     worst = 0.0
-    for mk in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
+    for mk, multiplicity in (((1, 0, 0), 12), ((1, 1, 0), 24),
+                             ((1, 1, 1), 16)):
         k = 2 * np.pi * np.asarray(mk, dtype=float)
         pred = plane_wave_eigenvalue(k, eps.grid.spacing, 1.0)
         M = maxwell_operator(eps, bloch_k1=k[0], transverse_bc="periodic")
-        found = interior_eigs(M, (pred - 4.0, pred + 4.0), count=6,
-                              tol=1e-8)
-        assert found
-        err = min(abs(m.lam - pred) / pred for m in found)
-        worst = max(worst, err)
+        found = interior_eigs(M, (pred - 4.0, pred + 4.0),
+                              count=multiplicity)
+        assert len(found) == multiplicity
+        worst = max(worst, max(abs(m.lam - pred) / pred for m in found))
     # (b) defect supercell end to end
     t0 = time.monotonic()
     grid = GridSpec((16, 32, 32), (h, h, h), (0.0, -1.0, -1.0))
@@ -336,7 +335,8 @@ def test_criterion_10_three_dimensional_smoke():
                       defect=StripSpec(Disk(1.0), l=0.4, eps_inside=12.0))
     eps_d = with_defect(build_medium(spec, grid), spec.defect)
     M = maxwell_operator(eps_d, bloch_k1=0.7, transverse_bc="pec")
-    modes = interior_eigs(M, (25.0, 40.0), count=2, tol=1e-6)
+    with pytest.warns(RuntimeWarning, match="holds 104"):
+        modes = interior_eigs(M, (25.0, 40.0), count=2)
     elapsed = time.monotonic() - t0
     ok = worst <= 0.01 and len(modes) >= 1
     record(f"CRITERION 10: {'PASS' if ok else 'FAIL'} - plane-wave "

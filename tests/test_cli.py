@@ -76,6 +76,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     wrong_schema = _cfg(tmp_path, "ws.json", {"schema": 99, "l": 1.0})
     assert cli.main(["check", "--config", wrong_schema,
                      "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    # a key the command does not read is rejected, not silently defaulted
+    typo = _defect_cfg(tmp_path, k1_sample=[5.0], loc_fraction=0.6)
+    assert cli.main(["defect", "--config", typo, "--out", str(tmp_path)]) == 2
+    assert "['k1_sample', 'loc_fraction']" in capsys.readouterr().err
 
 
 def test_unknown_command_and_missing_config_exit_2(tmp_path, capsys):
@@ -110,15 +115,17 @@ def test_bands_command(tmp_path, capsys):
         "grid": {"shape": [256], "spacing": [1 / 256], "origin": [-0.5]},
         "k_samples": {"start": 0.0, "stop": np.pi, "num": 17},
         "bands": 6, "min_gap_width": 0.5})
-    out = tmp_path / "out"
+    out, again = tmp_path / "out", tmp_path / "again"
     rc = cli.main(["bands", "--config", cfg, "--out", str(out)])
     assert rc == 0
     gaps = json.loads(capsys.readouterr().out)["gaps"]
     assert len(gaps) >= 1
     assert gaps[0][0] == pytest.approx(GAP[0], rel=0.02)
     assert gaps[0][1] == pytest.approx(GAP[1], rel=0.02)
-    assert (out / "bands.csv").is_file()
     assert (out / "plot_bands.py").is_file()
+    assert cli.main(["bands", "--config", cfg, "--out", str(again)]) == 0
+    for name in ("bands.csv", "gaps.json"):
+        assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_defect_command_is_deterministic(tmp_path, capsys):
@@ -161,8 +168,9 @@ def test_arpack_errors_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spla, "eigsh", fail)
     monkeypatch.setattr(spla, "eigs", fail)
     A = sp.diags(np.arange(1.0, 65.0))
-    with pytest.raises(IterationError):
-        interior_eigs(A, (10.5, 20.5), count=4, dense_max=0)
+    with pytest.raises(IterationError), \
+            pytest.warns(RuntimeWarning, match="holds 10"):
+        interior_eigs(A, (10.5, 20.5), count=4)
     grid = GridSpec((64,), (1 / 64,))
     with pytest.raises(IterationError):
         band_structure(SampledEpsilon(grid, np.ones(64)), [0.0], bands=6)

@@ -65,6 +65,32 @@ def test_layered_1d_gap_matches_transfer_matrix():
     assert gaps[0].beta == pytest.approx(bands[1][0], rel=0.02)
 
 
+def test_band_structure_is_deterministic():
+    n = 512
+    grid = GridSpec((n,), (1 / n,), (-0.5,))
+    eps = build_medium(MediumSpec(lattice=(1.0,), inclusions=(
+        BoxInclusion((-0.1875,), (0.1875,), 9.0),)), grid)
+    ks = np.linspace(0, np.pi, 25)
+    first = band_structure(eps, ks, bands=6)
+    second = band_structure(eps, ks, bands=6)
+    for a, b in zip(first.eigenvalues, second.eigenvalues):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bands", [5, 6])
+def test_band_structure_on_a_tiny_grid_matches_eigvalsh(bands):
+    # 6 unknowns: ARPACK cannot take 5 or 6 pairs, so A is diagonalized
+    grid = GridSpec((6,), (1 / 6,), (-0.5,))
+    eps = SampledEpsilon(grid, np.array([1.0, 1.0, 9.0, 9.0, 1.0, 1.0]),
+                         bloch_period=1.0)
+    ks = (0.0, 1.0, np.pi)
+    bt = band_structure(eps, ks, bands=bands)
+    for k, got in zip(ks, bt.eigenvalues):
+        A = scalar_matrix(eps, bloch_k1=k, transverse_bc="periodic")
+        want = np.maximum(np.linalg.eigvalsh(A.toarray())[:bands], 0.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_find_gaps_min_width_filter():
     vals = (np.array([0.5, 2.0, 2.7]), np.array([0.8, 1.9, 3.2]))
     bt = BandTable(k_samples=(0.0, 1.0), eigenvalues=vals)
@@ -76,19 +102,28 @@ def test_find_gaps_min_width_filter():
     assert find_gaps(bt, min_width=1.2) == []
 
 
-def test_interior_eigs_paths_agree(defected):
+def test_interior_eigs_matches_eigvalsh(defected):
     A = scalar_matrix(defected, bloch_k1=5.0)          # 1020 unknowns
     ref = np.sort(np.linalg.eigvalsh(A.toarray()))
     window = (2.0, 3.5)
     want = ref[(ref > window[0]) & (ref < window[1])]
     assert len(want) >= 2
-    dense = interior_eigs(A, window, count=12)
-    sparse = interior_eigs(A, window, count=12, dense_max=0)
-    for found in (dense, sparse):
-        got = np.array([m.lam for m in found])
-        assert len(got) == len(want)
-        assert np.allclose(got, want, rtol=1e-8)
-        assert all(m.residual <= 1e-8 * max(abs(m.lam), 1.0) for m in found)
+    found = interior_eigs(A, window, count=12)
+    got = np.array([m.lam for m in found])
+    assert len(got) == len(want)
+    assert np.allclose(got, want, rtol=1e-8)
+    assert all(m.residual <= 1e-8 * max(abs(m.lam), 1.0) for m in found)
+
+
+def test_small_window_holding_more_than_count_warns(defected):
+    A = scalar_matrix(defected, bloch_k1=5.0)
+    ref = np.sort(np.linalg.eigvalsh(A.toarray()))
+    inside = ref[(ref > 2.0) & (ref < 3.5)]
+    m = len(inside)
+    with pytest.warns(RuntimeWarning, match=f"holds {m} eigenvalues"):
+        found = interior_eigs(A, (2.0, 3.5), count=m - 1)
+    nearest = np.sort(inside[np.argsort(np.abs(inside - 2.75))[:m - 1]])
+    assert np.allclose([f.lam for f in found], nearest, rtol=1e-8)
 
 
 def test_interior_eigs_window_validation_and_empty(defected):
@@ -109,7 +144,7 @@ def test_interior_eigs_singular_shift_raises():
     A = sp.diags(np.arange(1.0, 4001.0))
     for window in ((1999.0, 2000.5), (1999.5, 2000.5)):
         with pytest.raises(IterationError):
-            interior_eigs(A, window, dense_max=0)
+            interior_eigs(A, window)
 
 
 def test_interior_eigs_cross_checks_lanczos_against_the_count(monkeypatch):
@@ -122,7 +157,7 @@ def test_interior_eigs_cross_checks_lanczos_against_the_count(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", one_short)
     with pytest.raises(IterationError, match="Lanczos found 9"):
-        interior_eigs(A, (1995.5, 2005.5), count=20, dense_max=0)
+        interior_eigs(A, (1995.5, 2005.5), count=20)
 
 
 def test_window_count_matches_dense_count(supercell, defected, tm_gap):
@@ -143,8 +178,7 @@ def test_empty_window_skips_lanczos(supercell, tm_gap, monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", fail)
     A = scalar_matrix(supercell, bloch_k1=5.0, transverse_bc="dirichlet")
-    assert interior_eigs(A, (tm_gap.alpha, tm_gap.beta), count=8,
-                         dense_max=0) == []
+    assert interior_eigs(A, (tm_gap.alpha, tm_gap.beta), count=8) == []
 
 
 def test_interior_eigs_warns_when_the_window_holds_more_than_count():
@@ -154,7 +188,7 @@ def test_interior_eigs_warns_when_the_window_holds_more_than_count():
     sym = plane_wave_eigenvalue(np.array([2 * np.pi, 0.0, 0.0]), (h,) * 3,
                                 1.0)
     with pytest.warns(RuntimeWarning, match="holds 12 eigenvalues"):
-        found = interior_eigs(M, (sym - 4.0, sym + 4.0), count=6, dense_max=0)
+        found = interior_eigs(M, (sym - 4.0, sym + 4.0), count=6)
     assert len(found) == 6
     assert all(abs(m.lam - sym) <= 1e-8 * sym for m in found)
 
@@ -170,8 +204,7 @@ def test_interior_eigs_returns_every_copy_of_a_shell(mk, multiplicity):
     M = maxwell_operator(eps, bloch_k1=0.0, transverse_bc="periodic")
     sym = plane_wave_eigenvalue(2 * np.pi * np.asarray(mk, dtype=float),
                                 (h,) * 3, 1.0)
-    found = interior_eigs(M, (sym - 4.0, sym + 4.0), count=multiplicity,
-                          dense_max=0)
+    found = interior_eigs(M, (sym - 4.0, sym + 4.0), count=multiplicity)
     assert len(found) == multiplicity
     assert all(abs(m.lam - sym) <= 1e-8 * sym for m in found)
 
