@@ -211,7 +211,7 @@ def cmd_defect(args, cfg, out: Path) -> int:
     for i, m in enumerate(ds.modes[: int(cfg.get("dump_fields", 0))]):
         io.write_field(out / f"mode_{i:03d}", m.field.values, m.field.grid,
                        meta={"lambda": m.lam, "bloch_k1": m.k1,
-                             "staggering": "nodal"})
+                             "staggering": "cell-centred"})
     print(json.dumps({"modes": len(ds.modes), "covered": ds.covered}))
     return 0
 

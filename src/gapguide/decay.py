@@ -18,7 +18,7 @@ from scipy import stats
 
 from .errors import ValidationError, IterationError
 from .existence import GapInterval
-from .media import CubeWindow, StripSpec, window_norm
+from .media import StripSpec
 
 __all__ = ["DecayProfile", "DecayFit", "profile", "fit_decay", "ct_shape",
            "rank_correlation"]
@@ -94,25 +94,20 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
     axial_center = 0.5 * sum(grid.extent(0))
     extent = max(hi, -lo) - radius
     dists = np.arange(0.0, extent + 0.5 * step, step)
-    norms = np.zeros_like(dists)
-    truncated = False
-    kept = np.ones_like(dists, dtype=bool)
-    for i, d in enumerate(dists):
-        total = 0.0
-        for s in rays:
-            y = s * (radius + d)
-            if y + half_side > hi or y - half_side < lo:
-                truncated = True
-                if y - half_side > hi or y + half_side < lo:
-                    kept[i] = False
-                    continue
-            w = CubeWindow(center=(axial_center, y), half_side=half_side)
-            n, empty = window_norm(fld.values, grid, w, return_flag=True)
-            if empty:
-                kept[i] = False
-                continue
-            total += n**2
-        norms[i] = np.sqrt(total)
+    # window centres, one row per ray; a window is the cells within
+    # half_side of its centre on both axes, as media.window_norm selects them
+    ys = np.multiply.outer(np.asarray(rays, dtype=float), radius + dists)
+    truncated = bool(np.any((ys + half_side > hi) | (ys - half_side < lo)))
+    outside = (ys - half_side > hi) | (ys + half_side < lo)
+    axial = np.abs(grid.centers(0) - axial_center) <= half_side
+    inside = np.abs(grid.centers(1) - ys[..., None]) <= half_side
+    empty = ~inside.any(axis=-1) | ~axial.any()
+    # per x2 row, |v|^2 summed over the axial window; each window norm^2 is
+    # then a sum of these nonnegative row sums (no differenced prefix sums)
+    rows = np.sum(np.abs(fld.values[axial]) ** 2, axis=0)
+    squares = (inside @ rows) * grid.cell_volume
+    kept = ~np.any(outside | empty, axis=0)
+    norms = np.sqrt(np.sum(squares, axis=0))
     return DecayProfile(distances=dists[kept], norms=norms[kept],
                         half_side=half_side, strip_radius=radius,
                         extent=extent, lam=getattr(mode, "lam", np.nan),

@@ -15,6 +15,11 @@ combined into a gradient or a curl D (both public, so C G = 0 can be stated
 as a matrix identity); the operator is the sparse matrix D^H W D with W the
 face-averaged 1/eps.  Hermitian symmetry, nonnegativity and curl(grad) = 0
 therefore hold to rounding rather than to discretization order.
+
+A 2D medium whose samples are equal along x1 (every layered guide) gives an
+operator that splits into n1 independent axial Bloch harmonics:
+`harmonic_split` builds the real transverse operator T and the axial weights
+1/eps once, and each harmonic's block is T plus a multiple of diag(1/eps).
 """
 
 from __future__ import annotations
@@ -87,7 +92,9 @@ def _difference(n: int, h: float, wrap) -> sp.csr_matrix:
     if wrap == "dirichlet":
         d = sp.vstack([sp.eye(1, n), d])
     elif not isinstance(wrap, str):
-        d = d + wrap * sp.eye(n, n, 1 - n)
+        # CSR, so the sum is a new complex matrix: on one node the wrap
+        # shares the float diagonal, which a DIA sum would update in place
+        d = d + wrap * sp.eye(n, n, 1 - n, format="csr")
     return sp.csr_matrix(d / h)
 
 
@@ -174,6 +181,63 @@ def scalar_matrix(eps: SampledEpsilon, bloch_k1: float = 0.0,
     Dirichlet, or Bloch-periodic with momentum bloch_k2, along x2."""
     wraps = _axis_wraps(eps.grid, bloch_k1, transverse_bc, bloch_k2)
     return _operator(eps, wraps, gradient(eps.grid, wraps))
+
+
+# ---------------------------------------------------------------------------
+# axial Bloch harmonics of an x1-invariant medium
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HarmonicSplit:
+    """scalar_matrix of a 2D medium constant along x1, one axial Bloch
+    harmonic at a time (Dirichlet along x2).
+
+    The operator commutes with axial shifts, so at Bloch momentum k1 it maps
+    each wave u[i, :] = e^{i kappa_j x1_i} v / sqrt(n1), kappa_j =
+    k1 + 2 pi j / L1 (j = 0 .. n1 - 1, L1 = n1 h1, x1_i the cell centres), to
+    the same wave of B_j v, with the real n2 x n2 block
+
+        B_j = T + s_j diag(w1),   s_j = |e^{i kappa_j h1} - 1|^2 / h1^2,
+
+    T = D2^T W2 D2 the transverse operator and w1 = 1/eps(x2) the axial
+    face weights.  The n1 blocks hold the whole spectrum.
+    """
+
+    transverse: sp.csr_matrix
+    axial_weights: np.ndarray
+    grid: GridSpec
+
+    def kappas(self, bloch_k1: float) -> np.ndarray:
+        """Axial wavenumbers kappa_j of the n1 harmonics at Bloch momentum k1."""
+        n1, h1 = self.grid.shape[0], self.grid.spacing[0]
+        return bloch_k1 + 2.0 * np.pi * np.arange(n1) / (n1 * h1)
+
+    def block(self, kappa: float) -> sp.csr_matrix:
+        """B = T + |e^{i kappa h1} - 1|^2 / h1^2 diag(w1)."""
+        h1 = self.grid.spacing[0]
+        s = abs(np.exp(1j * kappa * h1) - 1.0) ** 2 / h1 ** 2
+        return (self.transverse + sp.diags(s * self.axial_weights)).tocsr()
+
+    def lift(self, kappa: float, v: np.ndarray) -> np.ndarray:
+        """The grid field e^{i kappa x1_i} v / sqrt(n1) of a block vector."""
+        axial = np.exp(1j * kappa * self.grid.centers(0))
+        return np.outer(axial, v) / np.sqrt(self.grid.shape[0])
+
+
+def harmonic_split(eps: SampledEpsilon) -> HarmonicSplit | None:
+    """The axial harmonic split of a 2D medium whose samples are equal along
+    x1, or None when they are not (or the grid is not 2D).
+
+    T is scalar_matrix on the one-cell axial slab at Bloch momentum 0, where
+    the axial difference vanishes; it and w1 are built once per medium.
+    """
+    grid = eps.grid
+    if grid.ndim != 2 or np.any(eps.values != eps.values[:1]):
+        return None
+    slab = SampledEpsilon(GridSpec((1, grid.shape[1]), grid.spacing,
+                                   grid.origin), eps.values[:1])
+    return HarmonicSplit(transverse=scalar_matrix(slab).real.tocsr(),
+                         axial_weights=1.0 / eps.values[0], grid=grid)
 
 
 # ---------------------------------------------------------------------------

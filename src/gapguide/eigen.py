@@ -20,7 +20,8 @@ import scipy.sparse.linalg as spla
 from .errors import IterationError, ValidationError
 from .existence import GapInterval, gap_samples
 from .media import SampledEpsilon, StripSpec
-from .discrete_op import ScalarField2, scalar_matrix
+from .discrete_op import (HarmonicSplit, ScalarField2, harmonic_split,
+                          scalar_matrix)
 
 __all__ = [
     "BandTable", "ModeResult", "DefectSpectrum", "band_structure",
@@ -190,6 +191,50 @@ def _nearest_eigs(A, sigma: float, k: int):
     return vals[order], vecs[:, order]
 
 
+def _window_pairs(blocks, window, count: int) -> list:
+    """In-window eigenpairs of the block-diagonal Hermitian diag(blocks), as
+    (eigenvalue, block index, unit block vector, residual) by ascending
+    eigenvalue.
+
+    Each block's window is counted by inertia (`_window_count`); m is the
+    sum over blocks.  A block holding m_j > 0 is solved by `_nearest_eigs` at
+    the window centre for exactly min(count, m_j) pairs, which must all lie
+    in the window and have residual at most 1e-8 * max(|lam|, 1); the count
+    pairs nearest the centre are kept, and m > count warns once, naming m.
+    """
+    ms = [_window_count(b, window) for b in blocks]
+    for mj in ms:
+        if mj < 0:
+            raise IterationError(f"inertia counts give {mj} eigenvalues in "
+                                 f"the window {window}")
+    m = sum(ms)
+    if m > count:
+        warnings.warn(
+            f"window {window} holds {m} eigenvalues; returning the {count} "
+            "nearest its centre", RuntimeWarning)
+    centre = 0.5 * (window[0] + window[1])
+    pairs = []
+    for j, (op, mj) in enumerate(zip(blocks, ms)):
+        if mj == 0:
+            continue
+        k = min(count, mj)
+        vals, vecs = _nearest_eigs(op, centre, k)
+        inside = np.count_nonzero((vals > window[0]) & (vals < window[1]))
+        if inside != k:
+            raise IterationError(f"Lanczos found {inside} eigenvalues in the "
+                                 f"window, inertia asked for {k}")
+        for lam, v in zip(vals, vecs.T):
+            v = v / np.linalg.norm(v)
+            res = float(np.linalg.norm(op @ v - lam * v))
+            if res > 1e-8 * max(abs(lam), 1.0):
+                raise IterationError(
+                    f"eigenpair residual {res:.2e} above tolerance",
+                    residual=res)
+            pairs.append((float(lam), j, v, res))
+    pairs.sort(key=lambda p: abs(p[0] - centre))
+    return sorted(pairs[:count], key=lambda p: p[0])
+
+
 def interior_eigs(op, window, count: int = 10):
     """Eigenpairs of a Hermitian matrix with eigenvalue inside the window.
 
@@ -211,32 +256,25 @@ def interior_eigs(op, window, count: int = 10):
     """
     if window[0] < 0 or window[1] <= window[0]:
         raise ValidationError("window must satisfy 0 <= lo < hi")
-    m = _window_count(op, window)
-    if m < 0:
-        raise IterationError(f"inertia counts give {m} eigenvalues in "
-                             f"the window {window}")
-    if m == 0:
-        return []
-    k = min(count, m)
-    if m > k:
-        warnings.warn(
-            f"window {window} holds {m} eigenvalues; returning the {k} "
-            "nearest its centre", RuntimeWarning)
-    vals, vecs = _nearest_eigs(op, 0.5 * (window[0] + window[1]), k)
-    inside = np.count_nonzero((vals > window[0]) & (vals < window[1]))
-    if inside != k:
-        raise IterationError(f"Lanczos found {inside} eigenvalues in the "
-                             f"window, inertia asked for {k}")
-    out = []
-    for lam, v in zip(vals, vecs.T):
-        v = v / np.linalg.norm(v)
-        res = float(np.linalg.norm(op @ v - lam * v))
-        if res > 1e-8 * max(abs(lam), 1.0):
-            raise IterationError(
-                f"eigenpair residual {res:.2e} above tolerance", residual=res)
-        out.append(ModeResult(lam=float(lam), field=v, residual=res,
-                              k1=np.nan))
-    return out
+    return [ModeResult(lam=lam, field=v, residual=res, k1=np.nan)
+            for lam, _, v, res in _window_pairs([op], window, count)]
+
+
+def _harmonic_eigs(split: HarmonicSplit, bloch_k1: float, window,
+                   count: int) -> list:
+    """interior_eigs of scalar_matrix(eps, bloch_k1) for the x1-invariant
+    medium of `split`, solved one axial Bloch harmonic at a time.
+
+    The window count m and the count contract are those of interior_eigs
+    over all n1 blocks together; each returned field is the block vector
+    lifted to the grid (`HarmonicSplit.lift`), flattened.
+    """
+    kappas = split.kappas(bloch_k1)
+    pairs = _window_pairs([split.block(kappa) for kappa in kappas], window,
+                          count)
+    return [ModeResult(lam=lam, field=split.lift(kappas[j], v).ravel(),
+                       residual=res, k1=np.nan)
+            for lam, j, v, res in pairs]
 
 
 def localization_fraction(values: np.ndarray, eps_grid,
@@ -260,6 +298,13 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     scaled section) lies within delta.  Folded bulk bands are rejected by
     this filter; run the same function on the bulk medium (same strip
     argument for the distance geometry) as a negative control.
+
+    A medium whose samples are equal along x1 (`harmonic_split` is not
+    None) is solved one axial Bloch harmonic at a time: T and 1/eps are
+    built once, and at each k1 the n1 real transverse blocks are counted
+    and solved as interior_eigs would, with the window count and the
+    `count` contract taken over all blocks together.  Any other medium
+    builds and solves the full scalar_matrix at each k1.
     """
     if k1_samples is None:
         a = eps_defect.bloch_period or 1.0
@@ -267,11 +312,15 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     pad = 1e-3 * gap.width
     window = (gap.alpha + pad, gap.beta - pad)
     grid = eps_defect.grid
+    split = harmonic_split(eps_defect)
     modes = []
     for k1 in k1_samples:
-        A = scalar_matrix(eps_defect, bloch_k1=float(k1),
-                          transverse_bc="dirichlet")
-        found = interior_eigs(A, window, count=count)
+        if split is None:
+            A = scalar_matrix(eps_defect, bloch_k1=float(k1),
+                              transverse_bc="dirichlet")
+            found = interior_eigs(A, window, count=count)
+        else:
+            found = _harmonic_eigs(split, float(k1), window, count)
         for m in found:
             vals2 = np.asarray(m.field).reshape(grid.shape)
             frac = localization_fraction(vals2, grid, strip)

@@ -60,7 +60,10 @@ def _fmt(x):
 
 def write_field(path_base, values: np.ndarray, grid: GridSpec,
                 meta: dict | None = None) -> Path:
-    """Flat binary dump plus JSON header (shape, staggering, bloch data)."""
+    """Flat binary dump plus JSON header: shape, dtype, the grid's shape,
+    spacing and origin, and `meta` (the CLI's mode dumps add lambda,
+    bloch_k1 and staggering "cell-centred": value i sits at the cell
+    centre origin + (i + 1/2) h)."""
     base = Path(path_base)
     base.parent.mkdir(parents=True, exist_ok=True)
     arr = np.ascontiguousarray(values)

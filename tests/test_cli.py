@@ -137,6 +137,7 @@ def test_defect_command_is_deterministic(tmp_path, capsys):
     assert json.loads(stdout[0])["modes"] >= 2
     assert (out1 / "modes.csv").read_bytes() == (out2 / "modes.csv").read_bytes()
     assert (out1 / "mode_000.bin").read_bytes() == (out2 / "mode_000.bin").read_bytes()
+    assert read_json(out1 / "mode_000.json")["staggering"] == "cell-centred"
     cov = read_json(out1 / "coverage.json")
     assert len(cov["points"]) == 9
 

@@ -11,7 +11,7 @@ from gapguide.eigen import ModeResult
 from gapguide.errors import IterationError, ValidationError
 from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
-from gapguide.media import StripSpec
+from gapguide.media import CubeWindow, StripSpec, window_norm
 
 
 def _synthetic(rate=2.0, pref=3.0, dmax=5.0, step=0.25):
@@ -92,6 +92,62 @@ def test_profile_mirror_symmetry():
     dn = profile(mode, strip, step=0.5, rays=(-1.0,))
     n = min(len(up.norms), len(dn.norms))
     assert np.allclose(up.norms[:n], dn.norms[:n], rtol=1e-12)
+
+
+def _window_loop(mode, strip, step, rays=(+1.0, -1.0)):
+    """The profile by one window_norm call per window: (distances, norms,
+    truncated), dropping a distance whose window on some ray lies outside
+    the grid or holds no cell."""
+    grid = mode.field.grid
+    radius = strip.l * strip.cross_section.inradius()
+    lo, hi = grid.extent(1)
+    centre = 0.5 * sum(grid.extent(0))
+    dists = np.arange(0.0, max(hi, -lo) - radius + 0.5 * step, step)
+    kept, norms, truncated = [], [], False
+    for d in dists:
+        total, keep = 0.0, True
+        for s in rays:
+            y = s * (radius + d)
+            if y + 1.0 > hi or y - 1.0 < lo:
+                truncated = True
+                if y - 1.0 > hi or y + 1.0 < lo:
+                    keep = False
+                    continue
+            n, empty = window_norm(mode.field.values, grid,
+                                   CubeWindow((centre, y), 1.0),
+                                   return_flag=True)
+            keep &= not empty
+            total += n ** 2
+        if keep:
+            kept.append(d)
+            norms.append(np.sqrt(total))
+    return np.array(kept), np.array(norms), truncated
+
+
+@pytest.mark.parametrize("shape, spacing, origin", [
+    ((4, 100), (1 / 16, 0.1), (0.0, -3.0)),     # empty windows near x2 = -4
+    ((6, 60), (0.5, 0.125), (-1.0, -3.5)),      # wide axial window
+    ((2, 40), (3.0, 0.25), (0.0, -5.0)),        # no axial cell in any window
+])
+def test_profile_matches_a_window_norm_loop(shape, spacing, origin):
+    grid = GridSpec(shape, spacing, origin)
+    rng = np.random.default_rng(7)
+    y = grid.centers(1)
+    values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * np.exp(-3.0 * np.abs(y))          # down to the fit's noise floor
+    strip = StripSpec(Interval(1.0), l=0.5, eps_inside=12.0)
+    for rays in ((+1.0, -1.0), (-1.0,)):
+        prof = profile(_mode(grid, values), strip, step=0.125, rays=rays)
+        dists, norms, truncated = _window_loop(_mode(grid, values), strip,
+                                               0.125, rays)
+        assert prof.truncated == truncated
+        assert np.array_equal(prof.distances, dists)
+        assert np.allclose(prof.norms, norms, rtol=1e-14, atol=0)
+    assert truncated
+    if shape == (4, 100):       # the window at x2 = -4 is inside but empty
+        assert 3.375 in dists and 3.5 not in dists
+    if shape == (2, 40):
+        assert len(dists) == 0
 
 
 def test_profile_needs_2d_field():

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from gapguide.discrete_op import (ScalarField2, check_identities, curl,
-                                  gradient, maxwell_operator,
+                                  gradient, harmonic_split, maxwell_operator,
                                   plane_wave_eigenvalue, scalar_matrix)
 from gapguide.errors import ValidationError
 from gapguide.grids import GridSpec
@@ -139,6 +139,49 @@ def test_bloch_momentum_periodicity():
     v1 = np.sort(np.linalg.eigvalsh(A1))
     v2 = np.sort(np.linalg.eigvalsh(A2))
     assert np.allclose(v1, v2, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.7, 5.0, -3.1])
+def test_one_cell_axial_slab_adds_the_axial_symbol(kappa):
+    # on one axial cell the Bloch difference is the scalar
+    # (e^{i kappa h1} - 1)/h1, so the slab operator is the Dirichlet
+    # transverse operator T plus |e^{i kappa h1} - 1|^2/h1^2 diag(1/eps)
+    h1, h2, n2 = 1 / 16, 1 / 32, 40
+    inv = 1.0 / np.random.default_rng(3).uniform(1.0, 12.0, n2)
+    faces = np.concatenate([inv[:1], 0.5 * (inv[:-1] + inv[1:]), inv[-1:]])
+    T = (np.diag(faces[:-1] + faces[1:]) - np.diag(faces[1:-1], 1)
+         - np.diag(faces[1:-1], -1)) / h2 ** 2
+    s = abs(np.exp(1j * kappa * h1) - 1.0) ** 2 / h1 ** 2
+    slab = SampledEpsilon(GridSpec((1, n2), (h1, h2)), 1.0 / inv[None, :])
+    A = scalar_matrix(slab, bloch_k1=kappa).toarray()
+    want = T + s * np.diag(inv)
+    assert np.allclose(A, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    assert np.array_equal(harmonic_split(slab).transverse.toarray(),
+                          scalar_matrix(slab).toarray().real)
+    cell = SampledEpsilon(GridSpec((1,), (h1,)), np.array([4.0]))
+    assert scalar_matrix(cell, bloch_k1=kappa).toarray() == pytest.approx(
+        s / 4.0, rel=1e-12, abs=1e-12)
+
+
+def test_harmonic_blocks_are_the_operator_on_bloch_waves():
+    # the layered medium of _media_trio is constant along x1: on each lifted
+    # block eigenvector the full operator acts as that block
+    ml = _media_trio()[2]
+    split = harmonic_split(ml)
+    A = scalar_matrix(ml, bloch_k1=1.3, transverse_bc="dirichlet")
+    for kappa in split.kappas(1.3):
+        B = split.block(kappa).toarray()
+        assert np.isrealobj(B) and np.array_equal(B, B.T)
+        _, vecs = np.linalg.eigh(B)
+        for v in vecs.T[:3]:
+            u = split.lift(kappa, v).ravel()
+            assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
+            assert np.allclose(A @ u, split.lift(kappa, B @ v).ravel(),
+                               rtol=0, atol=1e-9 * np.abs(B).max())
+    varied = ml.values.copy()
+    varied[1, 10] *= 1.5
+    assert harmonic_split(SampledEpsilon(ml.grid, varied)) is None
+    assert harmonic_split(_media_trio()[1]) is None      # disk lattice
 
 
 def test_field_shape_validation():

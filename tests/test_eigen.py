@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,11 +7,12 @@ import scipy.sparse.linalg as spla
 
 import oracles
 from gapguide.cross_section import Interval
-from gapguide.discrete_op import (maxwell_operator, plane_wave_eigenvalue,
-                                  scalar_matrix)
-from gapguide.eigen import (BandTable, _window_count, band_structure,
-                            defect_spectrum, find_gaps, interior_eigs,
-                            localization_fraction)
+from gapguide import discrete_op, eigen
+from gapguide.discrete_op import (harmonic_split, maxwell_operator,
+                                  plane_wave_eigenvalue, scalar_matrix)
+from gapguide.eigen import (BandTable, _harmonic_eigs, _window_count,
+                            band_structure, defect_spectrum, find_gaps,
+                            interior_eigs, localization_fraction)
 from gapguide.errors import IterationError, ValidationError
 from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
@@ -253,3 +256,101 @@ def test_defect_spectrum_negative_control(supercell, tm_gap):
                          delta=0.25, count=16)
     assert len(ds.modes) == 0
     assert not ds.covered
+
+
+# the defected supercell is constant along x1 (the bulk box fills the axial
+# period, the strip is transverse): its axial period is L1 = 4/16
+L1 = 0.25
+SPLIT_WINDOW = (40.0, 60.0)     # holds several harmonics at every k1 below
+
+
+def _runtime_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught
+                 if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("k1", [0.0, 2.5, 5.0, np.pi / L1])
+def test_harmonic_split_matches_the_general_path(defected, k1):
+    # at k1 = 0 and pi/L1 harmonics j and n1 - j share a block, so the
+    # window holds pairs of equal eigenvalues from different harmonics
+    A = scalar_matrix(defected, bloch_k1=k1, transverse_bc="dirichlet")
+    general = interior_eigs(A, SPLIT_WINDOW, count=100)
+    split = _harmonic_eigs(harmonic_split(defected), k1, SPLIT_WINDOW, 100)
+    assert len(split) == len(general) >= 10
+    got = np.array([m.lam for m in split])
+    assert np.allclose(got, [m.lam for m in general], rtol=1e-10, atol=0)
+    if k1 in (0.0, np.pi / L1):
+        assert np.min(np.diff(got)) < 1e-9 * got[-1]
+    n1 = defected.grid.shape[0]
+    for m in split:
+        u = np.asarray(m.field)
+        res = np.linalg.norm(A @ u - m.lam * u)
+        assert res <= 1e-8 * max(abs(m.lam), 1.0)
+        # one axial harmonic: a constant axial ratio c, and n1 steps of it
+        # make the Bloch wrap e^{i k1 L1}
+        u2 = u.reshape(defected.grid.shape)
+        peak = np.argmax(np.abs(u2[0]))
+        c = u2[1, peak] / u2[0, peak]
+        assert np.allclose(u2[1:], c * u2[:-1], rtol=0, atol=1e-12)
+        assert c ** n1 == pytest.approx(np.exp(1j * k1 * L1), abs=1e-12)
+
+
+def test_harmonic_split_keeps_the_count_contract(defected):
+    # count below the window's total: the same eigenvalues as the general
+    # path, the pairs nearest the centre, and one warning naming m
+    k1 = 0.0
+    A = scalar_matrix(defected, bloch_k1=k1, transverse_bc="dirichlet")
+    m = _window_count(A, SPLIT_WINDOW)
+    general, warned = _runtime_warnings(interior_eigs, A, SPLIT_WINDOW,
+                                        m - 5)
+    split, warned_split = _runtime_warnings(
+        _harmonic_eigs, harmonic_split(defected), k1, SPLIT_WINDOW, m - 5)
+    assert len(warned) == len(warned_split) == 1
+    assert f"holds {m} eigenvalues" in warned_split[0]
+    assert warned_split == warned
+    assert len(split) == len(general) == m - 5
+    assert np.allclose([f.lam for f in split], [f.lam for f in general],
+                       rtol=1e-10, atol=0)
+
+
+def test_defect_spectrum_splits_invariant_media_only(defected, tm_gap,
+                                                     monkeypatch):
+    calls = []
+    original = discrete_op.scalar_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(discrete_op, "scalar_matrix", counted)
+    monkeypatch.setattr(eigen, "scalar_matrix", counted)
+    ks = [4.5, 5.0, 5.5]
+    ds = defect_spectrum(defected, STRIP, tm_gap, k1_samples=ks, delta=0.25,
+                         count=16)
+    assert len(calls) <= 1 and len(ds.modes) >= 2
+    # the general path on the same medium gives the same modes
+    calls.clear()
+    monkeypatch.setattr(eigen, "harmonic_split", lambda eps: None)
+    full = defect_spectrum(defected, STRIP, tm_gap, k1_samples=ks,
+                           delta=0.25, count=16)
+    assert len(calls) == len(ks)
+    assert [m.k1 for m in full.modes] == [m.k1 for m in ds.modes]
+    assert np.allclose([m.lam for m in full.modes],
+                       [m.lam for m in ds.modes], rtol=1e-10, atol=0)
+    assert np.allclose([m.localization for m in full.modes],
+                       [m.localization for m in ds.modes], rtol=1e-10)
+    assert full.coverage == ds.coverage
+    monkeypatch.undo()
+    # a medium that varies along x1 takes the general path
+    monkeypatch.setattr(discrete_op, "scalar_matrix", counted)
+    monkeypatch.setattr(eigen, "scalar_matrix", counted)
+    calls.clear()
+    varied = defected.values.copy()
+    varied[0, :8] *= 1.01                  # far from the strip
+    eps = SampledEpsilon(defected.grid, varied)
+    assert harmonic_split(eps) is None
+    defect_spectrum(eps, STRIP, tm_gap, k1_samples=ks, delta=0.25, count=16)
+    assert len(calls) == len(ks)

@@ -31,13 +31,13 @@ def test_field_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     io.write_field(tmp_path / "mode", vals, grid,
-                   meta={"lambda": 2.5, "staggering": "nodal"})
+                   meta={"lambda": 2.5, "staggering": "cell-centred"})
     back, header = io.read_field(tmp_path / "mode")
     assert np.array_equal(back, vals)
     assert header["lambda"] == 2.5
     assert header["grid_shape"] == [3, 4]
     assert header["spacing"] == [0.5, 0.25]
-    assert header["staggering"] == "nodal"
+    assert header["staggering"] == "cell-centred"
 
 
 def test_csv_writing_is_deterministic(tmp_path):
