@@ -16,6 +16,10 @@ from scipy import ndimage
 from .errors import UnsupportedGeometryError, ValidationError
 
 
+def _scalar_if_single(t: np.ndarray):
+    return float(t) if t.ndim == 0 else t
+
+
 class CrossSection:
     """Base class.  Subclasses are immutable value objects."""
 
@@ -46,23 +50,25 @@ class CrossSection:
         """Raise UnsupportedGeometryError if the domain has holes or pieces."""
         # analytic shapes are convex; masks override
 
-    def crossing(self, q: np.ndarray, p: np.ndarray) -> float:
+    def crossing(self, q: np.ndarray, p: np.ndarray) -> float | np.ndarray:
         """Fraction t in (0, 1] where segment q -> p first leaves the domain.
 
-        q must be inside and p outside; default is bisection on `contains`.
+        q (inside) and p (outside) have shape (..., ndim); t has shape (...),
+        and a single segment gives a float.  The default bisects every
+        segment at once on `contains` until its bracket is below 1e-13.
         """
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        a, b = 0.0, 1.0
+        q, p = np.broadcast_arrays(np.asarray(q, dtype=float),
+                                   np.asarray(p, dtype=float))
+        a = np.zeros(q.shape[:-1])
+        b = np.ones(q.shape[:-1])
         for _ in range(80):
             m = 0.5 * (a + b)
-            if self.contains(q + m * (p - q)):
-                a = m
-            else:
-                b = m
-            if b - a < 1e-13:
+            inside = self.contains(q + m[..., None] * (p - q))
+            a = np.where(inside, m, a)
+            b = np.where(inside, b, m)
+            if np.all(b - a < 1e-13):
                 break
-        return 0.5 * (a + b)
+        return _scalar_if_single(0.5 * (a + b))
 
 
 @dataclass(frozen=True)
@@ -129,18 +135,17 @@ class Disk(CrossSection):
         return self.radius - np.sqrt(np.sum(d * d, axis=-1))
 
     def crossing(self, q, p):
-        # exact: first root of |q + t (p - q)| = R on the segment
+        # exact: first root of |q + t (p - q)| = R on each segment
         c = np.asarray(self.center, dtype=float)
         q = np.asarray(q, dtype=float) - c
-        p = np.asarray(p, dtype=float) - c
-        d = p - q
-        a = d @ d
-        b = 2.0 * (q @ d)
-        cc = q @ q - self.radius**2
+        d = np.asarray(p, dtype=float) - c - q
+        a = np.sum(d * d, axis=-1)
+        b = 2.0 * np.sum(q * d, axis=-1)
+        cc = np.sum(q * q, axis=-1) - self.radius**2
         disc = b * b - 4 * a * cc
-        if disc < 0:
+        if np.any(disc < 0):
             raise ValidationError("segment does not cross the circle")
-        return float((-b + np.sqrt(disc)) / (2 * a))
+        return _scalar_if_single((-b + np.sqrt(disc)) / (2 * a))
 
 
 @dataclass(frozen=True)

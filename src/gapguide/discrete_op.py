@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import StructuralError, ValidationError
+from .errors import IterationError, StructuralError, ValidationError
 from .grids import GridSpec
 from .media import SampledEpsilon
 
@@ -238,6 +239,32 @@ def harmonic_split(eps: SampledEpsilon) -> HarmonicSplit | None:
                                    grid.origin), eps.values[:1])
     return HarmonicSplit(transverse=scalar_matrix(slab).real.tocsr(),
                          axial_weights=1.0 / eps.values[0], grid=grid)
+
+
+# ---------------------------------------------------------------------------
+# sparse factorization
+# ---------------------------------------------------------------------------
+
+def _factor(A, sigma: float, thresh: float):
+    """SuperLU of A - sigma I: minimum-degree ordering of A + A^T with
+    diagonal pivots preferred (SuperLU's symmetric mode) below the relative
+    pivot threshold `thresh`.  An exactly singular factor (SuperLU's
+    RuntimeError) raises IterationError.
+
+    One helper for every shift-invert solve: the Hermitian operators of
+    :mod:`gapguide.eigen` (inertia counts and Lanczos) and the
+    nonsymmetric clamped-plate buckling matrix of :mod:`gapguide.xsection`,
+    where the ordering of A + A^T serves as well.
+    """
+    n = A.shape[0]
+    shifted = sp.csc_matrix(A) - sigma * sp.identity(n, format="csc")
+    try:
+        return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=thresh,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:        # SuperLU: "Factor is exactly singular"
+        raise IterationError(
+            f"shift {sigma:g} is an eigenvalue; cannot factor: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import scipy.sparse.linalg as spla
 from .errors import IterationError, ValidationError
 from .existence import GapInterval, gap_samples
 from .media import SampledEpsilon, StripSpec
-from .discrete_op import (HarmonicSplit, ScalarField2, harmonic_split,
-                          scalar_matrix)
+from .discrete_op import (HarmonicSplit, ScalarField2, _factor,
+                          harmonic_split, scalar_matrix)
 
 __all__ = [
     "BandTable", "ModeResult", "DefectSpectrum", "band_structure",
@@ -115,23 +115,6 @@ def find_gaps(bt: BandTable, min_width: float) -> list:
         if top[j] > 0 and bot[j + 1] - top[j] >= min_width:
             gaps.append(GapInterval(float(top[j]), float(bot[j + 1])))
     return gaps
-
-
-def _factor(A, sigma: float, thresh: float):
-    """SuperLU of A - sigma I: minimum-degree ordering of A + A^T with
-    diagonal pivots preferred (SuperLU's symmetric mode) below the relative
-    pivot threshold `thresh`.  An exactly singular factor (SuperLU's
-    RuntimeError) raises IterationError.
-    """
-    n = A.shape[0]
-    shifted = sp.csc_matrix(A) - sigma * sp.identity(n, format="csc")
-    try:
-        return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=thresh,
-                         options=dict(SymmetricMode=True))
-    except RuntimeError as exc:        # SuperLU: "Factor is exactly singular"
-        raise IterationError(
-            f"shift {sigma:g} is an eigenvalue; cannot factor: {exc}") from exc
 
 
 def _negative_count(A, s: float) -> int:

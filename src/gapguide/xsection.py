@@ -13,10 +13,17 @@ Every difference comes from :mod:`gapguide.discrete_op`: the Laplacian is
 differences with a zero ghost past the last node and their centered part.
 Outside values referenced by the stencil are eliminated with a quadratic
 ghost reflection across the true (curved) boundary, which enforces both
-clamped conditions to the order the stencil supports.  The ghost rows make
-the bilaplacian nonsymmetric, so the smallest eigenpair comes from ARPACK's
-general shift-invert at zero (`eigs` with the Laplacian as mass matrix) and
-is accepted only at a relative residual of 1e-6 or better.
+clamped conditions to the order the stencil supports.  The elimination runs
+per stencil offset, not per node: one batched `CrossSection.crossing` call
+finds the boundary points of every ring node whose offset node lies
+outside, array masks pick each ghost's source, and the corrections enter as
+one sparse matrix added to the interior stencil.  The Shortley-Weller rows
+of the scalar Laplacian are built the same way, per axis and side.  The
+ghost rows make the bilaplacian nonsymmetric, so the smallest eigenpair
+comes from ARPACK's general shift-invert at zero (`eigs` with the Laplacian
+as mass matrix), with OPinv from the sparse LU shared with the interior
+eigensolves (`discrete_op._factor`), and is accepted only at a relative
+residual of 1e-6 or better.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from numpy.polynomial import Polynomial
 from scipy import ndimage
 
 from .cross_section import CrossSection
-from .discrete_op import differences, gradient
+from .discrete_op import _factor, differences, gradient
 from .errors import GeometryError, IterationError, ValidationError
 from .grids import GridSpec
 
@@ -133,38 +140,35 @@ def _ring_nodes(mask: np.ndarray, reach: int) -> np.ndarray:
     return np.argwhere(mask & ~core)
 
 
-def _ghost_source(cs, mask, pts, node, direction, outside_offset):
-    """Eliminate an outside stencil value via quadratic reflection.
+def _node_index(mask: np.ndarray) -> np.ndarray:
+    """Unknown number of each inside node, -1 outside."""
+    idx = -np.ones(mask.shape, dtype=np.int64)
+    idx[mask] = np.arange(mask.sum())
+    return idx
 
-    Returns (source_index, weight_ratio) with ghost = ratio * psi[source],
-    from the clamped-boundary model psi ~ c * d^2 along the stencil line.
-    """
-    node = tuple(node)
-    p_idx = tuple(np.asarray(node) + outside_offset)
-    q = pts[node]
-    p = pts[p_idx]
-    t = cs.crossing(q, p)
-    b = q + t * (p - q)
-    d_ghost = np.linalg.norm(p - b)
-    shape = mask.shape
-    best = None
-    for m in range(0, 3):
-        s_idx = tuple(np.asarray(node) - m * np.asarray(direction))
-        if any(i < 0 or i >= n for i, n in zip(s_idx, shape)):
-            continue
-        if not mask[s_idx]:
-            continue
-        d_src = np.linalg.norm(pts[s_idx] - b)
-        if best is None or d_src > best[0]:
-            best = (d_src, s_idx)
-    if best is None:
-        return None, 0.0
-    d_src, s_idx = best
-    return s_idx, (d_ghost / d_src) ** 2
+
+def _at(array: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """array at the (k, ndim) integer nodes.  The 3h pad of `_domain_grid`
+    keeps every node within two steps of the domain on the grid."""
+    return array[tuple(nodes.T)]
+
+
+def _summed(rows, cols, vals, n: int) -> sp.coo_matrix:
+    """n x n matrix summing the entries listed in chunks (duplicates add)."""
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
 
 
 def _buckling_system(cs: CrossSection, h: float):
-    """13-point bilaplacian A and 5-point -Laplacian B on interior nodes."""
+    """13-point bilaplacian A and 5-point -Laplacian B on interior nodes.
+
+    For each stencil offset, the ring nodes whose offset node lies outside
+    get its value by the quadratic reflection psi ~ c d^2 along the stencil
+    line through the boundary point b: ghost = (d_ghost / d_src)^2 psi[src],
+    with src the farthest of the node and its next two inside nodes back
+    along the line.
+    """
     if cs.ndim != 2:
         raise ValidationError("the vector constant needs a 2D cross-section")
     cs.check_simply_connected()
@@ -172,71 +176,74 @@ def _buckling_system(cs: CrossSection, h: float):
     grid, mask, pts = _domain_grid(cs, h)
     P = _restriction(mask)
     Lf = _laplacian(grid)
-    A = (P @ (Lf @ Lf) @ P.T).tolil()
     B = (-(P @ Lf @ P.T)).tocsr()
 
-    idx = -np.ones(mask.shape, dtype=np.int64)
-    idx[mask] = np.arange(mask.sum())
-    for node in _ring_nodes(mask, reach=2):
-        row = idx[tuple(node)]
-        for di, dj, w in _BILAP_OFFSETS:
-            pi, pj = node[0] + di, node[1] + dj
-            if 0 <= pi < mask.shape[0] and 0 <= pj < mask.shape[1] and mask[pi, pj]:
-                continue
-            g = np.gcd(abs(di), abs(dj)) if di and dj else max(abs(di), abs(dj))
-            direction = (di // g, dj // g)
-            src, ratio = _ghost_source(cs, mask, pts, node, direction, (di, dj))
-            if src is not None:
-                A[row, idx[src]] += (w / h**4) * ratio
-    return A.tocsc(), B, grid, mask
+    idx = _node_index(mask)
+    ring = _ring_nodes(mask, reach=2)
+    rows, cols, vals = [], [], []
+    for di, dj, w in _BILAP_OFFSETS:
+        off = np.array((di, dj))
+        nodes = ring[~_at(mask, ring + off)]
+        q = _at(pts, nodes)
+        p = _at(pts, nodes + off)
+        b = q + cs.crossing(q, p)[:, None] * (p - q)
+        src = nodes.copy()
+        for m in (1, 2):
+            back = nodes - m * np.sign(off)
+            inside = _at(mask, back)
+            src[inside] = back[inside]
+        ratio = (np.linalg.norm(p - b, axis=-1) /
+                 np.linalg.norm(_at(pts, src) - b, axis=-1)) ** 2
+        rows.append(_at(idx, nodes))
+        cols.append(_at(idx, src))
+        vals.append((w / h**4) * ratio)
+    ghosts = _summed(rows, cols, vals, B.shape[0])
+    A = (P @ (Lf @ Lf) @ P.T + ghosts).tocsc()
+    return A, B, grid, mask
 
 
 def _scalar_system(cs: CrossSection, h: float):
-    """Shortley-Weller -Laplacian with Dirichlet data on the true boundary."""
+    """Shortley-Weller -Laplacian with Dirichlet data on the true boundary.
+
+    Along each axis, a ring node with a neighbour outside replaces its
+    zero-ghost second difference by the unequal-arm one, with the cut arm
+    ending on the boundary (fraction theta of a step, at least 1e-6).
+    """
     _check_resolution(cs, h)
     grid, mask, pts = _domain_grid(cs, h)
     P = _restriction(mask)
     Lf = _laplacian(grid)
-    A = (-(P @ Lf @ P.T)).tolil()
 
-    idx = -np.ones(mask.shape, dtype=np.int64)
-    idx[mask] = np.arange(mask.sum())
-    ndim = mask.ndim
-    for node in _ring_nodes(mask, reach=1):
-        node = tuple(node)
-        row = idx[node]
-        for axis in range(ndim):
-            thetas = []
-            nbrs = []
-            for s in (+1, -1):
-                off = np.zeros(ndim, dtype=int)
-                off[axis] = s
-                nb = tuple(np.asarray(node) + off)
-                in_range = all(0 <= i < n for i, n in zip(nb, mask.shape))
-                if in_range and mask[nb]:
-                    thetas.append(1.0)
-                    nbrs.append(nb)
-                else:
-                    q = pts[node]
-                    p = pts[node] + off * h
-                    thetas.append(max(cs.crossing(q, p), 1e-6))
-                    nbrs.append(None)
-            tE, tW = thetas
-            if tE == 1.0 and tW == 1.0:
-                continue
-            # remove the zero-ghost row contribution for this axis
-            A[row, row] -= 2.0 / h**2
-            for nb in nbrs:
-                if nb is not None:
-                    A[row, idx[nb]] += 1.0 / h**2
-            # unequal-arm second difference, boundary value zero on cut arms
-            denom = tE * tW * (tE + tW) * h**2
-            A[row, row] += 2.0 * (tE + tW) / denom
-            if nbrs[0] is not None:
-                A[row, idx[nbrs[0]]] -= 2.0 * tW / denom
-            if nbrs[1] is not None:
-                A[row, idx[nbrs[1]]] -= 2.0 * tE / denom
-    return A.tocsc(), grid, mask
+    idx = _node_index(mask)
+    ring = _ring_nodes(mask, reach=1)
+    q = _at(pts, ring)
+    rows, cols, vals = [], [], []
+    for step in np.eye(mask.ndim, dtype=int):
+        arms = []
+        for s in (+1, -1):
+            nb = _at(idx, ring + s * step)
+            out = nb < 0
+            theta = np.ones(len(ring))
+            theta[out] = np.maximum(
+                cs.crossing(q[out], q[out] + s * step * h), 1e-6)
+            arms.append((nb, theta))
+        (nE, tE), (nW, tW) = arms
+        cut = (tE != 1.0) | (tW != 1.0)
+        tE, tW, row = tE[cut], tW[cut], _at(idx, ring[cut])
+        # drop the zero-ghost row of this axis for the unequal-arm second
+        # difference with zero boundary value on cut arms
+        denom = tE * tW * (tE + tW) * h**2
+        rows.append(row)
+        cols.append(row)
+        vals.append(2.0 * (tE + tW) / denom - 2.0 / h**2)
+        for nb, t_other in ((nE[cut], tW), (nW[cut], tE)):
+            inside = nb >= 0
+            rows.append(row[inside])
+            cols.append(nb[inside])
+            vals.append(1.0 / h**2 - 2.0 * t_other[inside] / denom[inside])
+    cuts = _summed(rows, cols, vals, P.shape[0])
+    A = (-(P @ Lf @ P.T) + cuts).tocsc()
+    return A, grid, mask
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +253,29 @@ def _scalar_system(cs: CrossSection, h: float):
 def _smallest_eig(A, B=None):
     """Smallest eigenpair of A x = lam B x by ARPACK shift-invert at zero.
 
-    The start vector is fixed so that repeated solves agree bitwise.
+    OPinv is the shared sparse LU of A (`discrete_op._factor`, pivot
+    threshold 1e-2), whose minimum-degree ordering of A + A^T fills less
+    than the COLAMD LU `eigs` would build (5.2M against 7.5M entries for
+    the unit-disk buckling matrix at h = 2/192).  The LU is released on
+    return.  The start vector is fixed so that repeated solves agree
+    bitwise.
     """
-    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+    n = A.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(n)
+    lu = [_factor(A, 0.0, 1e-2)]
+    opinv = spla.LinearOperator((n, n), matvec=lambda x: lu[0].solve(x),
+                                dtype=float)
     try:
-        vals, vecs = spla.eigs(A, k=1, M=B, sigma=0, tol=1e-10, v0=v0)
+        vals, vecs = spla.eigs(A, k=1, M=B, sigma=0, tol=1e-10, v0=v0,
+                               OPinv=opinv)
     except spla.ArpackError as exc:
         raise IterationError(f"shift-invert eigensolve failed: {exc}") from exc
+    finally:
+        # with M given, eigs leaves its parameter object in a reference
+        # cycle that reaches OPinv; dropping the LU here frees it now, not
+        # at the next garbage collection, so a ladder's earlier LUs are
+        # not still resident beside the finest one
+        lu.clear()
     lam, v = float(vals[0].real), vecs[:, 0].real
     Bv = B @ v if B is not None else v
     res = float(np.linalg.norm(A @ v - lam * Bv) /

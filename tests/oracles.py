@@ -10,6 +10,10 @@ import numpy as np
 # squared Bessel zeros: first zero of J1 and of J0
 J11_SQ = 3.8317059702075123**2      # clamped-plate buckling constant, unit disk
 J01_SQ = 2.404825557695773**2       # Dirichlet Laplacian constant, unit disk
+# clamped square plate of unit side buckles at this value over side^2
+# (Bjorstad & Tjostheim, Computing 1999); no closed form, so it is a
+# reference off the disk for geometries whose boundary crossings bisect
+SQUARE_BUCKLING = 52.344691168
 
 # layered bulk used in the gap/defect experiments: slab eps=9 of thickness
 # 0.375 per unit period, background 1

@@ -99,3 +99,36 @@ def test_interval_scaling_scales_distance(l):
     pts = np.array([[0.0], [0.5], [2.0]])
     base = iv.boundary_distance(pts / l)
     assert np.allclose(iv.scale(l).boundary_distance(pts), l * base, atol=1e-12)
+
+
+def _segments(cs, rng, n=200):
+    """n segments from an inside point q to an outside point p."""
+    lo, hi = cs.bbox()
+    pad = 0.5 * (hi - lo)
+
+    def draw(want_inside):
+        pts = rng.uniform(lo - pad, hi + pad, size=(20 * n, cs.ndim))
+        return pts[cs.contains(pts) == want_inside][:n]
+
+    return draw(True), draw(False)
+
+
+@pytest.mark.parametrize("cs", [
+    Disk(radius=1.0, center=(0.25, -0.5)),
+    Rect(half_widths=(2.0, 0.5), center=(1.0, 0.0)),
+    MaskSection.from_ascii(_disk_ascii(), spacing=1.0 / 41),
+    Interval(half_width=1.5, center=0.5),
+], ids=["disk", "rect", "mask", "interval"])
+def test_batched_crossing_matches_single_segments(cs):
+    q, p = _segments(cs, np.random.default_rng(3))
+    t = cs.crossing(q, p)
+    assert t.shape == (len(q),)
+    single = [cs.crossing(qi, pi) for qi, pi in zip(q, p)]
+    assert all(type(ti) is float for ti in single)
+    assert np.array_equal(t, single)
+    assert np.all((t > 0) & (t <= 1))
+    # a (2, k) batch of the same segments gives the same fractions
+    half = len(q) // 2
+    t2 = cs.crossing(q[:2 * half].reshape(2, half, -1),
+                     p[:2 * half].reshape(2, half, -1))
+    assert np.array_equal(t2.ravel(), t[:2 * half])

@@ -1,10 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 
 import oracles
-from gapguide.cross_section import Disk, Interval
+from gapguide import xsection
+from gapguide.cross_section import Disk, Interval, MaskSection, Rect
 from gapguide.errors import GeometryError, ValidationError
 from gapguide.grids import GridSpec
 from gapguide.xsection import (NuEstimate, _laplacian, divergence,
@@ -34,6 +39,41 @@ def test_vector_constant_scaling_covariance():
     base = solve_nu_vector(Disk(1.0), h=2 / 48)
     big = solve_nu_vector(Disk(2.0), h=4 / 48)
     assert big.value == pytest.approx(base.value / 4.0, rel=1e-8)
+
+
+def test_vector_constant_square_converges_to_the_plate_oracle():
+    # Rect((1, 1)) has side 2; its boundary crossings come from bisection
+    want = oracles.SQUARE_BUCKLING / 4.0
+    ests = [solve_nu_vector(Rect((1.0, 1.0)), h=2 / n) for n in (64, 96, 128)]
+    errs = [e.value / want - 1.0 for e in ests]
+    assert -3e-3 < errs[0] < errs[1] < errs[2] < 0      # from below, refining
+    best = refine_extrapolate(ests)
+    assert best.value == pytest.approx(want, rel=1e-4)
+    assert 1.5 < best.order < 3.5
+
+
+def test_buckling_solve_releases_its_lu(monkeypatch):
+    factor, held = xsection._factor, []
+
+    class Held:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, x):
+            return self.lu.solve(x)
+
+    def tracked(*args):
+        lu = Held(factor(*args))
+        held.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(xsection, "_factor", tracked)
+    gc.disable()            # only reference counting may free the LU
+    try:
+        solve_nu_vector(Disk(1.0), h=2 / 48)
+        assert len(held) == 1 and held[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_resolution_guard():
@@ -132,3 +172,116 @@ def test_smoothstep_endpoints_and_derivative():
 def test_smoothstep_monotone(a, b):
     lo, hi = sorted((a, b))
     assert smoothstep(np.array([hi]))[0] >= smoothstep(np.array([lo]))[0]
+
+
+# ---------------------------------------------------------------------------
+# batched boundary closures against the per-node loop they replace
+# ---------------------------------------------------------------------------
+
+def _mask_disk():
+    x = (np.arange(80) + 0.5) / 40 - 1.0
+    inside = x[:, None] ** 2 + x[None, :] ** 2 < 0.9
+    return MaskSection(inside, 1 / 40, origin=(-1.0, -1.0))
+
+
+_SECTIONS = {"disk": Disk(1.0, (0.13, -0.07)),
+             "rect": Rect((1.0, 0.7), (0.05, 0.1)),
+             "mask": _mask_disk(),
+             "interval": Interval(1.0, 0.01)}
+
+
+def _buckling_loop(cs, h):
+    """Bilaplacian with ghost values eliminated one ring node at a time."""
+    grid, mask, pts = xsection._domain_grid(cs, h)
+    P = xsection._restriction(mask)
+    Lf = xsection._laplacian(grid)
+    A = (P @ (Lf @ Lf) @ P.T).tolil()
+    idx = xsection._node_index(mask)
+    for node in xsection._ring_nodes(mask, reach=2):
+        for di, dj, w in xsection._BILAP_OFFSETS:
+            out = node + (di, dj)
+            if mask[tuple(out)]:
+                continue
+            direction = np.sign((di, dj))
+            q, p = pts[tuple(node)], pts[tuple(out)]
+            b = q + cs.crossing(q, p) * (p - q)
+            best = None
+            for m in range(3):
+                src = tuple(node - m * direction)
+                d_src = np.linalg.norm(pts[src] - b)
+                if mask[src] and (best is None or d_src > best[0]):
+                    best = (d_src, src)
+            ratio = (np.linalg.norm(p - b) / best[0]) ** 2
+            A[idx[tuple(node)], idx[best[1]]] += (w / h**4) * ratio
+    return A
+
+
+def _scalar_loop(cs, h):
+    """Shortley-Weller rows rebuilt one ring node and axis at a time."""
+    grid, mask, pts = xsection._domain_grid(cs, h)
+    P = xsection._restriction(mask)
+    A = (-(P @ xsection._laplacian(grid) @ P.T)).tolil()
+    idx = xsection._node_index(mask)
+    for node in xsection._ring_nodes(mask, reach=1):
+        row = idx[tuple(node)]
+        for off in np.eye(mask.ndim, dtype=int):
+            thetas, nbrs = [], []
+            for nb, step in ((node + off, off), (node - off, -off)):
+                if mask[tuple(nb)]:
+                    thetas.append(1.0)
+                    nbrs.append(idx[tuple(nb)])
+                else:
+                    q = pts[tuple(node)]
+                    thetas.append(max(cs.crossing(q, q + step * h), 1e-6))
+                    nbrs.append(None)
+            tE, tW = thetas
+            if tE == 1.0 and tW == 1.0:
+                continue
+            A[row, row] -= 2.0 / h**2
+            denom = tE * tW * (tE + tW) * h**2
+            A[row, row] += 2.0 * (tE + tW) / denom
+            for col, t_other in zip(nbrs, (tW, tE)):
+                if col is not None:
+                    A[row, col] += 1.0 / h**2 - 2.0 * t_other / denom
+    return A
+
+
+def _assert_same_matrix(got, want):
+    got, want = sp.csr_matrix(got), sp.csr_matrix(want)
+    got.sort_indices()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    scale = np.max(np.abs(want.data))
+    assert np.max(np.abs(got.data - want.data)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("name", sorted(_SECTIONS))
+def test_batched_assembly_matches_a_per_node_loop(name):
+    cs, h = _SECTIONS[name], 2 / 64
+    S, _, _ = xsection._scalar_system(cs, h)
+    _assert_same_matrix(S, _scalar_loop(cs, h))
+    if cs.ndim == 2:
+        A, _, _, _ = xsection._buckling_system(cs, h)
+        _assert_same_matrix(A, _buckling_loop(cs, h))
+
+
+@pytest.mark.parametrize("name", ["disk", "rect", "interval"])
+def test_assembly_crosses_once_per_stencil_offset(name, monkeypatch):
+    cs, h = _SECTIONS[name], 2 / 64
+    calls = []
+    crossing = type(cs).crossing
+
+    def counted(self, q, p):
+        calls.append(len(q))
+        return crossing(self, q, p)
+
+    monkeypatch.setattr(type(cs), "crossing", counted)
+    _, mask, _ = xsection._domain_grid(cs, h)
+    if cs.ndim == 2:
+        xsection._buckling_system(cs, h)
+        assert len(calls) <= len(xsection._BILAP_OFFSETS) == 12
+        assert len(xsection._ring_nodes(mask, reach=2)) > 12
+        calls.clear()
+    xsection._scalar_system(cs, h)
+    assert 0 < len(calls) <= 2 * cs.ndim
