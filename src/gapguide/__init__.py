@@ -13,8 +13,7 @@ from .errors import (GapguideError, ValidationError, ConfigError,
 from .grids import GridSpec
 from .cross_section import CrossSection, Interval, Disk, Rect, MaskSection
 from .media import (DiskInclusion, BoxInclusion, StripSpec, MediumSpec,
-                    SampledEpsilon, CubeWindow, build_medium, with_defect,
-                    window_norm)
+                    SampledEpsilon, build_medium, with_defect)
 from .xsection import (NuEstimate, TestField, solve_nu_vector, solve_nu_scalar,
                        make_test_field, refine_extrapolate, smoothstep)
 from .existence import (GapInterval, Profile, TrialParams, ConditionReport,
@@ -24,7 +23,7 @@ from .existence import (GapInterval, Profile, TrialParams, ConditionReport,
 from .discrete_op import (ScalarField2, maxwell_operator, scalar_matrix,
                           check_identities, plane_wave_eigenvalue)
 from .eigen import (BandTable, ModeResult, DefectSpectrum, band_structure,
-                    find_gaps, interior_eigs, defect_spectrum,
+                    find_gaps, interior_eigs, bloch_modes, defect_spectrum,
                     localization_fraction)
 from .decay import (DecayProfile, DecayFit, profile, fit_decay, ct_shape,
                     rank_correlation)

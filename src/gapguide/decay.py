@@ -95,7 +95,7 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
     extent = max(hi, -lo) - radius
     dists = np.arange(0.0, extent + 0.5 * step, step)
     # window centres, one row per ray; a window is the cells within
-    # half_side of its centre on both axes, as media.window_norm selects them
+    # half_side of its centre on both axes
     ys = np.multiply.outer(np.asarray(rays, dtype=float), radius + dists)
     truncated = bool(np.any((ys + half_side > hi) | (ys - half_side < lo)))
     outside = (ys - half_side > hi) | (ys + half_side < lo)

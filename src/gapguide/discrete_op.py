@@ -16,10 +16,11 @@ as a matrix identity); the operator is the sparse matrix D^H W D with W the
 face-averaged 1/eps.  Hermitian symmetry, nonnegativity and curl(grad) = 0
 therefore hold to rounding rather than to discretization order.
 
-A 2D medium whose samples are equal along x1 (every layered guide) gives an
-operator that splits into n1 independent axial Bloch harmonics:
-`harmonic_split` builds the real transverse operator T and the axial weights
-1/eps once, and each harmonic's block is T plus a multiple of diag(1/eps).
+A 2D or 3D medium whose samples are equal along x1 (every layered guide
+and every straight strip) gives an operator that splits into n1 independent
+axial Bloch harmonics, each the operator on the one-cell axial slab:
+`harmonic_split` builds that slab operator once as three real matrices in
+the axial difference c, B(c) = P + |c|^2 R + c Q + conj(c) Q^T.
 """
 
 from __future__ import annotations
@@ -163,9 +164,6 @@ def maxwell_operator(eps: SampledEpsilon, bloch_k1: float = 0.0,
     Component c lives on edges parallel to axis c: offset by half a cell
     along c, on nodes along the other axes; the x1 wraparound carries the
     Bloch phase e^{i k1 a} with a the axial extent of the grid.
-    interior_eigs factors it directly, once at each end of the window for
-    the inertia count and once at its centre; on a 16x32x32 supercell the
-    three LUs take about 55 s and peak at 2.4 GiB.
     """
     wraps = _axis_wraps(eps.grid, bloch_k1, transverse_bc)
     return _operator(eps, wraps, curl(eps.grid, wraps))
@@ -190,22 +188,27 @@ def scalar_matrix(eps: SampledEpsilon, bloch_k1: float = 0.0,
 
 @dataclass(frozen=True)
 class HarmonicSplit:
-    """scalar_matrix of a 2D medium constant along x1, one axial Bloch
-    harmonic at a time (Dirichlet along x2).
+    """The operator of a 2D or 3D medium constant along x1 (scalar_matrix
+    with Dirichlet walls, maxwell_operator with PEC walls), one axial Bloch
+    harmonic at a time.
 
     The operator commutes with axial shifts, so at Bloch momentum k1 it maps
-    each wave u[i, :] = e^{i kappa_j x1_i} v / sqrt(n1), kappa_j =
-    k1 + 2 pi j / L1 (j = 0 .. n1 - 1, L1 = n1 h1, x1_i the cell centres), to
-    the same wave of B_j v, with the real n2 x n2 block
+    each wave u[.., i, ..] = e^{i kappa_j x1_i} v / sqrt(n1) (the same phase
+    on every field component), kappa_j = k1 + 2 pi j / L1 (j = 0 .. n1 - 1,
+    L1 = n1 h1, x1_i the cell centres), to the same wave of B_j v.  B_j is
+    the operator on the one-cell axial slab, where the axial difference is
+    the scalar c = (e^{i kappa_j h1} - 1) / h1:
 
-        B_j = T + s_j diag(w1),   s_j = |e^{i kappa_j h1} - 1|^2 / h1^2,
+        B(c) = P + |c|^2 R + c Q + conj(c) Q^T,
 
-    T = D2^T W2 D2 the transverse operator and w1 = 1/eps(x2) the axial
-    face weights.  The n1 blocks hold the whole spectrum.
+    with P, Q, R real and built once from the slab's differences at c = 0
+    and c = 1.  Q is empty for the scalar gradient, so 2D blocks are real.
+    The n1 blocks hold the whole spectrum.
     """
 
-    transverse: sp.csr_matrix
-    axial_weights: np.ndarray
+    P: sp.csr_matrix
+    Q: sp.csr_matrix
+    R: sp.csr_matrix
     grid: GridSpec
 
     def kappas(self, bloch_k1: float) -> np.ndarray:
@@ -214,31 +217,45 @@ class HarmonicSplit:
         return bloch_k1 + 2.0 * np.pi * np.arange(n1) / (n1 * h1)
 
     def block(self, kappa: float) -> sp.csr_matrix:
-        """B = T + |e^{i kappa h1} - 1|^2 / h1^2 diag(w1)."""
+        """B(c) at c = (e^{i kappa h1} - 1) / h1."""
         h1 = self.grid.spacing[0]
-        s = abs(np.exp(1j * kappa * h1) - 1.0) ** 2 / h1 ** 2
-        return (self.transverse + sp.diags(s * self.axial_weights)).tocsr()
+        z = np.exp(1j * kappa * h1) - 1.0
+        B = self.P + abs(z) ** 2 / h1 ** 2 * self.R
+        if self.Q.nnz:
+            B = B + z / h1 * self.Q + np.conj(z) / h1 * self.Q.T
+        return B
 
     def lift(self, kappa: float, v: np.ndarray) -> np.ndarray:
-        """The grid field e^{i kappa x1_i} v / sqrt(n1) of a block vector."""
+        """The flattened grid field e^{i kappa x1_i} v / sqrt(n1) of a block
+        vector, component by component."""
         axial = np.exp(1j * kappa * self.grid.centers(0))
-        return np.outer(axial, v) / np.sqrt(self.grid.shape[0])
+        slab = np.reshape(v, (-1, 1, int(np.prod(self.grid.shape[1:]))))
+        return (axial[:, None] * slab / np.sqrt(self.grid.shape[0])).ravel()
 
 
 def harmonic_split(eps: SampledEpsilon) -> HarmonicSplit | None:
-    """The axial harmonic split of a 2D medium whose samples are equal along
-    x1, or None when they are not (or the grid is not 2D).
+    """The axial harmonic split of a 2D or 3D medium whose samples are equal
+    along x1, or None when they are not (or the grid is 1D).
 
-    T is scalar_matrix on the one-cell axial slab at Bloch momentum 0, where
-    the axial difference vanishes; it and w1 are built once per medium.
+    The slab operator is D(c)^H W D(c) with D the gradient (2D) or the curl
+    (3D) and D(c) = D0 + c D1 linear in the axial difference c.  D0 and D1
+    come from the slab at unit axial spacing, where the Bloch wraps 1 and 2
+    make that difference exactly 0 and the identity; then P = D0^T W D0,
+    Q = D0^T W D1 and R = D1^T W D1.
     """
     grid = eps.grid
-    if grid.ndim != 2 or np.any(eps.values != eps.values[:1]):
+    if grid.ndim == 1 or np.any(eps.values != eps.values[:1]):
         return None
-    slab = SampledEpsilon(GridSpec((1, grid.shape[1]), grid.spacing,
-                                   grid.origin), eps.values[:1])
-    return HarmonicSplit(transverse=scalar_matrix(slab).real.tocsr(),
-                         axial_weights=1.0 / eps.values[0], grid=grid)
+    slab = SampledEpsilon(GridSpec((1, *grid.shape[1:]),
+                                   (1.0, *grid.spacing[1:]), grid.origin),
+                          eps.values[:1])
+    walls = ["pec" if grid.ndim == 3 else "dirichlet"] * (grid.ndim - 1)
+    D = curl if grid.ndim == 3 else gradient
+    D0 = D(slab.grid, [1.0, *walls])
+    D1 = D(slab.grid, [2.0, *walls]) - D0
+    W = sp.diags(_face_weights(slab, [1.0, *walls]))
+    return HarmonicSplit(P=(D0.T @ W @ D0).tocsr(), Q=(D0.T @ W @ D1).tocsr(),
+                         R=(D1.T @ W @ D1).tocsr(), grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,13 @@ import scipy.sparse.linalg as spla
 from .errors import IterationError, ValidationError
 from .existence import GapInterval, gap_samples
 from .media import SampledEpsilon, StripSpec
-from .discrete_op import (HarmonicSplit, ScalarField2, _factor,
-                          harmonic_split, scalar_matrix)
+from .discrete_op import (ScalarField2, _factor, harmonic_split,
+                          maxwell_operator, scalar_matrix)
 
 __all__ = [
     "BandTable", "ModeResult", "DefectSpectrum", "band_structure",
-    "find_gaps", "interior_eigs", "defect_spectrum", "localization_fraction",
+    "find_gaps", "interior_eigs", "bloch_modes", "defect_spectrum",
+    "localization_fraction",
 ]
 
 
@@ -133,7 +134,16 @@ def _negative_count(A, s: float) -> int:
 
 
 def _window_count(A, window) -> int:
-    """Eigenvalues of the Hermitian A inside the open window, by inertia."""
+    """Eigenvalues of the Hermitian A inside the open window, by inertia.
+
+    Every eigenvalue lies in the Gershgorin interval
+    [min(a_ii - r_i), max(a_ii + r_i)], r_i the off-diagonal absolute row
+    sum; when that interval misses the window the count is 0, unfactored.
+    """
+    d = A.diagonal().real
+    r = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(d)
+    if np.max(d + r) <= window[0] or np.min(d - r) >= window[1]:
+        return 0
     return _negative_count(A, window[1]) - _negative_count(A, window[0])
 
 
@@ -179,12 +189,15 @@ def _window_pairs(blocks, window, count: int) -> list:
     (eigenvalue, block index, unit block vector, residual) by ascending
     eigenvalue.
 
-    Each block's window is counted by inertia (`_window_count`); m is the
-    sum over blocks.  A block holding m_j > 0 is solved by `_nearest_eigs` at
-    the window centre for exactly min(count, m_j) pairs, which must all lie
-    in the window and have residual at most 1e-8 * max(|lam|, 1); the count
-    pairs nearest the centre are kept, and m > count warns once, naming m.
+    The window must satisfy 0 <= lo < hi.  Each block's window is counted
+    (`_window_count`); m is the sum over blocks.  A block holding m_j > 0 is
+    solved by `_nearest_eigs` at the window centre for exactly
+    min(count, m_j) pairs, which must all lie in the window and have
+    residual at most 1e-8 * max(|lam|, 1); the count pairs nearest the
+    centre are kept, and m > count warns once, naming m.
     """
+    if window[0] < 0 or window[1] <= window[0]:
+        raise ValidationError("window must satisfy 0 <= lo < hi")
     ms = [_window_count(b, window) for b in blocks]
     for mj in ms:
         if mj < 0:
@@ -221,9 +234,11 @@ def _window_pairs(blocks, window, count: int) -> list:
 def interior_eigs(op, window, count: int = 10):
     """Eigenpairs of a Hermitian matrix with eigenvalue inside the window.
 
-    `op` is a sparse or dense matrix.  The window is first counted by
-    Sylvester inertia: m is the number of negative pivots of the LU of
-    op - hi I minus that of op - lo I (pivot threshold 0, symmetric
+    `op` is a sparse or dense matrix; operators of a medium are solved by
+    `bloch_modes`, which splits x1-invariant media first.  The window is
+    first counted: m is 0 when op's Gershgorin interval misses it, else the
+    number of negative pivots of the LU of op - hi I minus that of
+    op - lo I (Sylvester inertia; pivot threshold 0, symmetric
     permutation).  m = 0 returns [] without any further factorization or
     Lanczos run.  Otherwise `_nearest_eigs` at the window centre is asked
     for exactly k = min(count, m) pairs, the k eigenvalues nearest the
@@ -237,27 +252,37 @@ def interior_eigs(op, window, count: int = 10):
     above 1e-8 * max(|lam|, 1).  Returns a possibly-empty list of
     ModeResult sorted by eigenvalue.
     """
-    if window[0] < 0 or window[1] <= window[0]:
-        raise ValidationError("window must satisfy 0 <= lo < hi")
     return [ModeResult(lam=lam, field=v, residual=res, k1=np.nan)
             for lam, _, v, res in _window_pairs([op], window, count)]
 
 
-def _harmonic_eigs(split: HarmonicSplit, bloch_k1: float, window,
-                   count: int) -> list:
-    """interior_eigs of scalar_matrix(eps, bloch_k1) for the x1-invariant
-    medium of `split`, solved one axial Bloch harmonic at a time.
+def bloch_modes(eps: SampledEpsilon, k1_samples, window,
+                count: int) -> list:
+    """In-window eigenpairs of the operator of `eps` with Dirichlet (1D,
+    2D: scalar_matrix) or PEC (3D: maxwell_operator) walls at each Bloch
+    momentum k1, as ModeResults with k1 set and the flattened grid field,
+    in k1 order and by ascending eigenvalue.
 
-    The window count m and the count contract are those of interior_eigs
-    over all n1 blocks together; each returned field is the block vector
-    lifted to the grid (`HarmonicSplit.lift`), flattened.
+    A medium whose samples are equal along x1 is split once
+    (`harmonic_split`) and each k1's n1 harmonic blocks are solved
+    together; any other medium's full operator is the single block.  At
+    each k1 the window count m and the `count` contract are those of
+    interior_eigs over all blocks together, and each block vector is lifted
+    to the grid (`HarmonicSplit.lift`).
     """
-    kappas = split.kappas(bloch_k1)
-    pairs = _window_pairs([split.block(kappa) for kappa in kappas], window,
-                          count)
-    return [ModeResult(lam=lam, field=split.lift(kappas[j], v).ravel(),
-                       residual=res, k1=np.nan)
-            for lam, j, v, res in pairs]
+    split = harmonic_split(eps)
+    operator = maxwell_operator if eps.grid.ndim == 3 else scalar_matrix
+    modes = []
+    for k1 in map(float, k1_samples):
+        if split is None:
+            kappas, blocks = [k1], [operator(eps, k1)]
+        else:
+            kappas = split.kappas(k1)
+            blocks = [split.block(kappa) for kappa in kappas]
+        for lam, j, v, res in _window_pairs(blocks, window, count):
+            fld = v if split is None else split.lift(kappas[j], v)
+            modes.append(ModeResult(lam=lam, field=fld, residual=res, k1=k1))
+    return modes
 
 
 def localization_fraction(values: np.ndarray, eps_grid,
@@ -282,12 +307,8 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     this filter; run the same function on the bulk medium (same strip
     argument for the distance geometry) as a negative control.
 
-    A medium whose samples are equal along x1 (`harmonic_split` is not
-    None) is solved one axial Bloch harmonic at a time: T and 1/eps are
-    built once, and at each k1 the n1 real transverse blocks are counted
-    and solved as interior_eigs would, with the window count and the
-    `count` contract taken over all blocks together.  Any other medium
-    builds and solves the full scalar_matrix at each k1.
+    The eigenpairs at each k1 are those of `bloch_modes` on the Dirichlet
+    scalar operator; this function only filters them by localization.
     """
     if k1_samples is None:
         a = eps_defect.bloch_period or 1.0
@@ -295,23 +316,14 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     pad = 1e-3 * gap.width
     window = (gap.alpha + pad, gap.beta - pad)
     grid = eps_defect.grid
-    split = harmonic_split(eps_defect)
     modes = []
-    for k1 in k1_samples:
-        if split is None:
-            A = scalar_matrix(eps_defect, bloch_k1=float(k1),
-                              transverse_bc="dirichlet")
-            found = interior_eigs(A, window, count=count)
-        else:
-            found = _harmonic_eigs(split, float(k1), window, count)
-        for m in found:
-            vals2 = np.asarray(m.field).reshape(grid.shape)
-            frac = localization_fraction(vals2, grid, strip)
-            if frac < 0.5:
-                continue
-            fld = ScalarField2(vals2, grid, bloch_k1=float(k1))
+    for m in bloch_modes(eps_defect, k1_samples, window, count):
+        vals2 = m.field.reshape(grid.shape)
+        frac = localization_fraction(vals2, grid, strip)
+        if frac >= 0.5:
+            fld = ScalarField2(vals2, grid, bloch_k1=m.k1)
             modes.append(ModeResult(lam=m.lam, field=fld, residual=m.residual,
-                                    k1=float(k1), localization=frac))
+                                    k1=m.k1, localization=frac))
     modes.sort(key=lambda m: m.lam)
     mus = gap_samples(gap)
     lams = np.array([m.lam for m in modes]) if modes else np.empty(0)

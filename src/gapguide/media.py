@@ -1,4 +1,4 @@
-"""Dielectric landscapes: periodic bulk, defect strip, sampled grids, windows.
+"""Dielectric landscapes: periodic bulk, defect strip, sampled grids.
 
 Lengths are in units of the lattice period.  Sampling is piecewise constant
 at cell centers; samples inside the defect strip equal its dielectric value
@@ -208,23 +208,6 @@ class SampledEpsilon:
             object.__setattr__(self, "c1", float(values.max()))
 
 
-@dataclass(frozen=True)
-class CubeWindow:
-    """Indicator of the cube |y_j - x_j| <= half_side around center x."""
-
-    center: tuple
-    half_side: float = 1.0
-
-    def __post_init__(self):
-        if self.half_side <= 0:
-            raise ValidationError("window half_side must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
-    def indicator(self, points) -> np.ndarray:
-        d = np.abs(np.asarray(points) - np.asarray(self.center))
-        return np.all(d <= self.half_side, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -275,30 +258,3 @@ def with_defect(eps0: SampledEpsilon, strip: StripSpec) -> SampledEpsilon:
     c1 = max(eps0.c1, strip.eps_inside)
     return SampledEpsilon(grid=grid, values=values,
                           bloch_period=eps0.bloch_period, c0=c0, c1=c1)
-
-
-def window_norm(field_values: np.ndarray, grid: GridSpec, window: CubeWindow,
-                return_flag: bool = False):
-    """Discrete L2 norm of a field restricted to a cube window.
-
-    Midpoint quadrature with cell-volume weights.  Vector fields pass their
-    component axis first.  An empty grid/window intersection gives 0 (with
-    flag, if requested).
-    """
-    values = np.asarray(field_values)
-    vector = values.ndim == grid.ndim + 1
-    sel = np.ones(grid.shape, dtype=bool)
-    for a in range(grid.ndim):
-        c = grid.centers(a)
-        keep = np.abs(c - window.center[a]) <= window.half_side
-        sl = [None] * grid.ndim
-        sl[a] = slice(None)
-        sel &= keep[tuple(sl)]
-    if not sel.any():
-        return (0.0, True) if return_flag else 0.0
-    if vector:
-        total = sum(np.sum(np.abs(values[c][sel]) ** 2) for c in range(values.shape[0]))
-    else:
-        total = np.sum(np.abs(values[sel]) ** 2)
-    norm = float(np.sqrt(total * grid.cell_volume))
-    return (norm, False) if return_flag else norm

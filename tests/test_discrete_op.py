@@ -7,8 +7,10 @@ from gapguide.discrete_op import (ScalarField2, check_identities, curl,
                                   plane_wave_eigenvalue, scalar_matrix)
 from gapguide.errors import ValidationError
 from gapguide.grids import GridSpec
+from gapguide.cross_section import Disk
 from gapguide.media import (BoxInclusion, DiskInclusion, MediumSpec,
-                            SampledEpsilon, build_medium)
+                            SampledEpsilon, StripSpec, build_medium,
+                            with_defect)
 
 
 def _homog3(n=8, h=1 / 8):
@@ -156,8 +158,9 @@ def test_one_cell_axial_slab_adds_the_axial_symbol(kappa):
     A = scalar_matrix(slab, bloch_k1=kappa).toarray()
     want = T + s * np.diag(inv)
     assert np.allclose(A, want, rtol=0, atol=1e-13 * np.abs(want).max())
-    assert np.array_equal(harmonic_split(slab).transverse.toarray(),
-                          scalar_matrix(slab).toarray().real)
+    B = harmonic_split(slab).block(kappa).toarray()
+    assert np.isrealobj(B)
+    assert np.allclose(B, want, rtol=0, atol=1e-13 * np.abs(want).max())
     cell = SampledEpsilon(GridSpec((1,), (h1,)), np.array([4.0]))
     assert scalar_matrix(cell, bloch_k1=kappa).toarray() == pytest.approx(
         s / 4.0, rel=1e-12, abs=1e-12)
@@ -182,6 +185,39 @@ def test_harmonic_blocks_are_the_operator_on_bloch_waves():
     varied[1, 10] *= 1.5
     assert harmonic_split(SampledEpsilon(ml.grid, varied)) is None
     assert harmonic_split(_media_trio()[1]) is None      # disk lattice
+    assert harmonic_split(_media_trio()[0]) is None      # 3D box lattice
+
+
+def _guide3(n1=4, n=12):
+    """A small 3D guide constant along x1: a disk strip in vacuum."""
+    h = 1 / n
+    grid = GridSpec((n1, n, n), (h, h, h), (0.0, -0.5, -0.5))
+    strip = StripSpec(Disk(1.0), l=0.4, eps_inside=12.0)
+    return with_defect(build_medium(MediumSpec(lattice=(1.0,)), grid), strip)
+
+
+def test_harmonic_split_of_a_3d_guide_holds_the_whole_spectrum():
+    eps, k1 = _guide3(), 0.7
+    split = harmonic_split(eps)
+    M = maxwell_operator(eps, bloch_k1=k1)
+    assert split.Q.nnz and M.shape == (1728, 1728)
+    n = eps.grid.shape[1]
+    slab = SampledEpsilon(GridSpec((1, n, n), eps.grid.spacing,
+                                   eps.grid.origin), eps.values[:1])
+    spectra = []
+    for kappa in split.kappas(k1):
+        B = split.block(kappa)
+        ref = maxwell_operator(slab, bloch_k1=kappa)
+        assert abs(B - ref).max() <= 1e-14 * abs(ref).max()
+        vals, vecs = np.linalg.eigh(B.toarray())
+        spectra.append(vals)
+        for lam, v in zip(vals, vecs.T):
+            u = split.lift(kappa, v)
+            assert u.shape == (M.shape[0],)
+            assert np.linalg.norm(M @ u - lam * u) <= 1e-10 * max(abs(lam), 1)
+    full = np.linalg.eigvalsh(M.toarray())
+    union = np.sort(np.concatenate(spectra))
+    assert np.allclose(union, full, rtol=0, atol=1e-10 * full.max())
 
 
 def test_field_shape_validation():

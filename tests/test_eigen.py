@@ -6,12 +6,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from gapguide.cross_section import Interval
+from gapguide.cross_section import Disk, Interval
 from gapguide import discrete_op, eigen
 from gapguide.discrete_op import (harmonic_split, maxwell_operator,
                                   plane_wave_eigenvalue, scalar_matrix)
-from gapguide.eigen import (BandTable, _harmonic_eigs, _window_count,
-                            band_structure, defect_spectrum, find_gaps,
+from gapguide.eigen import (BandTable, _window_count, band_structure,
+                            bloch_modes, defect_spectrum, find_gaps,
                             interior_eigs, localization_fraction)
 from gapguide.errors import IterationError, ValidationError
 from gapguide.existence import GapInterval
@@ -278,7 +278,7 @@ def test_harmonic_split_matches_the_general_path(defected, k1):
     # window holds pairs of equal eigenvalues from different harmonics
     A = scalar_matrix(defected, bloch_k1=k1, transverse_bc="dirichlet")
     general = interior_eigs(A, SPLIT_WINDOW, count=100)
-    split = _harmonic_eigs(harmonic_split(defected), k1, SPLIT_WINDOW, 100)
+    split = bloch_modes(defected, [k1], SPLIT_WINDOW, 100)
     assert len(split) == len(general) >= 10
     got = np.array([m.lam for m in split])
     assert np.allclose(got, [m.lam for m in general], rtol=1e-10, atol=0)
@@ -286,6 +286,7 @@ def test_harmonic_split_matches_the_general_path(defected, k1):
         assert np.min(np.diff(got)) < 1e-9 * got[-1]
     n1 = defected.grid.shape[0]
     for m in split:
+        assert m.k1 == k1
         u = np.asarray(m.field)
         res = np.linalg.norm(A @ u - m.lam * u)
         assert res <= 1e-8 * max(abs(m.lam), 1.0)
@@ -307,7 +308,7 @@ def test_harmonic_split_keeps_the_count_contract(defected):
     general, warned = _runtime_warnings(interior_eigs, A, SPLIT_WINDOW,
                                         m - 5)
     split, warned_split = _runtime_warnings(
-        _harmonic_eigs, harmonic_split(defected), k1, SPLIT_WINDOW, m - 5)
+        bloch_modes, defected, [k1], SPLIT_WINDOW, m - 5)
     assert len(warned) == len(warned_split) == 1
     assert f"holds {m} eigenvalues" in warned_split[0]
     assert warned_split == warned
@@ -354,3 +355,70 @@ def test_defect_spectrum_splits_invariant_media_only(defected, tm_gap,
     assert harmonic_split(eps) is None
     defect_spectrum(eps, STRIP, tm_gap, k1_samples=ks, delta=0.25, count=16)
     assert len(calls) == len(ks)
+
+
+def test_blocks_outside_the_window_are_not_factored(defected, tm_gap,
+                                                    monkeypatch):
+    # a block whose Gershgorin interval lies above the window holds none of
+    # it; its count is 0 without the two inertia LUs, and nothing changes
+    window, ks = (tm_gap.alpha, tm_gap.beta), [4.5, 5.0]
+    split = harmonic_split(defected)
+    outside = solved = 0
+    for kappa in np.concatenate([split.kappas(k1) for k1 in ks]):
+        B = split.block(kappa).toarray()
+        radii = np.abs(B).sum(axis=1) - np.abs(np.diag(B))
+        outside += np.min(np.diag(B) - radii) >= window[1]
+        vals = np.linalg.eigvalsh(B)
+        solved += np.any((vals > window[0]) & (vals < window[1]))
+    blocks = len(ks) * defected.grid.shape[0]
+    assert 0 < outside < blocks and solved > 0
+    factored = []
+    factor = eigen._factor
+
+    def counted(A, sigma, thresh):
+        factored.append(A)
+        return factor(A, sigma, thresh)
+
+    monkeypatch.setattr(eigen, "_factor", counted)
+    modes = bloch_modes(defected, ks, window, 16)
+    assert modes
+    # two inertia LUs per block that may hold the window, one more per
+    # block that does; none of a skipped block
+    assert len(factored) == 2 * (blocks - outside) + solved
+    for A in factored:
+        radii = abs(A).sum(axis=1).A1 - np.abs(A.diagonal())
+        assert np.min(A.diagonal() - radii) < window[1]
+    # the same modes, bitwise, as by factoring every block
+    factored.clear()
+    monkeypatch.setattr(eigen, "_window_count", lambda A, w: (
+        eigen._negative_count(A, w[1]) - eigen._negative_count(A, w[0])))
+    full = bloch_modes(defected, ks, window, 16)
+    assert len(factored) == 2 * blocks + solved
+    assert [(m.k1, m.lam) for m in full] == [(m.k1, m.lam) for m in modes]
+    assert all(np.array_equal(a.field, b.field) for a, b in zip(full, modes))
+
+
+def test_bloch_modes_of_a_3d_guide_match_the_full_operator():
+    h = 1 / 12
+    grid = GridSpec((4, 12, 12), (h, h, h), (0.0, -0.5, -0.5))
+    strip = StripSpec(Disk(1.0), l=0.4, eps_inside=12.0)
+    eps = with_defect(build_medium(MediumSpec(lattice=(1.0,)), grid), strip)
+    window = (2.0, 25.0)        # above the gradient null space
+    M = maxwell_operator(eps, bloch_k1=0.7)
+    general = interior_eigs(M, window, count=100)
+    split = bloch_modes(eps, [0.7], window, 100)
+    assert len(split) == len(general) >= 20
+    assert np.allclose([m.lam for m in split], [m.lam for m in general],
+                       rtol=1e-10, atol=0)
+    for m in split:
+        assert m.k1 == 0.7
+        res = np.linalg.norm(M @ m.field - m.lam * m.field)
+        assert res <= 1e-8 * m.lam
+    # a medium that varies along x1 is solved as its full maxwell_operator
+    varied = eps.values.copy()
+    varied[0, 0, 0] = 2.0
+    eps = SampledEpsilon(grid, varied)
+    assert harmonic_split(eps) is None
+    general = interior_eigs(maxwell_operator(eps, bloch_k1=0.7), window, 100)
+    split = bloch_modes(eps, [0.7], window, 100)
+    assert [m.lam for m in split] == [m.lam for m in general]

@@ -2,15 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gapguide.cross_section import Disk, Interval
 from gapguide.errors import GeometryError, ResolutionError, ValidationError
 from gapguide.grids import GridSpec
-from gapguide.media import (BoxInclusion, CubeWindow, DiskInclusion,
-                            MediumSpec, SampledEpsilon, StripSpec,
-                            build_medium, window_norm, with_defect)
+from gapguide.media import (BoxInclusion, DiskInclusion, MediumSpec,
+                            SampledEpsilon, StripSpec, build_medium,
+                            with_defect)
 
 
 def _rod_medium(radius=0.2, eps=9.0):
@@ -95,32 +93,3 @@ def test_strip_distance():
     d = strip.distance(pts)
     assert d[0] == 0.0 and d[1] == 0.0
     assert d[2] == pytest.approx(1.0)
-
-
-def test_window_norm_constant_field():
-    grid = GridSpec((8, 8), (0.5, 0.5), (-2.0, -2.0))
-    w = CubeWindow(center=(0.0, 0.0), half_side=1.0)
-    # window covers the 4x4 central block of cells: norm^2 = 16 * 0.25
-    n = window_norm(np.ones(grid.shape), grid, w)
-    assert n == pytest.approx(2.0)
-    # vector fields stack a leading component axis
-    nv = window_norm(np.ones((3, *grid.shape)), grid, w)
-    assert nv == pytest.approx(2.0 * np.sqrt(3.0))
-
-
-def test_window_norm_empty_flag():
-    grid = GridSpec((8, 8), (0.5, 0.5), (-2.0, -2.0))
-    w = CubeWindow(center=(10.0, 0.0), half_side=0.4)
-    n, empty = window_norm(np.ones(grid.shape), grid, w, return_flag=True)
-    assert n == 0.0 and empty
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0.2, 1.0), st.floats(1.0, 2.0))
-def test_window_norm_monotone_in_half_side(small, big):
-    grid = GridSpec((16, 16), (0.25, 0.25), (-2.0, -2.0))
-    rng = np.random.default_rng(3)
-    vals = rng.standard_normal(grid.shape)
-    lo = window_norm(vals, grid, CubeWindow((0.1, -0.2), small))
-    hi = window_norm(vals, grid, CubeWindow((0.1, -0.2), small + big))
-    assert hi >= lo - 1e-12
