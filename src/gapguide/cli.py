@@ -2,7 +2,8 @@
 
 Commands dispatch to the library modules and leave deterministic artifacts
 (CSV/JSON/binary dumps) in the output directory; every artifact records the
-config hash and seed, though no computation reads the seed.  Exit codes:
+config hash and seed, though no computation reads the seed, and the BLAS
+the solves ran on.  Exit codes:
 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fields_io as io
+from .discrete_op import _blas_record
 from .errors import ConfigError, GapguideError, ValidationError
 from .existence import (GapInterval, Profile, TrialParams, check_condition,
                         minimal_n, quadrature_grid, residual_closed_form,
@@ -93,7 +95,8 @@ def _samples(block):
 
 
 def _provenance(args, cfg, **extra) -> dict:
-    d = {"config_hash": io.config_hash(cfg), "seed": args.seed}
+    d = {"config_hash": io.config_hash(cfg), "seed": args.seed,
+         "blas": _blas_record()}
     d.update(extra)
     return d
 

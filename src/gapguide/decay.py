@@ -124,7 +124,9 @@ def fit_decay(p: DecayProfile, d_min: float | None = None,
     only the asymptotic slope carries meaning.  Nonpositive norms, and norms
     below 1e-8 times the profile peak (eigensolver noise floor, where the
     logarithm is meaningless), are excluded and counted.  At least five
-    samples must remain.
+    samples must remain.  The slope, intercept and r^2 are the closed-form
+    least-squares ones (as scipy.stats.linregress computes them); where
+    every log equals their mean (a flat profile), r^2 is NaN, as there.
     """
     if d_min is None:
         d_min = p.strip_radius
@@ -143,11 +145,14 @@ def fit_decay(p: DecayProfile, d_min: float | None = None,
             "(need 5)")
     x = p.distances[pos]
     y = np.log(p.norms[pos])
-    res = stats.linregress(x, y)
-    return DecayFit(rate=max(-res.slope, 0.0), prefactor=float(np.exp(res.intercept)),
-                    d_min=float(d_min), d_max=float(d_max),
-                    r2=float(res.rvalue**2), n_samples=int(len(x)),
-                    excluded=excluded)
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx, sxy, syy = dx @ dx, dx @ dy, dy @ dy
+    slope = sxy / sxx
+    r2 = min(sxy * sxy / (sxx * syy), 1.0) if syy > 0 else np.nan
+    return DecayFit(rate=max(0.0, -float(slope)),
+                    prefactor=float(np.exp(y.mean() - slope * x.mean())),
+                    d_min=float(d_min), d_max=float(d_max), r2=float(r2),
+                    n_samples=int(len(x)), excluded=excluded)
 
 
 def ct_shape(lam: float, gap: GapInterval) -> float:

@@ -25,6 +25,11 @@ the axial difference c, B(c) = P + |c|^2 R + c Q + conj(c) Q^T.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import importlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,7 +276,9 @@ def _factor(A, sigma: float, thresh: float):
     One helper for every shift-invert solve: the Hermitian operators of
     :mod:`gapguide.eigen` (inertia counts and Lanczos) and the
     nonsymmetric clamped-plate buckling matrix of :mod:`gapguide.xsection`,
-    where the ordering of A + A^T serves as well.
+    where the ordering of A + A^T serves as well.  It runs on the BLAS
+    threads of its caller; the 1D and 2D solves that call it hold
+    `_one_blas_thread`.
     """
     n = A.shape[0]
     shifted = sp.csc_matrix(A) - sigma * sp.identity(n, format="csc")
@@ -282,6 +289,103 @@ def _factor(A, sigma: float, thresh: float):
     except RuntimeError as exc:        # SuperLU: "Factor is exactly singular"
         raise IterationError(
             f"shift {sigma:g} is an eigenvalue; cannot factor: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _OpenBLAS:
+    """Thread-count handles of one OpenBLAS library loaded in the process."""
+
+    get_num_threads: object
+    set_num_threads: object
+    config: str
+
+
+# an extension module linked to each library, with the suffix of its
+# symbols: numpy's wheel vendors the 64-bit-integer build
+_OPENBLAS_MODULES = (("numpy.linalg._umath_linalg", "64_"),
+                     ("scipy.sparse.linalg._dsolve._superlu", ""))
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """The distinct scipy_openblas libraries behind numpy and scipy, found
+    on first use through an extension module linked to each; () where no
+    module exports the symbols (another BLAS)."""
+    found = {}
+    for name, suffix in _OPENBLAS_MODULES:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(name).__file__)
+            get, put, config = (getattr(lib, f"scipy_openblas_{f}{suffix}")
+                                for f in ("get_num_threads", "set_num_threads",
+                                          "get_config"))
+        except (ImportError, OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        found.setdefault(ctypes.cast(get, ctypes.c_void_p).value,
+                         _OpenBLAS(get, put, config().decode()))
+    return tuple(found.values())
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager and decorator: OpenBLAS runs on one thread inside.
+
+    ARPACK and SuperLU hand OpenBLAS small calls that a second thread only
+    busy-waits between, and the thread count changes the last digits of the
+    results.  Entries nest and may come from several threads at once (the
+    cells of `gapguide sweep --threads N`): the first to enter saves the
+    caller's counts and sets 1, the last to leave restores them.  Without
+    scipy_openblas it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()          # (library, caller's count) pairs
+
+    def caller_threads(self) -> tuple:
+        """The thread count of each `_openblas()` library outside any
+        pinned region."""
+        with self._lock:
+            if self._depth:
+                return tuple(n for _, n in self._saved)
+            return tuple(lib.get_num_threads() for lib in _openblas())
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = tuple((lib, lib.get_num_threads())
+                                    for lib in _openblas())
+                for lib, _ in self._saved:
+                    lib.set_num_threads(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for lib, n in self._saved:
+                    lib.set_num_threads(n)
+        return False
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+def _blas_record() -> dict:
+    """Provenance of the BLAS: each OpenBLAS library's configuration and the
+    caller's thread count, and the count the pinned solves ran on (None
+    without scipy_openblas, when they ran on the caller's)."""
+    libs = _openblas()
+    return {"libraries": [{"config": lib.config, "threads": n} for lib, n
+                          in zip(libs, _one_blas_thread.caller_threads())],
+            "solve_threads": 1 if libs else None}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ the gap, filtered by transverse localization so that folded bulk bands
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,8 +21,8 @@ import scipy.sparse.linalg as spla
 from .errors import IterationError, ValidationError
 from .existence import GapInterval, gap_samples
 from .media import SampledEpsilon, StripSpec
-from .discrete_op import (ScalarField2, _factor, harmonic_split,
-                          maxwell_operator, scalar_matrix)
+from .discrete_op import (ScalarField2, _factor, _one_blas_thread,
+                          harmonic_split, maxwell_operator, scalar_matrix)
 
 __all__ = [
     "BandTable", "ModeResult", "DefectSpectrum", "band_structure",
@@ -83,12 +84,15 @@ def _bulk_matrix(eps: SampledEpsilon, k) -> sp.csr_matrix:
                          bloch_k2=kk[1] if kk.size > 1 else 0.0)
 
 
+@_one_blas_thread
 def band_structure(eps: SampledEpsilon, k_path, bands: int = 8) -> BandTable:
     """Lowest `bands` eigenvalues of the periodic bulk at each k-sample.
 
     1D media take scalar Bloch momenta; 2D media take scalars (transverse
     momentum zero) or (k1, k2) pairs.  Each sample is one (bitwise
-    repeatable) `_nearest_eigs` solve shifted just below the spectrum.
+    repeatable) `_nearest_eigs` solve shifted just below the spectrum.  The
+    whole call runs on one OpenBLAS thread (`discrete_op._one_blas_thread`),
+    so the table does not depend on the caller's thread count.
     """
     ks = tuple(k_path)
     eigs = []
@@ -245,7 +249,9 @@ def interior_eigs(op, window, count: int = 10):
     centre, all of which lie in the window.  When m > count, a
     RuntimeWarning names m and the `count` pairs nearest the centre are
     returned, so a caller that needs every eigenvalue raises `count`.
-    Repeated solves agree bitwise.  IterationError is raised when an end
+    Repeated solves agree bitwise on the same BLAS thread count; unlike
+    `bloch_modes`, this runs on the caller's threads, which pay off on the
+    large LUs of a full 3D operator.  IterationError is raised when an end
     or centre LU is exactly singular, when an end LU pivots off the
     diagonal (no inertia count), when Lanczos returns other than k
     in-window pairs, on an ARPACK failure, and for an eigenpair residual
@@ -269,19 +275,28 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
     each k1 the window count m and the `count` contract are those of
     interior_eigs over all blocks together, and each block vector is lifted
     to the grid (`HarmonicSplit.lift`).
+
+    1D and 2D media and split 3D media are solved on one OpenBLAS thread
+    (`discrete_op._one_blas_thread`), so their modes do not depend on the
+    caller's thread count.  The full operator of a 3D medium that varies
+    along x1 is solved on the caller's threads, as by interior_eigs: its
+    LUs are large enough for a second thread to pay off.
     """
     split = harmonic_split(eps)
     operator = maxwell_operator if eps.grid.ndim == 3 else scalar_matrix
+    full_3d = split is None and eps.grid.ndim == 3
     modes = []
-    for k1 in map(float, k1_samples):
-        if split is None:
-            kappas, blocks = [k1], [operator(eps, k1)]
-        else:
-            kappas = split.kappas(k1)
-            blocks = [split.block(kappa) for kappa in kappas]
-        for lam, j, v, res in _window_pairs(blocks, window, count):
-            fld = v if split is None else split.lift(kappas[j], v)
-            modes.append(ModeResult(lam=lam, field=fld, residual=res, k1=k1))
+    with contextlib.nullcontext() if full_3d else _one_blas_thread:
+        for k1 in map(float, k1_samples):
+            if split is None:
+                kappas, blocks = [k1], [operator(eps, k1)]
+            else:
+                kappas = split.kappas(k1)
+                blocks = [split.block(kappa) for kappa in kappas]
+            for lam, j, v, res in _window_pairs(blocks, window, count):
+                fld = v if split is None else split.lift(kappas[j], v)
+                modes.append(ModeResult(lam=lam, field=fld, residual=res,
+                                        k1=k1))
     return modes
 
 

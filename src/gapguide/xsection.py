@@ -39,7 +39,7 @@ from numpy.polynomial import Polynomial
 from scipy import ndimage
 
 from .cross_section import CrossSection
-from .discrete_op import _factor, differences, gradient
+from .discrete_op import _factor, _one_blas_thread, differences, gradient
 from .errors import GeometryError, IterationError, ValidationError
 from .grids import GridSpec
 
@@ -287,8 +287,14 @@ def _smallest_eig(A, B=None):
     return lam, v
 
 
+@_one_blas_thread
 def solve_nu_vector(cs: CrossSection, h: float) -> NuEstimate:
-    """Cross-section constant via the clamped buckling eigenproblem."""
+    """Cross-section constant via the clamped buckling eigenproblem.
+
+    The solve and the Rayleigh quotient of its minimizer run on one OpenBLAS
+    thread (`discrete_op._one_blas_thread`): both `value` and
+    `achieved_quotient` are bitwise the same at any caller thread count.
+    """
     nu, _, _, _, quot = _buckling_minimizer(cs, h)
     return NuEstimate(value=nu, grid_h=h, achieved_quotient=quot)
 
@@ -308,8 +314,10 @@ def _buckling_minimizer(cs, h):
     return float(nu), psi, grid, mask, quot
 
 
+@_one_blas_thread
 def solve_nu_scalar(cs: CrossSection, h: float) -> NuEstimate:
-    """Scalar-analog constant: smallest Dirichlet eigenvalue of -Laplace."""
+    """Scalar-analog constant: smallest Dirichlet eigenvalue of -Laplace,
+    on one OpenBLAS thread like `solve_nu_vector`."""
     A, _, _ = _scalar_system(cs, h)
     lam, _ = _smallest_eig(A)
     return NuEstimate(value=lam, grid_h=h)
@@ -335,6 +343,7 @@ def smoothstep(t: np.ndarray) -> np.ndarray:
     return np.minimum(_QUINTIC_STEP(np.clip(t, 0.0, 1.0)), 1.0)
 
 
+@_one_blas_thread
 def make_test_field(cs: CrossSection, rho: float, h: float) -> TestField:
     """Mollified buckling minimizer as a compactly supported test field.
 
@@ -343,7 +352,7 @@ def make_test_field(cs: CrossSection, rho: float, h: float) -> TestField:
     up to one at depth (rho + inradius)/2; its rotated gradient is the returned
     divergence-free field, normalized to unit discrete L2 norm.  The wide
     ramp keeps the third-derivative cost of truncation as small as the
-    margin allows.
+    margin allows.  Like `solve_nu_vector`, it runs on one OpenBLAS thread.
     """
     if not (0 < rho < cs.inradius() / 2):
         raise GeometryError(

@@ -51,6 +51,7 @@ def test_check_command(tmp_path, capsys):
     doc = read_json(tmp_path / "out" / "check.json")
     assert doc["passed"] and doc["margin"] == pytest.approx(6.636)
     assert "config_hash" in doc["provenance"]
+    assert "blas" in doc["provenance"]
 
 
 def test_nu_command_scalar_interval(tmp_path, capsys):
@@ -126,6 +127,8 @@ def test_bands_command(tmp_path, capsys):
     assert cli.main(["bands", "--config", cfg, "--out", str(again)]) == 0
     for name in ("bands.csv", "gaps.json"):
         assert (out / name).read_bytes() == (again / name).read_bytes()
+    blas = read_json(out / "gaps.json")["provenance"]["blas"]
+    assert set(blas) == {"libraries", "solve_threads"}
 
 
 def test_defect_command_is_deterministic(tmp_path, capsys):

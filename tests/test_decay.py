@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import stats
 from hypothesis import strategies as st
 
 from gapguide.cross_section import Interval
@@ -36,6 +37,32 @@ def test_fit_constant_profile_gives_zero_rate():
                      half_side=1.0, strip_radius=0.5, extent=5.0)
     fit = fit_decay(p, d_min=0.5, d_max=4.0)
     assert fit.rate == 0.0
+
+
+def test_fit_matches_linregress():
+    rng = np.random.default_rng(7)
+    profiles = []
+    for _ in range(50):
+        # above the noise floor: log norms stay within 14 of the peak
+        d = np.cumsum(rng.uniform(0.05, 0.3, rng.integers(5, 40)))
+        profiles.append((d, 0.3 * rng.standard_normal(d.size)
+                         - rng.uniform(0.2, 1.0) * d))
+    d = np.arange(0.0, 5.0, 0.25)
+    profiles.append((d, np.log(3.0) - 2.0 * d))          # an exact line
+    profiles.append((d, np.full_like(d, np.log(0.7))))   # a flat profile
+    for d, logs in profiles:
+        p = DecayProfile(distances=d, norms=np.exp(logs), half_side=1.0,
+                         strip_radius=0.0, extent=2 * d[-1])
+        fit = fit_decay(p, d_min=0.0, d_max=d[-1])
+        ref = stats.linregress(d, logs)
+        assert fit.n_samples == d.size and fit.excluded == 0
+        assert fit.rate == pytest.approx(max(0.0, -ref.slope), rel=1e-12)
+        assert fit.prefactor == pytest.approx(np.exp(ref.intercept),
+                                              rel=1e-12)
+        if np.isnan(ref.rvalue):
+            assert np.isnan(fit.r2) and fit.rate == 0.0
+        else:
+            assert fit.r2 == pytest.approx(ref.rvalue ** 2, rel=1e-12)
 
 
 def test_fit_excludes_noise_floor():
