@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ValidationError, IterationError
 from .existence import GapInterval
@@ -163,7 +162,23 @@ def ct_shape(lam: float, gap: GapInterval) -> float:
     return float(np.sqrt((lam - gap.alpha) * (gap.beta - lam)))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True,
+                                   return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
+
+
 def rank_correlation(rates, shapes) -> float:
-    """Spearman rank correlation (ordinal comparison only)."""
-    r = stats.spearmanr(np.asarray(rates), np.asarray(shapes)).statistic
-    return float(r)
+    """Spearman rank correlation (ordinal comparison only): the Pearson
+    correlation of average ranks, as scipy.stats.spearmanr computes it.
+    NaN when either input is constant or holds a NaN."""
+    x, y = np.asarray(rates, dtype=float), np.asarray(shapes, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValidationError("rates and shapes must be equal-length lists")
+    if np.isnan(x).any() or np.isnan(y).any():
+        return np.nan
+    rx, ry = _average_ranks(x), _average_ranks(y)
+    rx, ry = rx - rx.mean(), ry - ry.mean()
+    den = np.sqrt((rx @ rx) * (ry @ ry))
+    return float(np.clip(rx @ ry / den, -1.0, 1.0)) if den > 0 else np.nan

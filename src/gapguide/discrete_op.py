@@ -209,6 +209,11 @@ class HarmonicSplit:
     with P, Q, R real and built once from the slab's differences at c = 0
     and c = 1.  Q is empty for the scalar gradient, so 2D blocks are real.
     The n1 blocks hold the whole spectrum.
+
+    In 2D, P is tridiagonal along x2 and R diagonal, so each block is a real
+    symmetric tridiagonal matrix: `tridiagonal` gives it as two arrays, from
+    diagonals of P and R taken once per split, and `eigen.bloch_modes`
+    solves it by bisection.  3D blocks stay sparse (`block`).
     """
 
     P: sp.csr_matrix
@@ -229,6 +234,21 @@ class HarmonicSplit:
         if self.Q.nnz:
             B = B + z / h1 * self.Q + np.conj(z) / h1 * self.Q.T
         return B
+
+    @functools.cached_property
+    def _diagonals(self) -> tuple:
+        """diag(P), diag(P, 1) and diag(R) of a 2D split."""
+        if self.grid.ndim != 2:
+            raise ValidationError("only a 2D split has tridiagonal blocks")
+        return self.P.diagonal(), self.P.diagonal(1), self.R.diagonal()
+
+    def tridiagonal(self, kappa: float) -> tuple:
+        """The 2D block B(c) as its diagonal and its first off-diagonal,
+        diag(P) + |c|^2 diag(R) and diag(P, 1): the same entries as
+        `block(kappa)`."""
+        p, p1, r = self._diagonals
+        h1 = self.grid.spacing[0]
+        return p + abs(np.exp(1j * kappa * h1) - 1.0) ** 2 / h1 ** 2 * r, p1
 
     def lift(self, kappa: float, v: np.ndarray) -> np.ndarray:
         """The flattened grid field e^{i kappa x1_i} v / sqrt(n1) of a block

@@ -151,6 +151,11 @@ def _window_count(A, window) -> int:
     return _negative_count(A, window[1]) - _negative_count(A, window[0])
 
 
+def _nearest(vals, sigma: float, k: int) -> np.ndarray:
+    """Indices of the k values nearest sigma, in ascending index order."""
+    return np.sort(np.argsort(np.abs(vals - sigma), kind="stable")[:k])
+
+
 def _nearest_eigs(A, sigma: float, k: int):
     """The k eigenpairs of the Hermitian A nearest sigma, by ascending
     eigenvalue, as (values, vectors in columns).
@@ -170,7 +175,7 @@ def _nearest_eigs(A, sigma: float, k: int):
     n = A.shape[0]
     if k >= n - 1:
         vals, vecs = dla.eigh(A.toarray() if sp.issparse(A) else A)
-        near = np.sort(np.argsort(np.abs(vals - sigma), kind="stable")[:k])
+        near = _nearest(vals, sigma, k)
         return vals[near], vecs[:, near]
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
@@ -188,44 +193,95 @@ def _nearest_eigs(A, sigma: float, k: int):
     return vals[order], vecs[:, order]
 
 
-def _window_pairs(blocks, window, count: int) -> list:
+def _tridiagonal_eigs(d, e, window):
+    """Every eigenpair of the real symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e strictly inside the open window, by
+    ascending eigenvalue, as (values, vectors in columns).
+
+    Sturm-sequence bisection and inverse iteration (LAPACK stebz and stein,
+    Barth, Martin & Wilkinson 1967): exact counts, no factorization, no
+    Lanczos.  LAPACK's range is (lo, hi]; an eigenvalue returned at hi is
+    dropped.  A LAPACK failure raises IterationError.
+    """
+    try:
+        vals, vecs = dla.eigh_tridiagonal(d, e, select="v",
+                                          select_range=window)
+    except dla.LinAlgError as exc:
+        raise IterationError(f"tridiagonal eigensolve failed: {exc}") from exc
+    inside = (vals > window[0]) & (vals < window[1])
+    return vals[inside], vecs[:, inside]
+
+
+def _sparse_kernel(A, window):
+    """A Hermitian matrix's window count by inertia (`_window_count`), its
+    k pairs nearest the window centre by Lanczos (`_nearest_eigs`) on
+    demand, and its matvec."""
+    centre = 0.5 * (window[0] + window[1])
+    return (_window_count(A, window), lambda k: _nearest_eigs(A, centre, k),
+            lambda v: A @ v)
+
+
+def _tridiagonal_kernel(block, window):
+    """The window count, the k pairs nearest the window centre and the
+    matvec of a (diagonal, off-diagonal) block, all from one
+    `_tridiagonal_eigs` solve."""
+    d, e = block
+    vals, vecs = _tridiagonal_eigs(d, e, window)
+    centre = 0.5 * (window[0] + window[1])
+
+    def nearest(k):
+        near = _nearest(vals, centre, k)
+        return vals[near], vecs[:, near]
+
+    def matvec(v):
+        out = d * v
+        out[:-1] += e * v[1:]
+        out[1:] += e * v[:-1]
+        return out
+    return len(vals), nearest, matvec
+
+
+def _window_pairs(blocks, window, count: int, kernel=_sparse_kernel) -> list:
     """In-window eigenpairs of the block-diagonal Hermitian diag(blocks), as
     (eigenvalue, block index, unit block vector, residual) by ascending
     eigenvalue.
 
-    The window must satisfy 0 <= lo < hi.  Each block's window is counted
-    (`_window_count`); m is the sum over blocks.  A block holding m_j > 0 is
-    solved by `_nearest_eigs` at the window centre for exactly
-    min(count, m_j) pairs, which must all lie in the window and have
-    residual at most 1e-8 * max(|lam|, 1); the count pairs nearest the
-    centre are kept, and m > count warns once, naming m.
+    The window must satisfy 0 <= lo < hi.  `kernel(block, window)` gives a
+    block's count m_j, a solve for its k pairs nearest the window centre and
+    its matvec.  Sparse or dense matrices (`_sparse_kernel`) are counted by
+    inertia and solved by shift-invert Lanczos; the real tridiagonal blocks
+    of a 2D harmonic split (`_tridiagonal_kernel`) are counted and solved
+    at once by bisection.  m is the sum over blocks.  A block holding
+    m_j > 0 is asked for exactly min(count, m_j) pairs, which must all lie
+    in the window and have residual at most 1e-8 * max(|lam|, 1); the count
+    pairs nearest the centre are kept, and m > count warns once, naming m.
     """
     if window[0] < 0 or window[1] <= window[0]:
         raise ValidationError("window must satisfy 0 <= lo < hi")
-    ms = [_window_count(b, window) for b in blocks]
-    for mj in ms:
+    kernels = [kernel(b, window) for b in blocks]
+    for mj, _, _ in kernels:
         if mj < 0:
             raise IterationError(f"inertia counts give {mj} eigenvalues in "
                                  f"the window {window}")
-    m = sum(ms)
+    m = sum(mj for mj, _, _ in kernels)
     if m > count:
         warnings.warn(
             f"window {window} holds {m} eigenvalues; returning the {count} "
             "nearest its centre", RuntimeWarning)
     centre = 0.5 * (window[0] + window[1])
     pairs = []
-    for j, (op, mj) in enumerate(zip(blocks, ms)):
+    for j, (mj, solve, matvec) in enumerate(kernels):
         if mj == 0:
             continue
         k = min(count, mj)
-        vals, vecs = _nearest_eigs(op, centre, k)
+        vals, vecs = solve(k)
         inside = np.count_nonzero((vals > window[0]) & (vals < window[1]))
         if inside != k:
             raise IterationError(f"Lanczos found {inside} eigenvalues in the "
                                  f"window, inertia asked for {k}")
         for lam, v in zip(vals, vecs.T):
             v = v / np.linalg.norm(v)
-            res = float(np.linalg.norm(op @ v - lam * v))
+            res = float(np.linalg.norm(matvec(v) - lam * v))
             if res > 1e-8 * max(abs(lam), 1.0):
                 raise IterationError(
                     f"eigenpair residual {res:.2e} above tolerance",
@@ -274,7 +330,11 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
     together; any other medium's full operator is the single block.  At
     each k1 the window count m and the `count` contract are those of
     interior_eigs over all blocks together, and each block vector is lifted
-    to the grid (`HarmonicSplit.lift`).
+    to the grid (`HarmonicSplit.lift`).  The blocks of a 2D split are real
+    symmetric tridiagonal matrices, counted and solved as arrays by
+    bisection (`_tridiagonal_eigs`: no LU, no Lanczos); 3D blocks and full
+    operators take the inertia count and shift-invert Lanczos of
+    interior_eigs.
 
     1D and 2D media and split 3D media are solved on one OpenBLAS thread
     (`discrete_op._one_blas_thread`), so their modes do not depend on the
@@ -285,6 +345,8 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
     split = harmonic_split(eps)
     operator = maxwell_operator if eps.grid.ndim == 3 else scalar_matrix
     full_3d = split is None and eps.grid.ndim == 3
+    tridiagonal = split is not None and eps.grid.ndim == 2
+    kernel = _tridiagonal_kernel if tridiagonal else _sparse_kernel
     modes = []
     with contextlib.nullcontext() if full_3d else _one_blas_thread:
         for k1 in map(float, k1_samples):
@@ -292,8 +354,10 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
                 kappas, blocks = [k1], [operator(eps, k1)]
             else:
                 kappas = split.kappas(k1)
-                blocks = [split.block(kappa) for kappa in kappas]
-            for lam, j, v, res in _window_pairs(blocks, window, count):
+                blocks = [split.tridiagonal(kappa) if tridiagonal
+                          else split.block(kappa) for kappa in kappas]
+            for lam, j, v, res in _window_pairs(blocks, window, count,
+                                                kernel):
                 fld = v if split is None else split.lift(kappas[j], v)
                 modes.append(ModeResult(lam=lam, field=fld, residual=res,
                                         k1=k1))

@@ -28,10 +28,25 @@ def config_hash(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _nan_to_none(obj):
+    """obj with every NaN float, however deeply nested, replaced by None."""
+    if isinstance(obj, float):
+        return None if np.isnan(obj) else obj
+    if isinstance(obj, dict):
+        return {k: _nan_to_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nan_to_none(v) for v in obj]
+    return obj
+
+
 def write_json(path, obj) -> Path:
+    """Strict JSON (RFC 8259): a NaN is written as null, and an infinity
+    raises ValueError."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_nan_to_none(obj), indent=2, sort_keys=True,
+                      allow_nan=False)
+    path.write_text(text + "\n")
     return path
 
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -180,9 +181,30 @@ def test_arpack_errors_exit_3(tmp_path, capsys, monkeypatch):
         band_structure(SampledEpsilon(grid, np.ones(64)), [0.0], bands=6)
     with pytest.raises(IterationError):
         solve_nu_scalar(Interval(1.0), h=2 / 64)
+    # a box shorter than the axial period: the medium varies along x1, so
+    # defect solves the full operator by Lanczos
+    varied = dict(MEDIUM, inclusions=[dict(MEDIUM["inclusions"][0],
+                                           lo=[-0.0625, -0.1875],
+                                           hi=[0.0625, 0.1875])])
+    cfg = _defect_cfg(tmp_path, medium=varied,
+                      grid=dict(GRID, shape=[8, 255], spacing=[1 / 32, 1 / 32]))
+    assert cli.main(["defect", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "Lanczos at shift" in capsys.readouterr().err
+
+
+def test_tridiagonal_eigensolve_errors_exit_3(tmp_path, capsys, monkeypatch):
+    # the layered guide is constant along x1: its blocks are solved by
+    # LAPACK bisection and inverse iteration, whose failure exits 3
+    def fail(*args, **kwargs):
+        raise dla.LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors "
+                              "failed to converge")
+
+    monkeypatch.setattr(dla, "eigh_tridiagonal", fail)
     cfg = _defect_cfg(tmp_path)
     assert cli.main(["defect", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 3
+    assert "failed to converge" in capsys.readouterr().err
 
 
 def test_sweep_command(tmp_path, capsys):

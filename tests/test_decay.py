@@ -1,9 +1,15 @@
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy import stats
 from hypothesis import strategies as st
 
+import gapguide
 from gapguide.cross_section import Interval
 from gapguide.decay import (DecayFit, DecayProfile, ct_shape, fit_decay,
                             profile, rank_correlation)
@@ -217,3 +223,40 @@ def test_rank_correlation_extremes():
     rates = [0.5, 1.0, 2.0, 3.0]
     assert rank_correlation(rates, [1, 2, 3, 4]) == pytest.approx(1.0)
     assert rank_correlation(rates, [4, 3, 2, 1]) == pytest.approx(-1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.floats(-3.0, 3.0)),
+                min_size=2, max_size=30),
+       st.booleans())
+def test_rank_correlation_matches_spearmanr(pairs, tied_shapes):
+    # small integer rates tie often; the shapes tie too when rounded
+    rates = [float(r) for r, _ in pairs]
+    shapes = [round(x) if tied_shapes else x for _, x in pairs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # scipy warns on constant input
+        want = stats.spearmanr(rates, shapes).statistic
+    got = rank_correlation(rates, shapes)
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_rank_correlation_of_constant_input_is_nan():
+    assert np.isnan(rank_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+    assert np.isnan(rank_correlation([0.5, 1.0, 2.0], [4.0, 4.0, 4.0]))
+    with pytest.raises(ValidationError):
+        rank_correlation([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def test_import_leaves_scipy_stats_out():
+    # a fresh interpreter that imports the same gapguide as this one
+    src = str(Path(gapguide.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import gapguide, gapguide.cli; "
+            "print(gapguide.__file__); print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[0] == gapguide.__file__
+    assert out[1] == "False"

@@ -317,6 +317,59 @@ def test_harmonic_split_keeps_the_count_contract(defected):
                        rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("k1", [0.0, 2.5, 5.0, np.pi / L1])
+def test_tridiagonal_blocks_match_dense_eigvalsh(defected, k1):
+    # each 2D block's pairs by bisection against dense eigvalsh of the same
+    # sparse block; at k1 = 0 (pi/L1) harmonics j and n1 - j (n1 - 1 - j)
+    # have equal blocks
+    split = harmonic_split(defected)
+    kappas = split.kappas(k1)
+    pairs = eigen._window_pairs([split.tridiagonal(kappa) for kappa in kappas],
+                                SPLIT_WINDOW, 100, eigen._tridiagonal_kernel)
+    got = {j: [] for j in range(len(kappas))}
+    for lam, j, v, res in pairs:
+        got[j].append(lam)
+        B = split.block(kappas[j]).toarray()
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(B @ v - lam * v) <= 1e-8 * max(lam, 1.0)
+        assert res <= 1e-8 * max(lam, 1.0)
+    for j, kappa in enumerate(kappas):
+        vals = np.linalg.eigvalsh(split.block(kappa).toarray())
+        want = vals[(vals > SPLIT_WINDOW[0]) & (vals < SPLIT_WINDOW[1])]
+        assert len(got[j]) == len(want)
+        assert np.allclose(got[j], want, rtol=1e-12, atol=0)
+    if k1 in (0.0, np.pi / L1):
+        n1 = len(kappas)
+        twins = [(j, (n1 - (k1 > 0) - j) % n1) for j in range(n1)]
+        assert all(got[a] == pytest.approx(got[b], rel=1e-12)
+                   for a, b in twins)
+        assert any(got[a] for a, b in twins if a != b)
+
+
+def test_tridiagonal_windows_are_open(defected):
+    split = harmonic_split(defected)
+    d, e = split.tridiagonal(5.0)
+    vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    # a window between two eigenvalues holds none of them
+    gap = (vals[3] + 1e-6, vals[4] - 1e-6)
+    assert eigen._window_pairs([(d, e)], gap, 10,
+                               eigen._tridiagonal_kernel) == []
+    assert bloch_modes(defected, [5.0], (0.0, 0.5 * vals[0]), 10) == []
+    # LAPACK returns (lo, hi]; an eigenvalue at hi is not in the window
+    diagonal = (np.arange(1.0, 9.0), np.zeros(7))
+    pairs = eigen._window_pairs([diagonal], (0.5, 3.0), 10,
+                                eigen._tridiagonal_kernel)
+    assert [lam for lam, *_ in pairs] == [1.0, 2.0]
+    # one cell across x2: each block is its one eigenvalue
+    grid = GridSpec((4, 1), (1 / 16, 1 / 32))
+    row = SampledEpsilon(grid, np.full(grid.shape, 2.0))
+    split = harmonic_split(row)
+    lams = sorted(split.tridiagonal(kappa)[0][0]
+                  for kappa in split.kappas(0.3))
+    assert [m.lam for m in bloch_modes(row, [0.3], (0.0, lams[2]), 10)] \
+        == lams[:2]
+
+
 def test_defect_spectrum_splits_invariant_media_only(defected, tm_gap,
                                                      monkeypatch):
     calls = []
@@ -357,20 +410,30 @@ def test_defect_spectrum_splits_invariant_media_only(defected, tm_gap,
     assert len(calls) == len(ks)
 
 
+def _gershgorin(B):
+    """The interval [min(b_ii - r_i), max(b_ii + r_i)] holding B's spectrum."""
+    B = B.toarray() if sp.issparse(B) else B
+    radii = np.abs(B).sum(axis=1) - np.abs(np.diag(B))
+    return (np.diag(B).real - radii).min(), (np.diag(B).real + radii).max()
+
+
 def test_blocks_outside_the_window_are_not_factored(defected, tm_gap,
                                                     monkeypatch):
-    # a block whose Gershgorin interval lies above the window holds none of
-    # it; its count is 0 without the two inertia LUs, and nothing changes
-    window, ks = (tm_gap.alpha, tm_gap.beta), [4.5, 5.0]
-    split = harmonic_split(defected)
+    # a 3D split's block whose Gershgorin interval lies below the window
+    # holds none of it; its count is 0 without the two inertia LUs, and
+    # nothing changes
+    grid = GridSpec((4, 8, 8), (1 / 8,) * 3, (0.0, -0.5, -0.5))
+    guide = with_defect(build_medium(MediumSpec(lattice=(1.0,)), grid),
+                        StripSpec(Disk(1.0), l=0.25, eps_inside=12.0))
+    window, ks = (580.0, 600.0), [0.7, 2.0]
+    split = harmonic_split(guide)
     outside = solved = 0
     for kappa in np.concatenate([split.kappas(k1) for k1 in ks]):
         B = split.block(kappa).toarray()
-        radii = np.abs(B).sum(axis=1) - np.abs(np.diag(B))
-        outside += np.min(np.diag(B) - radii) >= window[1]
+        outside += _gershgorin(B)[1] <= window[0]
         vals = np.linalg.eigvalsh(B)
         solved += np.any((vals > window[0]) & (vals < window[1]))
-    blocks = len(ks) * defected.grid.shape[0]
+    blocks = len(ks) * grid.shape[0]
     assert 0 < outside < blocks and solved > 0
     factored = []
     factor = eigen._factor
@@ -380,22 +443,25 @@ def test_blocks_outside_the_window_are_not_factored(defected, tm_gap,
         return factor(A, sigma, thresh)
 
     monkeypatch.setattr(eigen, "_factor", counted)
-    modes = bloch_modes(defected, ks, window, 16)
+    modes = bloch_modes(guide, ks, window, 16)
     assert modes
     # two inertia LUs per block that may hold the window, one more per
     # block that does; none of a skipped block
     assert len(factored) == 2 * (blocks - outside) + solved
     for A in factored:
-        radii = abs(A).sum(axis=1).A1 - np.abs(A.diagonal())
-        assert np.min(A.diagonal() - radii) < window[1]
+        assert _gershgorin(A)[1] > window[0]
     # the same modes, bitwise, as by factoring every block
     factored.clear()
     monkeypatch.setattr(eigen, "_window_count", lambda A, w: (
         eigen._negative_count(A, w[1]) - eigen._negative_count(A, w[0])))
-    full = bloch_modes(defected, ks, window, 16)
+    full = bloch_modes(guide, ks, window, 16)
     assert len(factored) == 2 * blocks + solved
     assert [(m.k1, m.lam) for m in full] == [(m.k1, m.lam) for m in modes]
     assert all(np.array_equal(a.field, b.field) for a, b in zip(full, modes))
+    # the tridiagonal blocks of a 2D split are never factored
+    factored.clear()
+    assert bloch_modes(defected, [4.5, 5.0], (tm_gap.alpha, tm_gap.beta), 16)
+    assert factored == []
 
 
 def test_bloch_modes_of_a_3d_guide_match_the_full_operator():

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from gapguide import fields_io as io
 from gapguide.eigen import BandTable
-from gapguide.decay import DecayProfile
+from gapguide.decay import DecayProfile, fit_decay
 from gapguide.errors import ValidationError
 from gapguide.grids import GridSpec
 
@@ -24,6 +26,31 @@ def test_json_round_trip(tmp_path):
     data1 = p.read_bytes()
     io.write_json(p, doc)
     assert p.read_bytes() == data1
+
+
+def _strict_parse(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_is_strict(tmp_path):
+    # a flat decay profile fits r^2 = NaN; its record is written as null
+    flat = DecayProfile(distances=np.arange(0.0, 3.0, 0.25),
+                        norms=np.full(12, 0.7), half_side=0.25,
+                        strip_radius=0.5, extent=3.0)
+    fit = fit_decay(flat, d_min=0.0, d_max=3.0)
+    assert np.isnan(fit.r2)
+    doc = {"fit": fit.record(), "values": (1.5, np.float64("nan")),
+           "nested": [{"x": float("nan")}]}
+    p = io.write_json(tmp_path / "strict.json", doc)
+    got = _strict_parse(p.read_text())
+    assert got["fit"]["r2"] is None
+    assert got["fit"]["rate"] == fit.rate
+    assert got["values"] == [1.5, None] and got["nested"] == [{"x": None}]
+    assert io.read_json(p) == got
+    with pytest.raises(ValueError):
+        io.write_json(tmp_path / "inf.json", {"x": float("inf")})
 
 
 def test_field_round_trip(tmp_path):

@@ -97,13 +97,20 @@ def test_factor_runs_on_one_thread_in_1d_and_2d_solves(monkeypatch,
                                                        caller_threads):
     seen = []
     factor = discrete_op._factor
+    tridiagonal = eigen._tridiagonal_eigs
 
     def recorded(A, sigma, thresh):
         seen.append(_counts())
         return factor(A, sigma, thresh)
 
+    def recorded_tridiagonal(d, e, window):
+        seen.append(_counts())
+        return tridiagonal(d, e, window)
+
     monkeypatch.setattr(eigen, "_factor", recorded)
     monkeypatch.setattr(xsection, "_factor", recorded)
+    # the 2D guide's blocks are solved by bisection, without an LU
+    monkeypatch.setattr(eigen, "_tridiagonal_eigs", recorded_tridiagonal)
     caller_threads(2)
     one, two = [1] * len(_openblas()), [2] * len(_openblas())
 
@@ -149,10 +156,10 @@ def test_threaded_bloch_modes_match_serial(monkeypatch, caller_threads):
     assert _counts() == [2] * len(_openblas())
 
     # an error inside the pinned region still restores the caller's counts
-    def fail(A, sigma, k):
-        raise IterationError("Lanczos failed")
+    def fail(d, e, window):
+        raise IterationError("tridiagonal eigensolve failed")
 
-    monkeypatch.setattr(eigen, "_nearest_eigs", fail)
+    monkeypatch.setattr(eigen, "_tridiagonal_eigs", fail)
     with ThreadPoolExecutor(2) as pool:
         futures = [pool.submit(_modes, guide, k) for k in k1s]
         for f in futures:
