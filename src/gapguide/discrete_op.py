@@ -62,7 +62,7 @@ def _axis_wraps(grid: GridSpec, bloch_k1: float, transverse_bc: str,
 
 @dataclass(frozen=True)
 class ScalarField2:
-    """Scalar field in 2D; Bloch along x1, Dirichlet or periodic in x2.
+    """Scalar field in 2D; Bloch along x1, Dirichlet walls across x2.
 
     Values sit at the cell centres origin + (i + 1/2) h of the grid, as
     media, localization and decay sample them.  On a Dirichlet axis the
@@ -73,14 +73,11 @@ class ScalarField2:
     values: np.ndarray
     grid: GridSpec
     bloch_k1: float = 0.0
-    transverse_bc: str = "dirichlet"
-    bloch_k2: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
         if self.grid.ndim != 2 or v.shape != self.grid.shape:
             raise ValidationError("values must match the 2D grid shape")
-        _axis_wraps(self.grid, self.bloch_k1, self.transverse_bc)
         object.__setattr__(self, "values", v)
 
 
@@ -357,10 +354,10 @@ class _OneBlasThread(contextlib.ContextDecorator):
 
     ARPACK and SuperLU hand OpenBLAS small calls that a second thread only
     busy-waits between, and the thread count changes the last digits of the
-    results.  Entries nest and may come from several threads at once (the
-    cells of `gapguide sweep --threads N`): the first to enter saves the
-    caller's counts and sets 1, the last to leave restores them.  Without
-    scipy_openblas it does nothing.
+    results.  Entries nest and may come from several threads at once (a
+    library caller may solve on threads of its own): the first to enter
+    saves the caller's counts and sets 1, the last to leave restores them.
+    Without scipy_openblas it does nothing.
     """
 
     def __init__(self):

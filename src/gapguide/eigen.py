@@ -10,8 +10,7 @@ the gap, filtered by transverse localization so that folded bulk bands
 from __future__ import annotations
 
 import contextlib
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as dla
@@ -37,7 +36,6 @@ class BandTable:
 
     k_samples: tuple
     eigenvalues: tuple        # one sorted ndarray per k-sample
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for vals in self.eigenvalues:
@@ -100,8 +98,7 @@ def band_structure(eps: SampledEpsilon, k_path, bands: int = 8) -> BandTable:
         A = _bulk_matrix(eps, k)
         vals, _ = _nearest_eigs(A, -1e-3 * abs(A).sum() / A.shape[0], bands)
         eigs.append(np.maximum(vals, 0.0))
-    return BandTable(k_samples=ks, eigenvalues=tuple(eigs),
-                     meta={"bands": bands, "grid": eps.grid.shape})
+    return BandTable(k_samples=ks, eigenvalues=tuple(eigs))
 
 
 def find_gaps(bt: BandTable, min_width: float) -> list:
@@ -213,48 +210,44 @@ def _tridiagonal_eigs(d, e, window):
 
 
 def _sparse_kernel(A, window):
-    """A Hermitian matrix's window count by inertia (`_window_count`), its
-    k pairs nearest the window centre by Lanczos (`_nearest_eigs`) on
-    demand, and its matvec."""
+    """A Hermitian matrix's window count m by inertia (`_window_count`), a
+    solve for its m pairs nearest the window centre by Lanczos
+    (`_nearest_eigs`), and its matvec."""
+    m = _window_count(A, window)
     centre = 0.5 * (window[0] + window[1])
-    return (_window_count(A, window), lambda k: _nearest_eigs(A, centre, k),
-            lambda v: A @ v)
+    return m, lambda: _nearest_eigs(A, centre, m), lambda v: A @ v
 
 
 def _tridiagonal_kernel(block, window):
-    """The window count, the k pairs nearest the window centre and the
-    matvec of a (diagonal, off-diagonal) block, all from one
-    `_tridiagonal_eigs` solve."""
+    """The window count, the in-window pairs and the matvec of a
+    (diagonal, off-diagonal) block, all from one `_tridiagonal_eigs`
+    solve."""
     d, e = block
     vals, vecs = _tridiagonal_eigs(d, e, window)
-    centre = 0.5 * (window[0] + window[1])
-
-    def nearest(k):
-        near = _nearest(vals, centre, k)
-        return vals[near], vecs[:, near]
 
     def matvec(v):
         out = d * v
         out[:-1] += e * v[1:]
         out[1:] += e * v[:-1]
         return out
-    return len(vals), nearest, matvec
+    return len(vals), lambda: (vals, vecs), matvec
 
 
 def _window_pairs(blocks, window, count: int, kernel=_sparse_kernel) -> list:
-    """In-window eigenpairs of the block-diagonal Hermitian diag(blocks), as
-    (eigenvalue, block index, unit block vector, residual) by ascending
-    eigenvalue.
+    """Every eigenpair of the block-diagonal Hermitian diag(blocks) strictly
+    inside the open window, as (eigenvalue, block index, unit block vector,
+    residual) by ascending eigenvalue.
 
     The window must satisfy 0 <= lo < hi.  `kernel(block, window)` gives a
-    block's count m_j, a solve for its k pairs nearest the window centre and
-    its matvec.  Sparse or dense matrices (`_sparse_kernel`) are counted by
-    inertia and solved by shift-invert Lanczos; the real tridiagonal blocks
-    of a 2D harmonic split (`_tridiagonal_kernel`) are counted and solved
-    at once by bisection.  m is the sum over blocks.  A block holding
-    m_j > 0 is asked for exactly min(count, m_j) pairs, which must all lie
-    in the window and have residual at most 1e-8 * max(|lam|, 1); the count
-    pairs nearest the centre are kept, and m > count warns once, naming m.
+    block's count m_j, a solve for its m_j in-window pairs and its matvec.
+    Sparse or dense matrices (`_sparse_kernel`) are counted by inertia and
+    solved by shift-invert Lanczos at the window centre; the real
+    tridiagonal blocks of a 2D harmonic split (`_tridiagonal_kernel`) are
+    counted and solved at once by bisection.  m is the sum over blocks;
+    `count` caps it: m > count raises ValidationError naming m and count
+    after the counts, before any Lanczos factorization.  Otherwise each
+    block holding m_j > 0 is solved, and its m_j pairs must all lie in the
+    window and have residual at most 1e-8 * max(|lam|, 1).
     """
     if window[0] < 0 or window[1] <= window[0]:
         raise ValidationError("window must satisfy 0 <= lo < hi")
@@ -265,20 +258,17 @@ def _window_pairs(blocks, window, count: int, kernel=_sparse_kernel) -> list:
                                  f"the window {window}")
     m = sum(mj for mj, _, _ in kernels)
     if m > count:
-        warnings.warn(
-            f"window {window} holds {m} eigenvalues; returning the {count} "
-            "nearest its centre", RuntimeWarning)
-    centre = 0.5 * (window[0] + window[1])
+        raise ValidationError(f"window {window} holds {m} eigenvalues, "
+                              f"more than count = {count}")
     pairs = []
     for j, (mj, solve, matvec) in enumerate(kernels):
         if mj == 0:
             continue
-        k = min(count, mj)
-        vals, vecs = solve(k)
+        vals, vecs = solve()
         inside = np.count_nonzero((vals > window[0]) & (vals < window[1]))
-        if inside != k:
+        if inside != mj:
             raise IterationError(f"Lanczos found {inside} eigenvalues in the "
-                                 f"window, inertia asked for {k}")
+                                 f"window, inertia asked for {mj}")
         for lam, v in zip(vals, vecs.T):
             v = v / np.linalg.norm(v)
             res = float(np.linalg.norm(matvec(v) - lam * v))
@@ -287,12 +277,12 @@ def _window_pairs(blocks, window, count: int, kernel=_sparse_kernel) -> list:
                     f"eigenpair residual {res:.2e} above tolerance",
                     residual=res)
             pairs.append((float(lam), j, v, res))
-    pairs.sort(key=lambda p: abs(p[0] - centre))
-    return sorted(pairs[:count], key=lambda p: p[0])
+    return sorted(pairs, key=lambda p: p[0])
 
 
 def interior_eigs(op, window, count: int = 10):
-    """Eigenpairs of a Hermitian matrix with eigenvalue inside the window.
+    """Every eigenpair of a Hermitian matrix with eigenvalue inside the
+    window, or ValidationError.
 
     `op` is a sparse or dense matrix; operators of a medium are solved by
     `bloch_modes`, which splits x1-invariant media first.  The window is
@@ -300,19 +290,17 @@ def interior_eigs(op, window, count: int = 10):
     number of negative pivots of the LU of op - hi I minus that of
     op - lo I (Sylvester inertia; pivot threshold 0, symmetric
     permutation).  m = 0 returns [] without any further factorization or
-    Lanczos run.  Otherwise `_nearest_eigs` at the window centre is asked
-    for exactly k = min(count, m) pairs, the k eigenvalues nearest the
-    centre, all of which lie in the window.  When m > count, a
-    RuntimeWarning names m and the `count` pairs nearest the centre are
-    returned, so a caller that needs every eigenvalue raises `count`.
-    Repeated solves agree bitwise on the same BLAS thread count; unlike
-    `bloch_modes`, this runs on the caller's threads, which pay off on the
-    large LUs of a full 3D operator.  IterationError is raised when an end
-    or centre LU is exactly singular, when an end LU pivots off the
-    diagonal (no inertia count), when Lanczos returns other than k
-    in-window pairs, on an ARPACK failure, and for an eigenpair residual
-    above 1e-8 * max(|lam|, 1).  Returns a possibly-empty list of
-    ModeResult sorted by eigenvalue.
+    Lanczos run.  `count` is a cap: m > count raises ValidationError naming
+    m and count, before the Lanczos LU, so a window is never returned in
+    part.  Otherwise `_nearest_eigs` at the window centre is asked for
+    exactly m pairs, all of which must lie in the window.  Repeated solves
+    agree bitwise on the same BLAS thread count; unlike `bloch_modes`, this
+    runs on the caller's threads, which pay off on the large LUs of a full
+    3D operator.  IterationError is raised when an end or centre LU is
+    exactly singular, when an end LU pivots off the diagonal (no inertia
+    count), when Lanczos returns other than m in-window pairs, on an ARPACK
+    failure, and for an eigenpair residual above 1e-8 * max(|lam|, 1).
+    Returns a possibly-empty list of ModeResult sorted by eigenvalue.
     """
     return [ModeResult(lam=lam, field=v, residual=res, k1=np.nan)
             for lam, _, v, res in _window_pairs([op], window, count)]
@@ -320,21 +308,22 @@ def interior_eigs(op, window, count: int = 10):
 
 def bloch_modes(eps: SampledEpsilon, k1_samples, window,
                 count: int) -> list:
-    """In-window eigenpairs of the operator of `eps` with Dirichlet (1D,
-    2D: scalar_matrix) or PEC (3D: maxwell_operator) walls at each Bloch
-    momentum k1, as ModeResults with k1 set and the flattened grid field,
-    in k1 order and by ascending eigenvalue.
+    """Every in-window eigenpair of the operator of `eps` with Dirichlet
+    (1D, 2D: scalar_matrix) or PEC (3D: maxwell_operator) walls at each
+    Bloch momentum k1, as ModeResults with k1 set and the flattened grid
+    field, in k1 order and by ascending eigenvalue.
 
     A medium whose samples are equal along x1 is split once
     (`harmonic_split`) and each k1's n1 harmonic blocks are solved
     together; any other medium's full operator is the single block.  At
-    each k1 the window count m and the `count` contract are those of
-    interior_eigs over all blocks together, and each block vector is lifted
-    to the grid (`HarmonicSplit.lift`).  The blocks of a 2D split are real
-    symmetric tridiagonal matrices, counted and solved as arrays by
-    bisection (`_tridiagonal_eigs`: no LU, no Lanczos); 3D blocks and full
-    operators take the inertia count and shift-invert Lanczos of
-    interior_eigs.
+    each k1 the window count m is taken over all blocks together and
+    `count` caps it as in interior_eigs: m > count raises ValidationError
+    naming m and count, after the counts and before any Lanczos LU.  Each
+    block vector is lifted to the grid (`HarmonicSplit.lift`).  The blocks
+    of a 2D split are real symmetric tridiagonal matrices, counted and
+    solved as arrays by bisection (`_tridiagonal_eigs`: no LU, no
+    Lanczos); 3D blocks and full operators take the inertia count and
+    shift-invert Lanczos of interior_eigs.
 
     1D and 2D media and split 3D media are solved on one OpenBLAS thread
     (`discrete_op._one_blas_thread`), so their modes do not depend on the
@@ -386,8 +375,11 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     this filter; run the same function on the bulk medium (same strip
     argument for the distance geometry) as a negative control.
 
-    The eigenpairs at each k1 are those of `bloch_modes` on the Dirichlet
-    scalar operator; this function only filters them by localization.
+    The eigenpairs at each k1 are every in-window pair of `bloch_modes` on
+    the Dirichlet scalar operator, the window being the gap less a pad of
+    1e-3 of its width at each end; a window holding more than `count`
+    eigenvalues at some k1 raises ValidationError naming the number.  This
+    function only filters the pairs by localization.
     """
     if k1_samples is None:
         a = eps_defect.bloch_period or 1.0

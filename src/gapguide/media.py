@@ -8,7 +8,7 @@ exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,14 +101,6 @@ class MediumSpec:
             vals.append(self.defect.eps_inside)
         return vals
 
-    @property
-    def c0(self) -> float:
-        return min(self.dielectric_values())
-
-    @property
-    def c1(self) -> float:
-        return max(self.dielectric_values())
-
     # -- JSON round trip ---------------------------------------------------
 
     def to_json(self) -> str:
@@ -192,8 +184,6 @@ class SampledEpsilon:
     grid: GridSpec
     values: np.ndarray
     bloch_period: float | None = None
-    c0: float = field(default=None)
-    c1: float = field(default=None)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -202,10 +192,6 @@ class SampledEpsilon:
         if np.any(values <= 0) or not np.all(np.isfinite(values)):
             raise ValidationError("dielectric samples must lie in (0, inf)")
         object.__setattr__(self, "values", values)
-        if self.c0 is None:
-            object.__setattr__(self, "c0", float(values.min()))
-        if self.c1 is None:
-            object.__setattr__(self, "c1", float(values.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +222,7 @@ def build_medium(spec: MediumSpec, grid: GridSpec) -> SampledEpsilon:
     for inc in spec.inclusions:
         values[inc.contains(pts)] = inc.eps
     return SampledEpsilon(grid=grid, values=values,
-                          bloch_period=float(cell[0]),
-                          c0=spec.c0, c1=spec.c1)
+                          bloch_period=float(cell[0]))
 
 
 def with_defect(eps0: SampledEpsilon, strip: StripSpec) -> SampledEpsilon:
@@ -254,7 +239,5 @@ def with_defect(eps0: SampledEpsilon, strip: StripSpec) -> SampledEpsilon:
     inside = section.contains(tpts)
     values = eps0.values.copy()
     values[inside] = strip.eps_inside
-    c0 = min(eps0.c0, strip.eps_inside)
-    c1 = max(eps0.c1, strip.eps_inside)
     return SampledEpsilon(grid=grid, values=values,
-                          bloch_period=eps0.bloch_period, c0=c0, c1=c1)
+                          bloch_period=eps0.bloch_period)

@@ -22,7 +22,9 @@ from gapguide.eigen import (ModeResult, band_structure, bloch_modes,
 from gapguide.existence import (GapInterval, Profile, TrialParams,
                                 check_condition, minimal_n, quadrature_grid,
                                 residual_closed_form, residual_quadrature)
+from gapguide import eigen
 from gapguide.discrete_op import ScalarField2
+from gapguide.errors import ValidationError
 from gapguide.grids import GridSpec
 from gapguide.media import (BoxInclusion, MediumSpec, SampledEpsilon,
                             StripSpec, build_medium, with_defect)
@@ -313,7 +315,7 @@ def test_criterion_09_rate_shape(bulk2d):
     assert corr >= 0.9
 
 
-def test_criterion_10_three_dimensional_smoke():
+def test_criterion_10_three_dimensional_smoke(monkeypatch):
     # (a) homogeneous 16^3 cell: every copy of the lowest plane-wave shells,
     # two polarizations of each wave vector, to 1%
     n, h = 16, 1 / 16
@@ -329,23 +331,42 @@ def test_criterion_10_three_dimensional_smoke():
         assert len(found) == multiplicity
         worst = max(worst, max(abs(m.lam - pred) / pred for m in found))
     # (b) defect supercell end to end; the guide is constant along x1, so
-    # bloch_modes solves its 16 axial harmonic blocks.  The reference values
-    # are interior_eigs on the full 49,152-unknown maxwell_operator.
+    # bloch_modes solves its 16 axial harmonic blocks.  The window holds 104
+    # eigenvalues: count = 2 is refused after the inertia counts alone, and
+    # count = 104 returns them all.  The reference values are interior_eigs
+    # on the full 49,152-unknown maxwell_operator.
     t0 = time.monotonic()
     grid = GridSpec((16, 32, 32), (h, h, h), (0.0, -1.0, -1.0))
     spec = MediumSpec(lattice=(1.0,),
                       defect=StripSpec(Disk(1.0), l=0.4, eps_inside=12.0))
     eps_d = with_defect(build_medium(spec, grid), spec.defect)
-    with pytest.warns(RuntimeWarning, match="holds 104"):
-        modes = bloch_modes(eps_d, [0.7], (25.0, 40.0), count=2)
+    window = (25.0, 40.0)
+    thresholds = []
+    factor = eigen._factor
+
+    def counted(A, sigma, thresh):
+        thresholds.append(thresh)
+        return factor(A, sigma, thresh)
+
+    monkeypatch.setattr(eigen, "_factor", counted)
+    with pytest.raises(ValidationError,
+                       match="holds 104 eigenvalues, more than count = 2"):
+        bloch_modes(eps_d, [0.7], window, count=2)
+    counted_only = bool(thresholds) and set(thresholds) == {0.0}
+    monkeypatch.undo()
+    modes = bloch_modes(eps_d, [0.7], window, count=104)
     elapsed = time.monotonic() - t0
+    lams = np.array([m.lam for m in modes])
+    nearest = np.sort(lams[np.argsort(np.abs(lams - 32.5))[:2]])
     full = [32.291512303053, 32.441311537353]
-    same = np.allclose([m.lam for m in modes], full, rtol=1e-10, atol=0)
-    ok = worst <= 0.01 and len(modes) >= 1 and same
+    same = len(modes) == 104 and np.allclose(nearest, full, rtol=1e-10,
+                                             atol=0)
+    ok = worst <= 0.01 and counted_only and same
     record(f"CRITERION 10: {'PASS' if ok else 'FAIL'} - plane-wave "
            f"eigenvalues to {worst:.1e}; defect supercell pipeline found "
-           f"{len(modes)} interior modes "
-           f"({', '.join(f'{m.lam:.2f}' for m in modes)}) in {elapsed:.0f}s")
+           f"{len(modes)} interior modes, the two nearest 32.5 at "
+           f"{nearest[0]:.12f} and {nearest[1]:.12f}, count=2 refused after "
+           f"the inertia counts alone, in {elapsed:.0f}s")
     assert worst <= 0.01
-    assert len(modes) >= 1
+    assert counted_only
     assert same

@@ -1,4 +1,7 @@
+import importlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +12,13 @@ import scipy.sparse.linalg as spla
 from gapguide import cli
 from gapguide.cross_section import Interval
 from gapguide.eigen import band_structure, interior_eigs
-from gapguide.errors import IterationError
+from gapguide.errors import IterationError, ValidationError
 from gapguide.fields_io import read_json
 from gapguide.grids import GridSpec
 from gapguide.media import SampledEpsilon
 from gapguide.xsection import solve_nu_scalar
 
+ROOT = Path(__file__).resolve().parents[1]
 GAP = [1.50647, 5.24793]
 
 MEDIUM = {
@@ -173,8 +177,10 @@ def test_arpack_errors_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spla, "eigsh", fail)
     monkeypatch.setattr(spla, "eigs", fail)
     A = sp.diags(np.arange(1.0, 65.0))
-    with pytest.raises(IterationError), \
-            pytest.warns(RuntimeWarning, match="holds 10"):
+    with pytest.raises(IterationError, match="Lanczos at shift"):
+        interior_eigs(A, (10.5, 20.5), count=10)
+    # a window above count raises before Lanczos could fail
+    with pytest.raises(ValidationError, match="holds 10"):
         interior_eigs(A, (10.5, 20.5), count=4)
     grid = GridSpec((64,), (1 / 64,))
     with pytest.raises(IterationError):
@@ -207,18 +213,49 @@ def test_tridiagonal_eigensolve_errors_exit_3(tmp_path, capsys, monkeypatch):
     assert "failed to converge" in capsys.readouterr().err
 
 
+def test_window_above_count_exits_2(tmp_path, capsys):
+    cfg = _defect_cfg(tmp_path, count=1)
+    out = tmp_path / "out"
+    assert cli.main(["defect", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    m = re.search(r"config error: window .* holds (\d+) eigenvalues, "
+                  r"more than count = 1", err)
+    assert m and int(m.group(1)) > 1
+    assert not (out / "modes.csv").exists()
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg = _cfg(tmp_path, "sweep.json", {
         "schema": 1, "medium": MEDIUM, "grid": GRID, "gap": GAP,
         "nu": 14.682, "l_values": [1.0, 1.5], "eps_values": [12.0],
         "k1_samples": [5.0], "count": 8, "delta": 0.25})
-    out = tmp_path / "out"
-    rc = cli.main(["sweep", "--config", cfg, "--out", str(out),
-                   "--threads", "2"])
-    assert rc == 0
-    lines = (out / "existence_map.csv").read_text().splitlines()
+    maps = []
+    for threads in ("2", "1"):
+        out = tmp_path / f"out{threads}"
+        rc = cli.main(["sweep", "--config", cfg, "--out", str(out),
+                       "--threads", threads])
+        assert rc == 0
+        maps.append((out / "existence_map.csv").read_bytes())
+    lines = maps[0].decode().splitlines()
     assert lines[0].startswith("l,eps,margin")
     assert len(lines) == 3
+    # the cells run in order: --threads is accepted by sweep, read by nothing
+    assert maps[0] == maps[1]
+    assert cli.main(["defect", "--config", _defect_cfg(tmp_path),
+                     "--out", str(tmp_path / "d"), "--threads", "2"]) == 2
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # every guide-2d benchmark command line and config is accepted as it
+    # stands, so a retired flag or key cannot fail its operations
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    guide = workloads.Guide2D(seed=1, out=tmp_path)
+    assert set(guide.argv) == set(workloads.Guide2D.COMMANDS)
+    for argv in guide.argv.values():
+        args = cli.build_parser().parse_args(argv)
+        if args.config:
+            cli._load_config(args.config, args.command)
 
 
 def test_report_command_idempotent(tmp_path, capsys):

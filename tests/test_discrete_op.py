@@ -224,5 +224,3 @@ def test_field_shape_validation():
     g2 = GridSpec((4, 4), (1.0, 1.0))
     with pytest.raises(ValidationError):
         ScalarField2(np.zeros((4, 5)), g2)
-    with pytest.raises(ValidationError):
-        ScalarField2(np.zeros((4, 4)), g2, transverse_bc="pml")

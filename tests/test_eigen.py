@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -118,15 +116,22 @@ def test_interior_eigs_matches_eigvalsh(defected):
     assert all(m.residual <= 1e-8 * max(abs(m.lam), 1.0) for m in found)
 
 
-def test_small_window_holding_more_than_count_warns(defected):
+def test_small_window_holding_more_than_count_raises(defected, monkeypatch):
     A = scalar_matrix(defected, bloch_k1=5.0)
     ref = np.sort(np.linalg.eigvalsh(A.toarray()))
     inside = ref[(ref > 2.0) & (ref < 3.5)]
     m = len(inside)
-    with pytest.warns(RuntimeWarning, match=f"holds {m} eigenvalues"):
-        found = interior_eigs(A, (2.0, 3.5), count=m - 1)
-    nearest = np.sort(inside[np.argsort(np.abs(inside - 2.75))[:m - 1]])
-    assert np.allclose([f.lam for f in found], nearest, rtol=1e-8)
+
+    def no_lanczos(*args):
+        raise AssertionError("Lanczos ran on a window above count")
+
+    monkeypatch.setattr(eigen, "_nearest_eigs", no_lanczos)
+    with pytest.raises(ValidationError,
+                       match=f"holds {m} eigenvalues, more than count = {m - 1}"):
+        interior_eigs(A, (2.0, 3.5), count=m - 1)
+    monkeypatch.undo()
+    found = interior_eigs(A, (2.0, 3.5), count=m)
+    assert np.allclose([f.lam for f in found], inside, rtol=1e-8)
 
 
 def test_interior_eigs_window_validation_and_empty(defected):
@@ -184,15 +189,19 @@ def test_empty_window_skips_lanczos(supercell, tm_gap, monkeypatch):
     assert interior_eigs(A, (tm_gap.alpha, tm_gap.beta), count=8) == []
 
 
-def test_interior_eigs_warns_when_the_window_holds_more_than_count():
+def test_interior_eigs_raises_when_the_window_holds_more_than_count():
     n, h = 12, 1 / 12
     eps = SampledEpsilon(GridSpec((n,) * 3, (h,) * 3), np.ones((n,) * 3))
     M = maxwell_operator(eps, bloch_k1=0.0, transverse_bc="periodic")
     sym = plane_wave_eigenvalue(np.array([2 * np.pi, 0.0, 0.0]), (h,) * 3,
                                 1.0)
-    with pytest.warns(RuntimeWarning, match="holds 12 eigenvalues"):
-        found = interior_eigs(M, (sym - 4.0, sym + 4.0), count=6)
-    assert len(found) == 6
+    window = (sym - 4.0, sym + 4.0)
+    # half the shell is no answer: the degenerate copies have no order
+    with pytest.raises(ValidationError,
+                       match="holds 12 eigenvalues, more than count = 6"):
+        interior_eigs(M, window, count=6)
+    found = interior_eigs(M, window, count=12)
+    assert len(found) == 12
     assert all(abs(m.lam - sym) <= 1e-8 * sym for m in found)
 
 
@@ -264,14 +273,6 @@ L1 = 0.25
 SPLIT_WINDOW = (40.0, 60.0)     # holds several harmonics at every k1 below
 
 
-def _runtime_warnings(fn, *args):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn(*args)
-    return out, [str(w.message) for w in caught
-                 if issubclass(w.category, RuntimeWarning)]
-
-
 @pytest.mark.parametrize("k1", [0.0, 2.5, 5.0, np.pi / L1])
 def test_harmonic_split_matches_the_general_path(defected, k1):
     # at k1 = 0 and pi/L1 harmonics j and n1 - j share a block, so the
@@ -300,19 +301,21 @@ def test_harmonic_split_matches_the_general_path(defected, k1):
 
 
 def test_harmonic_split_keeps_the_count_contract(defected):
-    # count below the window's total: the same eigenvalues as the general
-    # path, the pairs nearest the centre, and one warning naming m
+    # count below the window's total: the split raises as the general path
+    # does, naming m; count = m: both return the whole window
     k1 = 0.0
     A = scalar_matrix(defected, bloch_k1=k1, transverse_bc="dirichlet")
     m = _window_count(A, SPLIT_WINDOW)
-    general, warned = _runtime_warnings(interior_eigs, A, SPLIT_WINDOW,
-                                        m - 5)
-    split, warned_split = _runtime_warnings(
-        bloch_modes, defected, [k1], SPLIT_WINDOW, m - 5)
-    assert len(warned) == len(warned_split) == 1
-    assert f"holds {m} eigenvalues" in warned_split[0]
-    assert warned_split == warned
-    assert len(split) == len(general) == m - 5
+    with pytest.raises(ValidationError) as general:
+        interior_eigs(A, SPLIT_WINDOW, m - 5)
+    with pytest.raises(ValidationError) as split:
+        bloch_modes(defected, [k1], SPLIT_WINDOW, m - 5)
+    assert f"holds {m} eigenvalues, more than count = {m - 5}" \
+        in str(split.value)
+    assert str(split.value) == str(general.value)
+    general = interior_eigs(A, SPLIT_WINDOW, m)
+    split = bloch_modes(defected, [k1], SPLIT_WINDOW, m)
+    assert len(split) == len(general) == m
     assert np.allclose([f.lam for f in split], [f.lam for f in general],
                        rtol=1e-10, atol=0)
 
@@ -462,6 +465,42 @@ def test_blocks_outside_the_window_are_not_factored(defected, tm_gap,
     factored.clear()
     assert bloch_modes(defected, [4.5, 5.0], (tm_gap.alpha, tm_gap.beta), 16)
     assert factored == []
+
+
+def test_window_above_count_raises_after_the_counts_only(defected,
+                                                        monkeypatch):
+    # a 3D split guide: the blocks are counted by inertia (pivot threshold
+    # 0) and the window, above count, raises before any Lanczos LU
+    grid = GridSpec((4, 8, 8), (1 / 8,) * 3, (0.0, -0.5, -0.5))
+    guide = with_defect(build_medium(MediumSpec(lattice=(1.0,)), grid),
+                        StripSpec(Disk(1.0), l=0.25, eps_inside=12.0))
+    window = (580.0, 600.0)
+    split = harmonic_split(guide)
+    dense = np.sort(np.concatenate([
+        np.linalg.eigvalsh(split.block(kappa).toarray())
+        for kappa in split.kappas(0.7)]))
+    want = dense[(dense > window[0]) & (dense < window[1])]
+    m = len(want)
+    assert m >= 2
+    found = bloch_modes(guide, [0.7], window, m)
+    assert np.allclose([f.lam for f in found], want, rtol=1e-10, atol=0)
+    thresholds = []
+    factor = eigen._factor
+
+    def counted(A, sigma, thresh):
+        thresholds.append(thresh)
+        return factor(A, sigma, thresh)
+
+    monkeypatch.setattr(eigen, "_factor", counted)
+    with pytest.raises(ValidationError,
+                       match=f"holds {m} eigenvalues, more than count = 1"):
+        bloch_modes(guide, [0.7], window, 1)
+    assert thresholds and set(thresholds) == {0.0}
+    # the bisection of a 2D split's blocks needs no LU at all
+    thresholds.clear()
+    with pytest.raises(ValidationError, match="more than count = 1"):
+        bloch_modes(defected, [5.0], SPLIT_WINDOW, 1)
+    assert thresholds == []
 
 
 def test_bloch_modes_of_a_3d_guide_match_the_full_operator():
