@@ -19,7 +19,8 @@ import numpy as np
 
 from . import fields_io as io
 from .discrete_op import _blas_record
-from .errors import ConfigError, GapguideError, ValidationError
+from .errors import (ConfigError, GapguideError, GeometryError, IterationError,
+                     ResolutionError, ValidationError)
 from .existence import (GapInterval, Profile, TrialParams, check_condition,
                         minimal_n, quadrature_grid, residual_closed_form,
                         residual_quadrature)
@@ -257,6 +258,9 @@ def cmd_sweep(args, cfg, out: Path) -> int:
     nu = float(cfg["nu"])
     eps0 = build_medium(base, grid)
 
+    # a cell's strip may miss or under-resolve the grid, or its solve fail:
+    # that cell's row records the error; a configuration error (a window
+    # above count) is the same in every cell and exits 2
     def cell(l, e):
         strip = dataclasses.replace(base.defect, l=float(l),
                                     eps_inside=float(e))
@@ -268,7 +272,7 @@ def cmd_sweep(args, cfg, out: Path) -> int:
                                  count=int(cfg.get("count", 30)))
             return (l, e, rep.margin, int(rep.passed), len(ds.modes),
                     int(ds.covered), "")
-        except GapguideError as exc:
+        except (GeometryError, ResolutionError, IterationError) as exc:
             return (l, e, rep.margin, int(rep.passed), -1, 0, str(exc))
 
     rows = [cell(l, e) for l in cfg["l_values"] for e in cfg["eps_values"]]

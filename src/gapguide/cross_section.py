@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import UnsupportedGeometryError, ValidationError
 
@@ -194,6 +193,8 @@ class MaskSection(CrossSection):
         self.mask = mask
         self.spacing = float(spacing)
         self.origin = tuple(float(o) for o in origin)
+        # imported on use, so that `import gapguide` leaves scipy.ndimage out
+        from scipy import ndimage
         # distance (in cells) from each inside cell to the nearest outside cell
         self._edt = ndimage.distance_transform_edt(mask)
 
@@ -243,6 +244,7 @@ class MaskSection(CrossSection):
         return np.where(inside, d, -self.spacing)
 
     def check_simply_connected(self):
+        from scipy import ndimage
         _, npieces = ndimage.label(self.mask)
         if npieces != 1:
             raise UnsupportedGeometryError(f"mask has {npieces} connected pieces")

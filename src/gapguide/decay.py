@@ -11,6 +11,7 @@ constants.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,33 @@ class DecayFit:
                 "model": self.model}
 
 
+_HALF_SIDE = 1.0      # half the side of a profile window
+
+
+@functools.lru_cache(maxsize=8)
+def _windows(grid, radius: float, step: float, rays: tuple) -> tuple:
+    """The window geometry of `profile`, the same for every mode of a
+    supercell: the transverse extent, the distances, the truncation flag,
+    the axial window cells, the per-ray x2 window indicators and the mask
+    of kept distances (arrays read-only, shared by every caller)."""
+    lo, hi = grid.extent(1)
+    axial_center = 0.5 * sum(grid.extent(0))
+    extent = max(hi, -lo) - radius
+    dists = np.arange(0.0, extent + 0.5 * step, step)
+    # window centres, one row per ray; a window is the cells within
+    # _HALF_SIDE of its centre on both axes
+    ys = np.multiply.outer(np.asarray(rays, dtype=float), radius + dists)
+    truncated = bool(np.any((ys + _HALF_SIDE > hi) | (ys - _HALF_SIDE < lo)))
+    outside = (ys - _HALF_SIDE > hi) | (ys + _HALF_SIDE < lo)
+    axial = np.abs(grid.centers(0) - axial_center) <= _HALF_SIDE
+    inside = np.abs(grid.centers(1) - ys[..., None]) <= _HALF_SIDE
+    empty = ~inside.any(axis=-1) | ~axial.any()
+    kept = ~np.any(outside | empty, axis=0)
+    for a in (dists, axial, inside, kept):
+        a.flags.writeable = False
+    return extent, dists, truncated, axial, inside, kept
+
+
 def profile(mode, strip: StripSpec, step: float = 0.25,
             rays=None) -> DecayProfile:
     """Windowed norms marching outward from the strip along transverse rays.
@@ -79,9 +107,9 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
     eigenvalue metadata; rays default to both transverse directions of a 2D
     supercell.  The windows are unit cubes centred on the axial midpoint of
     the grid; windows that stick out of the grid truncate the profile and
-    set its flag.
+    set its flag.  The window geometry is built once per grid, strip
+    radius, step and rays (`_windows`).
     """
-    half_side = 1.0
     fld = mode.field
     grid = fld.grid
     if grid.ndim != 2:
@@ -89,26 +117,15 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
     radius = strip.l * strip.cross_section.inradius()
     if rays is None:
         rays = (+1.0, -1.0)
-    lo, hi = grid.extent(1)
-    axial_center = 0.5 * sum(grid.extent(0))
-    extent = max(hi, -lo) - radius
-    dists = np.arange(0.0, extent + 0.5 * step, step)
-    # window centres, one row per ray; a window is the cells within
-    # half_side of its centre on both axes
-    ys = np.multiply.outer(np.asarray(rays, dtype=float), radius + dists)
-    truncated = bool(np.any((ys + half_side > hi) | (ys - half_side < lo)))
-    outside = (ys - half_side > hi) | (ys + half_side < lo)
-    axial = np.abs(grid.centers(0) - axial_center) <= half_side
-    inside = np.abs(grid.centers(1) - ys[..., None]) <= half_side
-    empty = ~inside.any(axis=-1) | ~axial.any()
+    extent, dists, truncated, axial, inside, kept = _windows(
+        grid, radius, float(step), tuple(map(float, rays)))
     # per x2 row, |v|^2 summed over the axial window; each window norm^2 is
     # then a sum of these nonnegative row sums (no differenced prefix sums)
     rows = np.sum(np.abs(fld.values[axial]) ** 2, axis=0)
     squares = (inside @ rows) * grid.cell_volume
-    kept = ~np.any(outside | empty, axis=0)
     norms = np.sqrt(np.sum(squares, axis=0))
     return DecayProfile(distances=dists[kept], norms=norms[kept],
-                        half_side=half_side, strip_radius=radius,
+                        half_side=_HALF_SIDE, strip_radius=radius,
                         extent=extent, lam=getattr(mode, "lam", np.nan),
                         k1=getattr(mode, "k1", np.nan),
                         truncated=truncated)

@@ -20,8 +20,9 @@ import scipy.sparse.linalg as spla
 from .errors import IterationError, ValidationError
 from .existence import GapInterval, gap_samples
 from .media import SampledEpsilon, StripSpec
-from .discrete_op import (ScalarField2, _factor, _one_blas_thread,
-                          harmonic_split, maxwell_operator, scalar_matrix)
+from .discrete_op import (ScalarField2, _axis_wraps, _factor,
+                          _one_blas_thread, harmonic_split, maxwell_operator,
+                          scalar_matrix)
 
 __all__ = [
     "BandTable", "ModeResult", "DefectSpectrum", "band_structure",
@@ -82,23 +83,49 @@ def _bulk_matrix(eps: SampledEpsilon, k) -> sp.csr_matrix:
                          bloch_k2=kk[1] if kk.size > 1 else 0.0)
 
 
+def _ring_bands(eps: SampledEpsilon, ks, bands: int) -> np.ndarray:
+    """The lowest `bands` eigenvalues of the 1D periodic operator at each
+    k-sample (k1 of a (k1, k2) pair), one row per sample, from the k = 0
+    operator's open chain and its wrap bond (`_ring_eigs`)."""
+    n = eps.grid.shape[0]
+    if n < 3:
+        raise ValidationError("a 1D band structure needs at least 3 cells")
+    A0 = scalar_matrix(eps, 0.0, "periodic")
+    sigma = -A0[0, n - 1].real
+    d = A0.diagonal().real.copy()
+    d[[0, -1]] -= sigma
+    phases = [_axis_wraps(eps.grid, np.atleast_1d(k)[0], "periodic")[0]
+              for k in ks]
+    return _ring_eigs(d, A0.diagonal(1).real, sigma, np.array(phases), bands)
+
+
 @_one_blas_thread
 def band_structure(eps: SampledEpsilon, k_path, bands: int = 8) -> BandTable:
     """Lowest `bands` eigenvalues of the periodic bulk at each k-sample.
 
-    1D media take scalar Bloch momenta; 2D media take scalars (transverse
-    momentum zero) or (k1, k2) pairs.  Each sample is one (bitwise
-    repeatable) `_nearest_eigs` solve shifted just below the spectrum.  The
-    whole call runs on one OpenBLAS thread (`discrete_op._one_blas_thread`),
-    so the table does not depend on the caller's thread count.
+    1D media take scalar Bloch momenta (a (k1, k2) pair uses k1); 2D media
+    take scalars (transverse momentum zero) or (k1, k2) pairs.  A 1D medium
+    is diagonalized once, as the open chain of its k = 0 operator, and each
+    sample's values are bisected on the inertia count of the wrap bond's
+    rank-one update (`_ring_eigs`): no LU and no Lanczos.  It needs at
+    least 3 cells (ValidationError).  Each 2D sample is one (bitwise
+    repeatable) `_nearest_eigs` solve shifted just below the spectrum.
+    Either way `bands` above the number of cells gives one value per cell.
+    The whole call runs on one OpenBLAS thread
+    (`discrete_op._one_blas_thread`), so the table does not depend on the
+    caller's thread count.
     """
     ks = tuple(k_path)
-    eigs = []
-    for k in ks:
-        A = _bulk_matrix(eps, k)
-        vals, _ = _nearest_eigs(A, -1e-3 * abs(A).sum() / A.shape[0], bands)
-        eigs.append(np.maximum(vals, 0.0))
-    return BandTable(k_samples=ks, eigenvalues=tuple(eigs))
+    if eps.grid.ndim == 1:
+        eigs = _ring_bands(eps, ks, bands)
+    else:
+        eigs = []
+        for k in ks:
+            A = _bulk_matrix(eps, k)
+            eigs.append(_nearest_eigs(
+                A, -1e-3 * abs(A).sum() / A.shape[0], bands)[0])
+    return BandTable(k_samples=ks,
+                     eigenvalues=tuple(np.maximum(v, 0.0) for v in eigs))
 
 
 def find_gaps(bt: BandTable, min_width: float) -> list:
@@ -207,6 +234,53 @@ def _tridiagonal_eigs(d, e, window):
         raise IterationError(f"tridiagonal eigensolve failed: {exc}") from exc
     inside = (vals > window[0]) & (vals < window[1])
     return vals[inside], vecs[:, inside]
+
+
+def _ring_eigs(d, e, sigma: float, phases, bands: int) -> np.ndarray:
+    """The lowest min(bands, n) eigenvalues of A(z) = T + sigma v v^H for
+    each phase z, one ascending row per phase.
+
+    T is the real symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e (n >= 3), sigma > 0 the weight of the bond that closes
+    the chain into a ring, and v = e_{n-1} - conj(z) e_0: A(e^{ikL}) is the
+    1D Bloch operator at momentum k.  T = Q diag(t) Q^T is diagonalized
+    once (LAPACK stevd); a LAPACK failure raises IterationError.  With
+    |z_j|^2 = q0_j^2 + qn_j^2 - 2 Re(z) q0_j qn_j (q0, qn the first and
+    last rows of Q), inertia additivity on the bordered matrix
+    [[T - lam, v], [v^H, -1/sigma]] (Haynsworth 1968) counts
+
+        #{eig A(z) < lam} = #{t_j < lam}
+                            - [1 + sigma sum_j |z_j|^2 / (t_j - lam) <= 0]
+
+    (the secular function of Golub 1973; Bunch, Nielsen & Sorensen 1978).
+    Eigenvalue i of a positive rank-one update lies in [t_i, t_{i+1}], with
+    t_n = t_{n-1} + 2 sigma (||v||^2 = 2).  Each is bisected on the count
+    to adjacent floats, all phases and bands at once; a zero weight (a
+    mirror-symmetric cell at z = +-1) leaves t_j an eigenvalue, which the
+    count keeps.  Returns the lower float of each final pair.
+    """
+    try:
+        t, q = dla.eigh_tridiagonal(d, e)
+    except dla.LinAlgError as exc:
+        raise IterationError(f"tridiagonal eigensolve failed: {exc}") from exc
+    bands = min(bands, len(t))
+    weights = (q[0] ** 2 + q[-1] ** 2
+               - 2.0 * np.real(phases)[:, None] * (q[0] * q[-1]))
+    ends = np.append(t, t[-1] + 2.0 * sigma)
+    lo = np.tile(ends[:bands], (len(weights), 1))
+    hi = np.tile(ends[1:bands + 1], (len(weights), 1))
+    rows, cols = (i.ravel() for i in np.indices(lo.shape))
+    while rows.size:
+        a, b = lo[rows, cols], hi[rows, cols]
+        mid = 0.5 * (a + b)
+        open_ = (a < mid) & (mid < b)
+        rows, cols, mid = rows[open_], cols[open_], mid[open_]
+        secular = 1.0 + sigma * np.sum(weights[rows] / (t - mid[:, None]),
+                                       axis=1)
+        above = np.searchsorted(t, mid) - (secular <= 0.0) > cols
+        hi[rows[above], cols[above]] = mid[above]
+        lo[rows[~above], cols[~above]] = mid[~above]
+    return lo
 
 
 def _sparse_kernel(A, window):
@@ -353,15 +427,22 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
     return modes
 
 
+def _near_strip(grid, strip: StripSpec) -> np.ndarray:
+    """The grid cells within one period of the scaled section."""
+    mesh = grid.meshgrid()
+    tpts = np.stack([mesh[a] for a in range(1, grid.ndim)], axis=-1)
+    return strip.distance(tpts) <= 1.0
+
+
+def _fraction_near(values: np.ndarray, near: np.ndarray) -> float:
+    dens = np.abs(values) ** 2
+    return float(np.sum(dens[near]) / np.sum(dens))
+
+
 def localization_fraction(values: np.ndarray, eps_grid,
                           strip: StripSpec) -> float:
     """Fraction of the squared norm within one period of the scaled section."""
-    grid = eps_grid
-    mesh = grid.meshgrid()
-    tpts = np.stack([mesh[a] for a in range(1, grid.ndim)], axis=-1)
-    near = strip.distance(tpts) <= 1.0
-    dens = np.abs(values) ** 2
-    return float(np.sum(dens[near]) / np.sum(dens))
+    return _fraction_near(values, _near_strip(eps_grid, strip))
 
 
 def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
@@ -387,10 +468,11 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     pad = 1e-3 * gap.width
     window = (gap.alpha + pad, gap.beta - pad)
     grid = eps_defect.grid
+    near = _near_strip(grid, strip)
     modes = []
     for m in bloch_modes(eps_defect, k1_samples, window, count):
         vals2 = m.field.reshape(grid.shape)
-        frac = localization_fraction(vals2, grid, strip)
+        frac = _fraction_near(vals2, near)
         if frac >= 0.5:
             fld = ScalarField2(vals2, grid, bloch_k1=m.k1)
             modes.append(ModeResult(lam=m.lam, field=fld, residual=m.residual,

@@ -35,8 +35,8 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
-from scipy import ndimage
 
 from .cross_section import CrossSection
 from .discrete_op import _factor, _one_blas_thread, differences, gradient
@@ -133,10 +133,13 @@ def _centered(grid: GridSpec) -> list:
 
 
 def _ring_nodes(mask: np.ndarray, reach: int) -> np.ndarray:
-    """Interior nodes with an outside node within `reach` steps (any axis)."""
-    size = 2 * reach + 1
-    structure = np.ones((size,) * mask.ndim, dtype=bool)
-    core = ndimage.binary_erosion(mask, structure=structure, border_value=0)
+    """Interior nodes with an outside node within `reach` steps (any axis).
+
+    The core is the erosion of the mask by the full square of side
+    2 reach + 1, nodes beyond the grid counting as outside."""
+    size = (2 * reach + 1,) * mask.ndim
+    windows = sliding_window_view(np.pad(mask, reach), size)
+    core = windows.all(axis=tuple(range(mask.ndim, 2 * mask.ndim)))
     return np.argwhere(mask & ~core)
 
 

@@ -182,9 +182,10 @@ def test_arpack_errors_exit_3(tmp_path, capsys, monkeypatch):
     # a window above count raises before Lanczos could fail
     with pytest.raises(ValidationError, match="holds 10"):
         interior_eigs(A, (10.5, 20.5), count=4)
-    grid = GridSpec((64,), (1 / 64,))
-    with pytest.raises(IterationError):
-        band_structure(SampledEpsilon(grid, np.ones(64)), [0.0], bands=6)
+    # a 2D bulk's bands come from Lanczos (1D bands need none)
+    grid = GridSpec((8, 8), (1 / 8, 1 / 8))
+    with pytest.raises(IterationError, match="Lanczos at shift"):
+        band_structure(SampledEpsilon(grid, np.ones((8, 8))), [0.0], bands=6)
     with pytest.raises(IterationError):
         solve_nu_scalar(Interval(1.0), h=2 / 64)
     # a box shorter than the axial period: the medium varies along x1, so
@@ -241,6 +242,15 @@ def test_sweep_command(tmp_path, capsys):
     assert len(lines) == 3
     # the cells run in order: --threads is accepted by sweep, read by nothing
     assert maps[0] == maps[1]
+    # a window above count is a configuration error, the same in every cell
+    capsys.readouterr()
+    capped = _cfg(tmp_path, "capped.json", {
+        **json.loads(Path(cfg).read_text()), "count": 1})
+    assert cli.main(["sweep", "--config", capped,
+                     "--out", str(tmp_path / "capped")]) == 2
+    assert re.search(r"holds \d+ eigenvalues, more than count = 1",
+                     capsys.readouterr().err)
+    assert not (tmp_path / "capped" / "existence_map.csv").exists()
     assert cli.main(["defect", "--config", _defect_cfg(tmp_path),
                      "--out", str(tmp_path / "d"), "--threads", "2"]) == 2
 

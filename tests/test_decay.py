@@ -255,8 +255,9 @@ def test_import_leaves_scipy_stats_out():
     src = str(Path(gapguide.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             "import gapguide, gapguide.cli; "
-            "print(gapguide.__file__); print('scipy.stats' in sys.modules)")
+            "print(gapguide.__file__); print('scipy.stats' in sys.modules); "
+            "print('scipy.ndimage' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout.splitlines()
     assert out[0] == gapguide.__file__
-    assert out[1] == "False"
+    assert out[1:] == ["False", "False"]

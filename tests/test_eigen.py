@@ -80,7 +80,7 @@ def test_band_structure_is_deterministic():
 
 @pytest.mark.parametrize("bands", [5, 6])
 def test_band_structure_on_a_tiny_grid_matches_eigvalsh(bands):
-    # 6 unknowns: ARPACK cannot take 5 or 6 pairs, so A is diagonalized
+    # 6 unknowns: bands = 6 takes the top bracket [t_5, t_5 + 2 sigma]
     grid = GridSpec((6,), (1 / 6,), (-0.5,))
     eps = SampledEpsilon(grid, np.array([1.0, 1.0, 9.0, 9.0, 1.0, 1.0]),
                          bloch_period=1.0)
@@ -90,6 +90,53 @@ def test_band_structure_on_a_tiny_grid_matches_eigvalsh(bands):
         A = scalar_matrix(eps, bloch_k1=k, transverse_bc="periodic")
         want = np.maximum(np.linalg.eigvalsh(A.toarray())[:bands], 0.0)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _layered_1d(n, origin):
+    grid = GridSpec((n,), (1 / n,), (origin,))
+    return build_medium(MediumSpec(lattice=(1.0,), inclusions=(
+        BoxInclusion((-0.1875,), (0.1875,), 9.0),)), grid)
+
+
+@pytest.mark.parametrize("n, tol", [(64, 1e-11), (512, 1e-9)])
+@pytest.mark.parametrize("origin", [-0.5, -0.3], ids=["mirror", "off-centre"])
+def test_1d_band_structure_matches_dense_eigvalsh(n, tol, origin):
+    # tol on the low bands; the top of the spectrum (near 4 n^2) is held to
+    # 1e-14 relative, about 45 ulps, the rounding of the dense reference
+    eps = _layered_1d(n, origin)
+    assert np.array_equal(eps.values, eps.values[::-1]) == (origin == -0.5)
+    ks = (0.0, 0.7, np.pi, (0.7, 0.3))
+    dense = [np.linalg.eigvalsh(scalar_matrix(
+        eps, np.atleast_1d(k)[0], "periodic").toarray()) for k in ks]
+    for bands in (1, 6, n - 1, n):
+        bt = band_structure(eps, ks, bands=bands)
+        for got, want in zip(bt.eigenvalues, dense):
+            assert got.shape == (bands,)
+            assert np.allclose(got, np.maximum(want[:bands], 0.0),
+                               rtol=1e-14, atol=tol)
+
+
+def test_1d_band_structure_needs_no_lu_and_no_lanczos(monkeypatch):
+    eps = _layered_1d(64, -0.5)
+    ks = np.linspace(0.0, np.pi, 5)
+    want = band_structure(eps, ks, bands=6)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("1D bands factored or ran Lanczos")
+
+    monkeypatch.setattr(eigen, "_factor", fail)
+    monkeypatch.setattr(spla, "eigs", fail)
+    monkeypatch.setattr(spla, "eigsh", fail)
+    got = band_structure(eps, ks, bands=6)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(got.eigenvalues, want.eigenvalues))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_1d_band_structure_needs_three_cells(n):
+    eps = SampledEpsilon(GridSpec((n,), (1 / n,)), np.ones(n))
+    with pytest.raises(ValidationError, match="at least 3 cells"):
+        band_structure(eps, [0.0], bands=1)
 
 
 def test_find_gaps_min_width_filter():

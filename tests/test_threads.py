@@ -98,6 +98,7 @@ def test_factor_runs_on_one_thread_in_1d_and_2d_solves(monkeypatch,
     seen = []
     factor = discrete_op._factor
     tridiagonal = eigen._tridiagonal_eigs
+    ring = eigen._ring_eigs
 
     def recorded(A, sigma, thresh):
         seen.append(_counts())
@@ -107,10 +108,16 @@ def test_factor_runs_on_one_thread_in_1d_and_2d_solves(monkeypatch,
         seen.append(_counts())
         return tridiagonal(d, e, window)
 
+    def recorded_ring(d, e, sigma, phases, bands):
+        seen.append(_counts())
+        return ring(d, e, sigma, phases, bands)
+
     monkeypatch.setattr(eigen, "_factor", recorded)
     monkeypatch.setattr(xsection, "_factor", recorded)
     # the 2D guide's blocks are solved by bisection, without an LU
     monkeypatch.setattr(eigen, "_tridiagonal_eigs", recorded_tridiagonal)
+    # 1D bands are bisected on the wrap bond's count, also without an LU
+    monkeypatch.setattr(eigen, "_ring_eigs", recorded_ring)
     caller_threads(2)
     one, two = [1] * len(_openblas()), [2] * len(_openblas())
 

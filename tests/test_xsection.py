@@ -285,3 +285,15 @@ def test_assembly_crosses_once_per_stencil_offset(name, monkeypatch):
         calls.clear()
     xsection._scalar_system(cs, h)
     assert 0 < len(calls) <= 2 * cs.ndim
+
+
+@pytest.mark.parametrize("cs, h", [(Disk(1.0), 2 / 96), (Disk(1.0), 2 / 192),
+                                   (_mask_disk(), 2 / 96)])
+def test_ring_nodes_match_binary_erosion(cs, h):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    _, mask, _ = xsection._domain_grid(cs, h)
+    for reach in (1, 2):
+        square = np.ones((2 * reach + 1,) * 2, dtype=bool)
+        core = ndimage.binary_erosion(mask, structure=square, border_value=0)
+        assert np.array_equal(xsection._ring_nodes(mask, reach),
+                              np.argwhere(mask & ~core))
