@@ -2,8 +2,8 @@
 
 Commands dispatch to the library modules and leave deterministic artifacts
 (CSV/JSON/binary dumps) in the output directory; every artifact records the
-config hash and seed, though no computation reads the seed, and the BLAS
-the solves ran on.  Exit codes:
+config hash and the BLAS the solves ran on; `--seed` and `--threads` are
+read by nothing, kept so that existing command lines parse.  Exit codes:
 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -94,9 +94,8 @@ def _samples(block):
     return np.asarray(block, dtype=float)
 
 
-def _provenance(args, cfg, **extra) -> dict:
-    d = {"config_hash": io.config_hash(cfg), "seed": args.seed,
-         "blas": _blas_record()}
+def _provenance(cfg, **extra) -> dict:
+    d = {"config_hash": io.config_hash(cfg), "blas": _blas_record()}
     d.update(extra)
     return d
 
@@ -114,7 +113,7 @@ def cmd_nu(args, cfg, out: Path) -> int:
     best = refine_extrapolate(estimates) if len(estimates) >= 3 else estimates[-1]
     doc = best.record()
     doc["per_grid"] = [e.record() for e in estimates]
-    doc["provenance"] = _provenance(args, cfg, module="xsection",
+    doc["provenance"] = _provenance(cfg, module="xsection",
                                     grid_h=float(min(hs)))
     io.write_json(out / "nu.json", doc)
     print(json.dumps({"nu": doc["value"], "order": doc["order"]}))
@@ -134,8 +133,7 @@ def cmd_check(args, cfg, out: Path) -> int:
         nu = solve_nu_vector(cs, grid_h)
     rep = check_condition(float(cfg["l"]), float(cfg["eps"]), gap, nu)
     doc = rep.record()
-    doc["provenance"] = _provenance(args, cfg, module="existence",
-                                    grid_h=grid_h)
+    doc["provenance"] = _provenance(cfg, module="existence", grid_h=grid_h)
     io.write_json(out / "check.json", doc)
     verdict = "satisfied" if rep.passed else "not satisfied"
     print(f"condition {verdict}, margin {rep.margin:.3f}")
@@ -164,7 +162,7 @@ def cmd_residual(args, cfg, out: Path) -> int:
     if cfg.get("quadrature", False):
         grid = quadrature_grid(tp)
         doc["quadrature"] = residual_quadrature(tp, grid)
-    doc["provenance"] = _provenance(args, cfg, module="existence", grid_h=h)
+    doc["provenance"] = _provenance(cfg, module="existence", grid_h=h)
     io.write_json(out / "residual.json", doc)
     print(json.dumps({"n": tp.n, "residual_sq": rep.closed_form,
                       "threshold": rep.threshold, "passes": rep.passes}))
@@ -180,7 +178,7 @@ def cmd_bands(args, cfg, out: Path) -> int:
     io.band_csv(bt, out / "bands.csv")
     io.write_json(out / "gaps.json", {
         "gaps": [[g.alpha, g.beta] for g in gaps],
-        "provenance": _provenance(args, cfg, module="eigen",
+        "provenance": _provenance(cfg, module="eigen",
                                   grid_h=float(max(eps.grid.spacing)))})
     io.emit_plot_script(out / "plot_bands.py", "bands",
                         out / "bands.csv", out / "bands.png")
@@ -209,7 +207,7 @@ def cmd_defect(args, cfg, out: Path) -> int:
         "delta": ds.delta, "covered": ds.covered,
         "points": [[mu, flag] for mu, flag in ds.coverage],
         "k1_samples": list(ds.k1_samples),
-        "provenance": _provenance(args, cfg, module="eigen",
+        "provenance": _provenance(cfg, module="eigen",
                                   grid_h=float(max(eps.grid.spacing)))})
     for i, m in enumerate(ds.modes[: int(cfg.get("dump_fields", 0))]):
         io.write_field(out / f"mode_{i:03d}", m.field.values, m.field.grid,
@@ -239,7 +237,7 @@ def cmd_decay(args, cfg, out: Path) -> int:
             if len(fits) >= 2 else None)
     io.write_json(out / "decay_fits.json", {
         "fits": fits, "rank_correlation": corr,
-        "provenance": _provenance(args, cfg, module="decay",
+        "provenance": _provenance(cfg, module="decay",
                                   grid_h=float(max(eps.grid.spacing)))})
     if dumped > 0:
         io.emit_plot_script(out / "plot_decay.py", "decay",
@@ -280,7 +278,7 @@ def cmd_sweep(args, cfg, out: Path) -> int:
                  ["l", "eps", "margin", "condition", "modes", "delta_net",
                   "error"], rows)
     io.write_json(out / "existence_map.json", {
-        "provenance": _provenance(args, cfg, module="cli",
+        "provenance": _provenance(cfg, module="cli",
                                   grid_h=float(max(grid.spacing)))})
     io.emit_plot_script(out / "plot_map.py", "map",
                         out / "existence_map.csv", out / "existence_map.png")
@@ -372,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "report"))
         p.add_argument("--out", default="gapguide-out")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="read by nothing; kept so that existing command "
+                            "lines (bench/workloads.py) parse")
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1,
                            help="read by nothing: the cells run in order; "

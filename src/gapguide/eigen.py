@@ -9,7 +9,6 @@ the gap, filtered by transverse localization so that folded bulk bands
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +69,19 @@ class DefectSpectrum:
     coverage: tuple           # (mu, covered) pairs for the sampled gap points
     k1_samples: tuple
     delta: float
-    wall_amplitudes: tuple = ()   # per-mode peak amplitude at the walls / peak
 
     @property
     def covered(self) -> bool:
         return all(flag for _, flag in self.coverage)
+
+    @property
+    def wall_amplitudes(self) -> tuple:
+        """Per mode, its peak amplitude at the x2 walls over its peak."""
+        return tuple(
+            float(max(np.max(np.abs(m.field.values[:, 0])),
+                      np.max(np.abs(m.field.values[:, -1])))
+                  / np.max(np.abs(m.field.values)))
+            for m in self.modes)
 
 
 def _bulk_matrix(eps: SampledEpsilon, k) -> sp.csr_matrix:
@@ -368,18 +375,21 @@ def interior_eigs(op, window, count: int = 10):
     m and count, before the Lanczos LU, so a window is never returned in
     part.  Otherwise `_nearest_eigs` at the window centre is asked for
     exactly m pairs, all of which must lie in the window.  Repeated solves
-    agree bitwise on the same BLAS thread count; unlike `bloch_modes`, this
-    runs on the caller's threads, which pay off on the large LUs of a full
-    3D operator.  IterationError is raised when an end or centre LU is
-    exactly singular, when an end LU pivots off the diagonal (no inertia
-    count), when Lanczos returns other than m in-window pairs, on an ARPACK
-    failure, and for an eigenpair residual above 1e-8 * max(|lam|, 1).
+    agree bitwise on the same BLAS thread count.  Every solve of a medium
+    or a cross-section runs on one OpenBLAS thread; this keeps the caller's
+    threads, which pay off on a large LU: a shell of criterion 10a's 16^3
+    cube took 16.0-17.3 s wall (31.5-33.9 s CPU) at two threads, 17.5-22.1 s
+    at one.  IterationError is raised when an end or centre LU is exactly
+    singular, when an end LU pivots off the diagonal (no inertia count),
+    when Lanczos returns other than m in-window pairs, on an ARPACK failure,
+    and for an eigenpair residual above 1e-8 * max(|lam|, 1).
     Returns a possibly-empty list of ModeResult sorted by eigenvalue.
     """
     return [ModeResult(lam=lam, field=v, residual=res, k1=np.nan)
             for lam, _, v, res in _window_pairs([op], window, count)]
 
 
+@_one_blas_thread
 def bloch_modes(eps: SampledEpsilon, k1_samples, window,
                 count: int) -> list:
     """Every in-window eigenpair of the operator of `eps` with Dirichlet
@@ -399,31 +409,27 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
     Lanczos); 3D blocks and full operators take the inertia count and
     shift-invert Lanczos of interior_eigs.
 
-    1D and 2D media and split 3D media are solved on one OpenBLAS thread
-    (`discrete_op._one_blas_thread`), so their modes do not depend on the
-    caller's thread count.  The full operator of a 3D medium that varies
-    along x1 is solved on the caller's threads, as by interior_eigs: its
-    LUs are large enough for a second thread to pay off.
+    Every medium is solved on one OpenBLAS thread (`_one_blas_thread`), so
+    its modes are bitwise the same whatever the caller's thread count; only
+    interior_eigs on a bare matrix keeps the caller's, where a second
+    thread pays off (a shell of criterion 10a's 16^3 cube: 16.0-17.3 s
+    wall at two threads, 17.5-22.1 s at one).
     """
     split = harmonic_split(eps)
     operator = maxwell_operator if eps.grid.ndim == 3 else scalar_matrix
-    full_3d = split is None and eps.grid.ndim == 3
     tridiagonal = split is not None and eps.grid.ndim == 2
     kernel = _tridiagonal_kernel if tridiagonal else _sparse_kernel
     modes = []
-    with contextlib.nullcontext() if full_3d else _one_blas_thread:
-        for k1 in map(float, k1_samples):
-            if split is None:
-                kappas, blocks = [k1], [operator(eps, k1)]
-            else:
-                kappas = split.kappas(k1)
-                blocks = [split.tridiagonal(kappa) if tridiagonal
-                          else split.block(kappa) for kappa in kappas]
-            for lam, j, v, res in _window_pairs(blocks, window, count,
-                                                kernel):
-                fld = v if split is None else split.lift(kappas[j], v)
-                modes.append(ModeResult(lam=lam, field=fld, residual=res,
-                                        k1=k1))
+    for k1 in map(float, k1_samples):
+        if split is None:
+            kappas, blocks = [k1], [operator(eps, k1)]
+        else:
+            kappas = split.kappas(k1)
+            blocks = [split.tridiagonal(kappa) if tridiagonal
+                      else split.block(kappa) for kappa in kappas]
+        for lam, j, v, res in _window_pairs(blocks, window, count, kernel):
+            fld = v if split is None else split.lift(kappas[j], v)
+            modes.append(ModeResult(lam=lam, field=fld, residual=res, k1=k1))
     return modes
 
 
@@ -483,12 +489,6 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     coverage = tuple((float(mu),
                       bool(lams.size and np.min(np.abs(lams - mu)) < delta))
                      for mu in mus)
-    # quality of the conducting-wall truncation: mode amplitude at the walls
-    walls = tuple(
-        float(max(np.max(np.abs(m.field.values[:, 0])),
-                  np.max(np.abs(m.field.values[:, -1])))
-              / np.max(np.abs(m.field.values)))
-        for m in modes)
     return DefectSpectrum(modes=tuple(modes), coverage=coverage,
                           k1_samples=tuple(float(k) for k in k1_samples),
-                          delta=delta, wall_amplitudes=walls)
+                          delta=delta)

@@ -25,6 +25,7 @@ the carrier and divergence terms the closed form drops.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -100,10 +101,6 @@ class Profile:
         x = np.asarray(x, dtype=float)
         a = np.abs(x)
         return np.where(a < 1.0, np.sign(x) * self._p1(np.minimum(a, 1.0)), 0.0)
-
-    def d2(self, x):
-        a = np.abs(np.asarray(x, dtype=float))
-        return np.where(a < 1.0, self._p2(np.minimum(a, 1.0)), 0.0)
 
     # exact moments ---------------------------------------------------------
 
@@ -346,29 +343,29 @@ def trial_norm_quadrature(tp: TrialParams, grid: GridSpec) -> float:
 
 
 def minimal_n(tp: TrialParams) -> int | None:
-    """Smallest integer n with closed-form residual under the budget.
+    """Smallest integer n with closed-form residual under the budget, or
+    None ("unreachable") when the n-independent floor l^-4 ||Lap g||^2
+    already meets or exceeds delta^2 eps^2.
 
-    Returns None ("unreachable") when the n-independent floor
-    l^-4 ||Lap g||^2 already meets or exceeds delta^2 eps^2; otherwise a
-    finite n always exists because the other three terms decay with n.
+    With t1..t4 the terms at n = 1, all nonnegative (<psi'', psi> <= 0 and
+    <Lap g, g> <= 0), the residual is t1 x^2 + (t2 + t4) x + t3 in
+    x = n^-2, falling strictly with n.  n starts at its positive root and
+    steps (once at most, in practice) to residual(n) < budget <=
+    residual(n - 1) in floating point.
     """
     thr = tp.delta**2 * tp.eps**2
-    floor = residual_closed_form(replace(tp, n=1)).terms[2]
-    if floor >= thr:
+    t1, t2, t3, t4 = residual_closed_form(replace(tp, n=1)).terms
+    s, b = thr - t3, t2 + t4
+    if s <= 0:
         return None
 
     def value(n):
         return residual_closed_form(replace(tp, n=n)).closed_form
 
-    lo, hi = 0, 1
-    while value(hi) >= thr:
-        lo, hi = hi, 2 * hi
-        if hi > 2**40:
-            return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid >= 1 and value(mid) < thr:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    x = 2.0 * s / (b + math.sqrt(b * b + 4.0 * t1 * s))
+    n = max(1, math.ceil(x**-0.5))
+    while value(n) >= thr:
+        n += 1
+    while n > 1 and value(n - 1) < thr:
+        n -= 1
+    return n

@@ -122,6 +122,19 @@ def test_minimal_n_is_minimal(tf, psi):
         assert prev >= thr
 
 
+@pytest.mark.parametrize("factor", [1.0001, 1.1, 3.0])
+@pytest.mark.parametrize("mu", [0.5, 20.0])
+def test_minimal_n_matches_a_brute_force_scan(tf, psi, factor, mu):
+    # factor scales delta above the floor budget; 1.0001 puts n near 60
+    probe = TrialParams(l=1.0, eps=12.0, mu=mu, delta=1.0, n=1, psi=psi, g=tf)
+    floor = residual_closed_form(probe).terms[2]
+    tp = dataclasses.replace(probe, delta=factor * np.sqrt(floor) / probe.eps)
+    thr = tp.delta**2 * tp.eps**2
+    scan = next(m for m in range(1, 10_000) if residual_closed_form(
+        dataclasses.replace(tp, n=m)).closed_form < thr)
+    assert minimal_n(tp) == scan
+
+
 def test_minimal_n_unreachable_below_the_floor(tf, psi):
     # l^2 delta eps at or below the field quotient: floor >= budget, no n works
     probe = TrialParams(l=1.0, eps=12.0, mu=2.5, delta=1.0, n=1, psi=psi, g=tf)

@@ -1,14 +1,20 @@
-"""Every defaulted parameter of the package takes another value somewhere.
+"""Every defaulted parameter of the package takes another value somewhere,
+and every command-line flag is read.
 
 A default that no call in src/, tests/, demos/ or bench/ ever overrides,
 or that every call overriding it sets to the default literal again, is a
 constant dressed up as an option: it doubles the configurations to cover
 and is exercised at one value only.  Constructors are left out; their
-defaults are the fields of value objects.
+defaults are the fields of value objects.  A flag of `gapguide` that
+`cli.py` never reads as `args.<dest>` does nothing; the two kept only so
+that old command lines parse must say so in their help.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from gapguide.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "tests", "demos", "bench")
@@ -91,3 +97,30 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
             unset.append(f"{qual}({param})")
     assert not unset, ("defaulted parameters no caller sets to another value; "
                        "make them constants: " + ", ".join(unset))
+
+
+UNREAD_FLAGS = {"seed", "threads"}
+
+
+def test_every_cli_flag_is_read():
+    tree = ast.parse((ROOT / "src" / "gapguide" / "cli.py").read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    unread, silent = [], []
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if action.dest in UNREAD_FLAGS:
+                if "read by nothing" not in (action.help or ""):
+                    silent.append(f"{name} --{action.dest}")
+            elif action.dest not in read:
+                unread.append(f"{name} --{action.dest}")
+    assert "command" in read
+    assert not unread, "flags that cli.py never reads: " + ", ".join(unread)
+    assert not silent, ("unread flags whose help does not say so: "
+                        + ", ".join(silent))

@@ -1,5 +1,8 @@
-"""Solves of 1D and 2D media run on one OpenBLAS thread, whatever the
-caller's count; bare matrices and full 3D operators keep the caller's."""
+"""Every solve of a medium or a cross-section runs on one OpenBLAS thread
+and is bitwise the same whatever the caller's count; `interior_eigs` on a
+bare matrix keeps the caller's threads, which pay off on a large LU (a
+shell of criterion 10a's 16^3 cube took 16.0-17.3 s wall and 31.5-33.9 s
+CPU at two threads, 17.5-22.1 s wall at one)."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -11,12 +14,15 @@ from gapguide import discrete_op, eigen, xsection
 from gapguide.cross_section import Disk, Interval
 from gapguide.discrete_op import (_blas_record, _one_blas_thread, _openblas,
                                   maxwell_operator, scalar_matrix)
-from gapguide.eigen import band_structure, bloch_modes, interior_eigs
+from gapguide.eigen import (band_structure, bloch_modes, defect_spectrum,
+                            interior_eigs)
 from gapguide.errors import IterationError
+from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
 from gapguide.media import (BoxInclusion, MediumSpec, SampledEpsilon,
                             StripSpec, build_medium, with_defect)
-from gapguide.xsection import solve_nu_vector
+from gapguide.xsection import (make_test_field, solve_nu_scalar,
+                               solve_nu_vector)
 
 needs_openblas = pytest.mark.skipif(not _openblas(),
                                     reason="numpy and scipy without "
@@ -76,25 +82,27 @@ def _same_modes(a, b):
 def test_results_do_not_depend_on_the_callers_blas_threads(caller_threads):
     bulk = build_medium(LAYERED, GridSpec((512,), (1 / 512,), (-0.5,)))
     guide = _guide()
+    varied = _varied_3d()
     runs = []
     for n in (1, 2):
         caller_threads(n)
         nu = solve_nu_vector(Disk(1.0), 2 / 128)
         bands = band_structure(bulk, np.linspace(0.0, np.pi, 25), bands=6)
         modes = _modes(guide, [4.3, 5.3, 6.3])
+        full = bloch_modes(varied, [0.7], (2.0, 20.0), 100)
         assert _counts() == [n] * len(_openblas())
-        runs.append((nu, bands, modes))
-    (nu1, bands1, modes1), (nu2, bands2, modes2) = runs
+        runs.append((nu, bands, modes, full))
+    (nu1, bands1, modes1, full1), (nu2, bands2, modes2, full2) = runs
     assert nu1.value == nu2.value
     assert nu1.achieved_quotient == nu2.achieved_quotient
     assert all(np.array_equal(a, b) for a, b
                in zip(bands1.eigenvalues, bands2.eigenvalues))
     assert len(modes1) > 0 and _same_modes(modes1, modes2)
+    assert len(full1) > 0 and _same_modes(full1, full2)
 
 
 @needs_openblas
-def test_factor_runs_on_one_thread_in_1d_and_2d_solves(monkeypatch,
-                                                       caller_threads):
+def test_every_medium_solve_runs_on_one_thread(monkeypatch, caller_threads):
     seen = []
     factor = discrete_op._factor
     tridiagonal = eigen._tridiagonal_eigs
@@ -130,23 +138,33 @@ def test_factor_runs_on_one_thread_in_1d_and_2d_solves(monkeypatch,
         return list(distinct.pop())
 
     layered = build_medium(LAYERED, GridSpec((64,), (1 / 64,), (-0.5,)))
+    crystal = SampledEpsilon(GridSpec((8, 8), (1 / 8,) * 2, (-0.5, -0.5)),
+                             np.where(np.eye(8) > 0, 9.0, 1.0))
     split_3d = with_defect(
         build_medium(MediumSpec(lattice=(1.0,)),
                      GridSpec((4, 8, 8), (1 / 8,) * 3, (0.0, -0.5, -0.5))),
         StripSpec(Disk(1.0), l=0.25, eps_inside=12.0))
+    varied = _varied_3d()
+    guide = _guide()
+    strip = StripSpec(Interval(1.0), l=2.0, eps_inside=12.0)
     assert threads_in(lambda: bloch_modes(layered, [0.5], (1.0, 60.0), 4)) \
         == one
-    assert threads_in(lambda: _modes(_guide(), [5.0])) == one
+    assert threads_in(lambda: _modes(guide, [5.0])) == one
     assert threads_in(lambda: bloch_modes(split_3d, [0.7], (2.0, 20.0),
                                           100)) == one
+    assert threads_in(lambda: bloch_modes(varied, [0.7], (2.0, 20.0),
+                                          100)) == one
+    assert threads_in(lambda: defect_spectrum(
+        guide, strip, GapInterval(*GAP_WINDOW), [5.0], count=40)) == one
     assert threads_in(lambda: band_structure(layered, [0.0, 1.0], 4)) == one
+    assert threads_in(lambda: band_structure(crystal, [0.0, 1.0], 4)) == one
     assert threads_in(lambda: solve_nu_vector(Disk(1.0), 2 / 48)) == one
+    assert threads_in(lambda: solve_nu_scalar(Disk(1.0), 2 / 48)) == one
+    assert threads_in(lambda: make_test_field(Disk(1.0), 0.2, 2 / 48)) \
+        == one
     assert _counts() == two
     bare = scalar_matrix(layered, 0.5)
     assert threads_in(lambda: interior_eigs(bare, (1.0, 60.0), 4)) == two
-    varied = _varied_3d()
-    assert threads_in(lambda: bloch_modes(varied, [0.7], (2.0, 20.0),
-                                          100)) == two
     assert threads_in(lambda: interior_eigs(maxwell_operator(varied, 0.7),
                                             (2.0, 20.0), 100)) == two
 
