@@ -187,9 +187,12 @@ class MaskSection(CrossSection):
     ndim = 2
 
     def __init__(self, mask: np.ndarray, spacing: float, origin=(0.0, 0.0)):
-        mask = np.asarray(mask, dtype=bool)
+        # a read-only copy: edits to the caller's array must not reach
+        # `contains` while `_edt` stays as built
+        mask = np.array(mask, dtype=bool)
         if mask.ndim != 2 or not mask.any():
             raise ValidationError("mask must be a non-empty 2D boolean array")
+        mask.flags.writeable = False
         self.mask = mask
         self.spacing = float(spacing)
         self.origin = tuple(float(o) for o in origin)

@@ -85,7 +85,13 @@ class Profile:
         p = half_poly / np.sqrt(nrm2)
         self._p = p
         self._p1 = p.deriv(1)
-        self._p2 = p.deriv(2)
+        p2 = p.deriv(2)
+        # exact moments, integrated once
+        self.norm_sq = 2.0 * float((p**2).integ()(1.0))
+        self.d1_norm_sq = 2.0 * float((self._p1**2).integ()(1.0))
+        self.d2_norm_sq = 2.0 * float((p2**2).integ()(1.0))
+        # <psi'', psi>; equals -||psi'||^2 by parts, computed independently
+        self.ip_d2 = 2.0 * float((p2 * p).integ()(1.0))
 
     @classmethod
     def bump(cls, k: int = 2) -> "Profile":
@@ -101,25 +107,6 @@ class Profile:
         x = np.asarray(x, dtype=float)
         a = np.abs(x)
         return np.where(a < 1.0, np.sign(x) * self._p1(np.minimum(a, 1.0)), 0.0)
-
-    # exact moments ---------------------------------------------------------
-
-    @property
-    def norm_sq(self) -> float:
-        return 2.0 * float((self._p**2).integ()(1.0))
-
-    @property
-    def d1_norm_sq(self) -> float:
-        return 2.0 * float((self._p1**2).integ()(1.0))
-
-    @property
-    def d2_norm_sq(self) -> float:
-        return 2.0 * float((self._p2**2).integ()(1.0))
-
-    @property
-    def ip_d2(self) -> float:
-        """<psi'', psi>; equals -||psi'||^2 by parts, computed independently."""
-        return 2.0 * float((self._p2 * self._p).integ()(1.0))
 
     def scaled(self, n: float):
         """Callable for psi_n(x) = n^(-1/2) psi(x/n) (unit norm for every n)."""
@@ -202,35 +189,14 @@ class ResidualReport:
                           "transverse_floor": t3, "cross": t4}}
 
 
-def _stream_spectral_moments(tf: TestField):
-    """Moments of the band-limited field spanned by the stream samples.
-
-    The rotated gradient is formed in Fourier space, so the interpolant is
-    exactly divergence free and its moments are exact for that interpolant;
-    this is the same field the quadrature route integrates.
-    Returns (||Lap g||^2, <Lap g, g>) for the unit-norm field.
-    """
-    h = tf.grid.spacing
-    s_hat = np.fft.fft2(tf.stream)
-    k1 = 2 * np.pi * np.fft.fftfreq(tf.stream.shape[0], d=h[0])
-    k2 = 2 * np.pi * np.fft.fftfreq(tf.stream.shape[1], d=h[1])
-    ksq = k1[:, None] ** 2 + k2[None, :] ** 2
-    p = np.abs(s_hat) ** 2
-    m2 = float(np.sum(ksq * p))        # ~ ||g||^2
-    m4 = float(np.sum(ksq**2 * p))     # ~ ||grad g||^2 = -<Lap g, g>
-    m6 = float(np.sum(ksq**3 * p))     # ~ ||Lap g||^2
-    if m2 <= 0:
-        raise ValidationError("test field stream is identically zero")
-    return m6 / m2, -m4 / m2
-
-
 def residual_closed_form(tp: TrialParams) -> ResidualReport:
     """Four-term expansion of ||curl curl w - k^2 w||^2.
 
     Axial moments come from exact polynomial integrals of the profile;
     transverse moments from the spectral interpolant of the test field.
+    Both are computed once, when the profile and the field are built.
     """
-    lap_g, ip_g = _stream_spectral_moments(tp.g)
+    lap_g, ip_g = tp.g.spectral_lap_norm_sq, tp.g.spectral_ip_lap
     n, l, k = tp.n, tp.l, tp.k
     t1 = n**-4 * tp.psi.d2_norm_sq
     t2 = 4.0 * k**2 * n**-2 * tp.psi.d1_norm_sq

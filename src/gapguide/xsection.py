@@ -24,6 +24,12 @@ comes from ARPACK's general shift-invert at zero (`eigs` with the Laplacian
 as mass matrix), with OPinv from the sparse LU shared with the interior
 eigensolves (`discrete_op._factor`), and is accepted only at a relative
 residual of 1e-6 or better.
+
+A cross-section object keeps its latest buckling minimizer (nu, the
+read-only stream function and mask, the grid and the quotient; no LU) for
+the spacing it was solved at, so `solve_nu_vector(cs, h)` and any number of
+`make_test_field(cs, rho, h)` make one buckling solve between them; an
+equal but distinct object, or another spacing, solves again.
 """
 
 from __future__ import annotations
@@ -76,7 +82,8 @@ class TestField:
 
     g has unit discrete L2 norm and is the rotated gradient (d2, -d1) of the
     stream function, so its centered-difference divergence vanishes to
-    rounding.
+    rounding.  The `spectral_` moments are those of the stream's spectral
+    interpolant, which the closed-form residual reads.
     """
 
     g: np.ndarray
@@ -87,6 +94,30 @@ class TestField:
     lap_norm_sq: float
     ip_lap: float
     grad_norm_sq: float
+    spectral_lap_norm_sq: float
+    spectral_ip_lap: float
+
+
+def _stream_spectral_moments(stream: np.ndarray, grid: GridSpec):
+    """Moments of the band-limited field spanned by the stream samples.
+
+    The rotated gradient is formed in Fourier space, so the interpolant is
+    exactly divergence free and its moments are exact for that interpolant;
+    this is the same field the quadrature route of `gapguide.existence`
+    integrates.  Returns (||Lap g||^2, <Lap g, g>) for the unit-norm field.
+    """
+    h = grid.spacing
+    s_hat = np.fft.fft2(stream)
+    k1 = 2 * np.pi * np.fft.fftfreq(stream.shape[0], d=h[0])
+    k2 = 2 * np.pi * np.fft.fftfreq(stream.shape[1], d=h[1])
+    ksq = k1[:, None] ** 2 + k2[None, :] ** 2
+    p = np.abs(s_hat) ** 2
+    m2 = float(np.sum(ksq * p))        # ~ ||g||^2
+    m4 = float(np.sum(ksq**2 * p))     # ~ ||grad g||^2 = -<Lap g, g>
+    m6 = float(np.sum(ksq**3 * p))     # ~ ||Lap g||^2
+    if m2 <= 0:
+        raise ValidationError("test field stream is identically zero")
+    return m6 / m2, -m4 / m2
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +157,11 @@ def _laplacian(grid: GridSpec) -> sp.csr_matrix:
     return (-(G.T @ G)).tocsr()
 
 
-def _centered(grid: GridSpec) -> list:
-    """(u[i+1] - u[i-1]) / 2h per axis with zero ghosts; the components
+def _centered(fwd: list) -> list:
+    """(u[i+1] - u[i-1]) / 2h per axis with zero ghosts, from the forward
+    differences `fwd` (`differences` with "pec" walls); the components
     commute, so the rotated gradient is divergence free to rounding."""
-    return [0.5 * (d - d.T) for d in differences(grid, ("pec",) * grid.ndim)]
+    return [0.5 * (d - d.T) for d in fwd]
 
 
 def _ring_nodes(mask: np.ndarray, reach: int) -> np.ndarray:
@@ -297,12 +329,22 @@ def solve_nu_vector(cs: CrossSection, h: float) -> NuEstimate:
     The solve and the Rayleigh quotient of its minimizer run on one OpenBLAS
     thread (`discrete_op._one_blas_thread`): both `value` and
     `achieved_quotient` are bitwise the same at any caller thread count.
+    The minimizer stays on `cs` for `make_test_field` at the same `h`.
     """
     nu, _, _, _, quot = _buckling_minimizer(cs, h)
     return NuEstimate(value=nu, grid_h=h, achieved_quotient=quot)
 
 
 def _buckling_minimizer(cs, h):
+    """(nu, psi, grid, mask, quot) of the buckling problem on `cs` at `h`.
+
+    One entry per object, for the last `h`, kept in `cs.__dict__` as
+    `functools.cached_property` keeps its values (so frozen dataclasses
+    take it too); it follows identity, not equality.
+    """
+    held = cs.__dict__.get("_buckling_minimizer")
+    if held is not None and held[0] == h:
+        return held[1]
     A, B, grid, mask = _buckling_system(cs, h)
     nu, v = _smallest_eig(A, B)
     psi = np.zeros(mask.shape)
@@ -314,7 +356,11 @@ def _buckling_minimizer(cs, h):
     # minimizer grad(Lap psi) = -nu grad(psi), so this equals the vector-field
     # quotient ||Lap g||/||g|| without differencing across the clamped edge.
     quot = float((v @ (A @ v)) / (v @ (B @ v)))
-    return float(nu), psi, grid, mask, quot
+    psi.flags.writeable = False
+    mask.flags.writeable = False
+    result = (float(nu), psi, grid, mask, quot)
+    cs.__dict__["_buckling_minimizer"] = (h, result)
+    return result
 
 
 @_one_blas_thread
@@ -356,6 +402,8 @@ def make_test_field(cs: CrossSection, rho: float, h: float) -> TestField:
     divergence-free field, normalized to unit discrete L2 norm.  The wide
     ramp keeps the third-derivative cost of truncation as small as the
     margin allows.  Like `solve_nu_vector`, it runs on one OpenBLAS thread.
+    After `solve_nu_vector(cs, h)` or a first field on the same `cs` and
+    `h`, it reuses the kept minimizer and makes no buckling solve.
     """
     if not (0 < rho < cs.inradius() / 2):
         raise GeometryError(
@@ -369,7 +417,8 @@ def make_test_field(cs: CrossSection, rho: float, h: float) -> TestField:
     stream = eta * psi
     if not np.any(stream):
         raise GeometryError("cutoff removed the whole field; rho too large")
-    c1, c2 = _centered(grid)
+    fwd = differences(grid, ("pec",) * 2)
+    c1, c2 = _centered(fwd)
     g = np.stack([c2 @ stream.ravel(), -(c1 @ stream.ravel())])
     cell = h * h
     nrm = np.sqrt(np.sum(g * g) * cell)
@@ -381,19 +430,21 @@ def make_test_field(cs: CrossSection, rho: float, h: float) -> TestField:
     ip_lap = float(np.sum(lap_g * g) * cell)
     # forward differences are adjoint to the Laplacian: <g, Lap g> equals
     # -||grad g||^2 for fields supported away from the array edges
-    fwd = differences(grid, ("pec",) * 2)
     grad_norm_sq = float(sum(np.sum((dk @ gc) ** 2) for gc in g
                              for dk in fwd) * cell)
+    spectral_lap, spectral_ip = _stream_spectral_moments(stream, grid)
     return TestField(g=g.reshape(2, *grid.shape), stream=stream, grid=grid,
                      support_margin=rho,
                      quotient=float(np.sqrt(lap_norm_sq)),
                      lap_norm_sq=lap_norm_sq, ip_lap=ip_lap,
-                     grad_norm_sq=grad_norm_sq)
+                     grad_norm_sq=grad_norm_sq,
+                     spectral_lap_norm_sq=spectral_lap,
+                     spectral_ip_lap=spectral_ip)
 
 
 def divergence(tf: TestField) -> np.ndarray:
     """Discrete divergence of the test field (zero to rounding by build)."""
-    c1, c2 = _centered(tf.grid)
+    c1, c2 = _centered(differences(tf.grid, ("pec",) * 2))
     return (c1 @ tf.g[0].ravel() + c2 @ tf.g[1].ravel()).reshape(tf.grid.shape)
 
 

@@ -71,6 +71,20 @@ def test_mask_section_from_ascii_disk():
     assert hi[0] - lo[0] == pytest.approx(1.0, rel=0.05)
 
 
+def test_mask_section_keeps_a_read_only_copy_of_its_mask():
+    x = (np.arange(40) + 0.5) / 20 - 1.0
+    inside = x[:, None] ** 2 + x[None, :] ** 2 < 0.8
+    ms = MaskSection(inside, 1 / 20, origin=(-1.0, -1.0))
+    pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+    contains, inradius = ms.contains(pts), ms.inradius()
+    inside[:] = True            # the caller edits its own array
+    assert np.array_equal(ms.contains(pts), contains)
+    assert ms.inradius() == inradius
+    assert not ms.mask.flags.writeable
+    with pytest.raises(ValueError):
+        ms.mask[0, 0] = True
+
+
 def test_mask_section_rejects_holes_and_pieces():
     annulus = "\n".join(["1111111",
                          "1100011",

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gapguide import existence, xsection
 from gapguide.cross_section import Disk
 from gapguide.errors import ResolutionError, ValidationError
-from gapguide.existence import (GapInterval, Profile, TrialParams,
-                                check_condition, gap_samples, minimal_n,
-                                quadrature_grid, residual_closed_form,
-                                residual_quadrature, trial_norm_quadrature)
+from gapguide.existence import (GapInterval, Profile, ResidualReport,
+                                TrialParams, check_condition, gap_samples,
+                                minimal_n, quadrature_grid,
+                                residual_closed_form, residual_quadrature,
+                                trial_norm_quadrature)
 from gapguide.grids import GridSpec
 from gapguide.xsection import make_test_field
 
@@ -133,6 +135,51 @@ def test_minimal_n_matches_a_brute_force_scan(tf, psi, factor, mu):
     scan = next(m for m in range(1, 10_000) if residual_closed_form(
         dataclasses.replace(tp, n=m)).closed_form < thr)
     assert minimal_n(tp) == scan
+
+
+def _direct_closed_form(tp, lap_g, ip_g):
+    """The four-term residual from moments integrated on the spot."""
+    p = tp.psi._p
+    p1, p2 = p.deriv(1), p.deriv(2)
+    n, l, k = tp.n, tp.l, tp.k
+    t1 = n**-4 * (2.0 * float((p2**2).integ()(1.0)))
+    t2 = 4.0 * k**2 * n**-2 * (2.0 * float((p1**2).integ()(1.0)))
+    t3 = l**-4 * lap_g
+    t4 = 2.0 * (n * l) ** -2 * (2.0 * float((p2 * p).integ()(1.0))) * ip_g
+    total = t1 + t2 + t3 + t4
+    thr = tp.delta**2 * tp.eps**2
+    return ResidualReport(closed_form=float(total), terms=(t1, t2, t3, t4),
+                          threshold=float(thr), passes=bool(total < thr))
+
+
+def test_spectral_moments_are_computed_once_per_test_field(monkeypatch, psi):
+    moments, computed = xsection._stream_spectral_moments, []
+
+    def counted(stream, grid):
+        computed.append(grid)
+        return moments(stream, grid)
+
+    monkeypatch.setattr(xsection, "_stream_spectral_moments", counted)
+    field = make_test_field(Disk(1.0), rho=0.2, h=2 / 48)
+    assert len(computed) == 1
+    closed_form, reports = existence.residual_closed_form, []
+
+    def recorded(tp):
+        reports.append((tp, closed_form(tp)))
+        return reports[-1][1]
+
+    monkeypatch.setattr(existence, "residual_closed_form", recorded)
+    probe = TrialParams(l=1.0, eps=12.0, mu=1.0, delta=1.0, n=1, psi=psi,
+                        g=field)
+    floor = recorded(probe).terms[2]
+    delta = 1.1 * np.sqrt(floor) / probe.eps
+    ns = [minimal_n(dataclasses.replace(probe, mu=mu, delta=delta))
+          for mu in gap_samples(GapInterval(5.0, 20.0), 9)]
+    assert all(n is not None for n in ns) and len(reports) > len(ns)
+    assert len(computed) == 1
+    lap_g, ip_g = moments(field.stream, field.grid)
+    assert all(rep == _direct_closed_form(tp, lap_g, ip_g)
+               for tp, rep in reports)
 
 
 def test_minimal_n_unreachable_below_the_floor(tf, psi):

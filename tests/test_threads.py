@@ -78,15 +78,34 @@ def _same_modes(a, b):
             and all(np.array_equal(x.field, y.field) for x, y in zip(a, b)))
 
 
+def _count_xsection_factors(monkeypatch, record=None):
+    """Count `xsection._factor` calls, so that a compared or watched
+    cross-section call is shown to solve, not to return a kept minimizer."""
+    factor, calls = xsection._factor, []
+
+    def counted(A, sigma, thresh):
+        calls.append(A.shape)
+        if record is not None:
+            record()
+        return factor(A, sigma, thresh)
+
+    monkeypatch.setattr(xsection, "_factor", counted)
+    return calls
+
+
 @needs_openblas
-def test_results_do_not_depend_on_the_callers_blas_threads(caller_threads):
+def test_results_do_not_depend_on_the_callers_blas_threads(monkeypatch,
+                                                           caller_threads):
     bulk = build_medium(LAYERED, GridSpec((512,), (1 / 512,), (-0.5,)))
     guide = _guide()
     varied = _varied_3d()
+    factored = _count_xsection_factors(monkeypatch)
     runs = []
     for n in (1, 2):
         caller_threads(n)
+        before = len(factored)
         nu = solve_nu_vector(Disk(1.0), 2 / 128)
+        assert len(factored) == before + 1
         bands = band_structure(bulk, np.linspace(0.0, np.pi, 25), bands=6)
         modes = _modes(guide, [4.3, 5.3, 6.3])
         full = bloch_modes(varied, [0.7], (2.0, 20.0), 100)
@@ -121,7 +140,8 @@ def test_every_medium_solve_runs_on_one_thread(monkeypatch, caller_threads):
         return ring(d, e, sigma, phases, bands)
 
     monkeypatch.setattr(eigen, "_factor", recorded)
-    monkeypatch.setattr(xsection, "_factor", recorded)
+    factored = _count_xsection_factors(
+        monkeypatch, lambda: seen.append(_counts()))
     # the 2D guide's blocks are solved by bisection, without an LU
     monkeypatch.setattr(eigen, "_tridiagonal_eigs", recorded_tridiagonal)
     # 1D bands are bisected on the wrap bond's count, also without an LU
@@ -158,10 +178,15 @@ def test_every_medium_solve_runs_on_one_thread(monkeypatch, caller_threads):
         guide, strip, GapInterval(*GAP_WINDOW), [5.0], count=40)) == one
     assert threads_in(lambda: band_structure(layered, [0.0, 1.0], 4)) == one
     assert threads_in(lambda: band_structure(crystal, [0.0, 1.0], 4)) == one
-    assert threads_in(lambda: solve_nu_vector(Disk(1.0), 2 / 48)) == one
-    assert threads_in(lambda: solve_nu_scalar(Disk(1.0), 2 / 48)) == one
-    assert threads_in(lambda: make_test_field(Disk(1.0), 0.2, 2 / 48)) \
-        == one
+    def solves_in(call):
+        before = len(factored)
+        threads = threads_in(call)
+        assert len(factored) == before + 1
+        return threads
+
+    assert solves_in(lambda: solve_nu_vector(Disk(1.0), 2 / 48)) == one
+    assert solves_in(lambda: solve_nu_scalar(Disk(1.0), 2 / 48)) == one
+    assert solves_in(lambda: make_test_field(Disk(1.0), 0.2, 2 / 48)) == one
     assert _counts() == two
     bare = scalar_matrix(layered, 0.5)
     assert threads_in(lambda: interior_eigs(bare, (1.0, 60.0), 4)) == two

@@ -76,6 +76,61 @@ def test_buckling_solve_releases_its_lu(monkeypatch):
         gc.enable()
 
 
+def _count_factors(monkeypatch):
+    factor, calls = xsection._factor, []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return factor(*args)
+
+    monkeypatch.setattr(xsection, "_factor", counted)
+    return calls
+
+
+def _same_field(a, b):
+    return (np.array_equal(a.g, b.g) and np.array_equal(a.stream, b.stream)
+            and (a.quotient, a.lap_norm_sq, a.ip_lap, a.grad_norm_sq,
+                 a.spectral_lap_norm_sq, a.spectral_ip_lap)
+            == (b.quotient, b.lap_norm_sq, b.ip_lap, b.grad_norm_sq,
+                b.spectral_lap_norm_sq, b.spectral_ip_lap))
+
+
+def test_one_buckling_solve_per_section_and_spacing(monkeypatch):
+    h, rhos = 2 / 48, (0.1, 0.2, 0.3)
+    fresh = [make_test_field(Disk(1.0), rho, h) for rho in rhos]
+    fresh_nu = solve_nu_vector(Disk(1.0), h)
+    calls = _count_factors(monkeypatch)
+    cs = Disk(1.0)
+    nu = solve_nu_vector(cs, h)
+    kept = [make_test_field(cs, rho, h) for rho in rhos]
+    assert len(calls) == 1
+    assert (nu.value, nu.achieved_quotient) == \
+        (fresh_nu.value, fresh_nu.achieved_quotient)
+    assert all(_same_field(a, b) for a, b in zip(kept, fresh))
+    # the kept minimizer also answers a repeat of the constant itself
+    assert solve_nu_vector(cs, h) == nu and len(calls) == 1
+    # an equal but distinct object solves again
+    other = Disk(1.0)
+    assert other == cs
+    assert _same_field(make_test_field(other, rhos[0], h), kept[0])
+    assert len(calls) == 2
+    # so does the same object at another spacing, which replaces the entry
+    solve_nu_vector(cs, 2 / 40)
+    assert len(calls) == 3
+    assert _same_field(make_test_field(cs, rhos[0], h), kept[0])
+    assert len(calls) == 4
+
+
+def test_kept_minimizer_is_read_only():
+    cs = Disk(1.0)
+    make_test_field(cs, 0.2, 2 / 48)
+    _, psi, _, mask, _ = xsection._buckling_minimizer(cs, 2 / 48)
+    with pytest.raises(ValueError):
+        psi[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        mask[0, 0] = True
+
+
 def test_resolution_guard():
     with pytest.raises(GeometryError):
         solve_nu_vector(Disk(1.0), h=0.2)
