@@ -145,7 +145,7 @@ def cmd_residual(args, cfg, out: Path) -> int:
     cs = _section(cfg["cross_section"])
     h = float(cfg.get("h", cs.diameter() / 96))
     tf = make_test_field(cs, float(cfg.get("rho", 0.1 * cs.inradius())), h)
-    psi = Profile.bump(int(cfg.get("profile_k", 2)))
+    psi = Profile.bump(2)
     tp = TrialParams(l=float(cfg["l"]), eps=float(cfg["eps"]),
                      mu=float(cfg["mu"]), delta=float(cfg["delta"]),
                      n=int(cfg.get("n", 1)), psi=psi, g=tf)
@@ -349,7 +349,7 @@ CONFIG_KEYS = {
     "nu": {"cross_section", "kind", "h", "h_values"},
     "check": {"l", "eps", "gap", "gap_width", "nu", "cross_section", "h"},
     "residual": {"l", "eps", "mu", "delta", "n", "cross_section", "h", "rho",
-                 "profile_k", "quadrature"},
+                 "quadrature"},
     "bands": {"medium", "grid", "k_samples", "bands", "min_gap_width"},
     "defect": _DEFECT_KEYS | {"dump_fields"},
     "decay": _DEFECT_KEYS | {"step", "d_min", "d_max", "dump_profiles"},

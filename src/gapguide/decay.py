@@ -30,11 +30,8 @@ class DecayProfile:
 
     distances: np.ndarray     # strictly increasing, nonnegative
     norms: np.ndarray         # summed over rays at equal distance
-    half_side: float
     strip_radius: float
     extent: float             # largest transverse distance the grid supports
-    lam: float = np.nan
-    k1: float = np.nan
     truncated: bool = False   # some windows exited the grid
 
     def __post_init__(self):
@@ -103,11 +100,11 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
             rays=None) -> DecayProfile:
     """Windowed norms marching outward from the strip along transverse rays.
 
-    `mode` carries a sampled field (`.field.values` on `.field.grid`) plus
-    eigenvalue metadata; rays default to both transverse directions of a 2D
-    supercell.  The windows are unit cubes centred on the axial midpoint of
-    the grid; windows that stick out of the grid truncate the profile and
-    set its flag.  The window geometry is built once per grid, strip
+    `mode` carries a sampled field (`.field.values` on `.field.grid`);
+    rays default to both transverse directions of a 2D supercell.  The
+    windows are unit cubes centred on the axial midpoint of the grid;
+    windows that stick out of the grid truncate the profile and set its
+    flag.  The window geometry is built once per grid, strip
     radius, step and rays (`_windows`).
     """
     fld = mode.field
@@ -125,9 +122,7 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
     squares = (inside @ rows) * grid.cell_volume
     norms = np.sqrt(np.sum(squares, axis=0))
     return DecayProfile(distances=dists[kept], norms=norms[kept],
-                        half_side=_HALF_SIDE, strip_radius=radius,
-                        extent=extent, lam=getattr(mode, "lam", np.nan),
-                        k1=getattr(mode, "k1", np.nan),
+                        strip_radius=radius, extent=extent,
                         truncated=truncated)
 
 

@@ -16,11 +16,11 @@ as a matrix identity); the operator is the sparse matrix D^H W D with W the
 face-averaged 1/eps.  Hermitian symmetry, nonnegativity and curl(grad) = 0
 therefore hold to rounding rather than to discretization order.
 
-A 2D or 3D medium whose samples are equal along x1 (every layered guide
-and every straight strip) gives an operator that splits into n1 independent
-axial Bloch harmonics, each the operator on the one-cell axial slab:
-`harmonic_split` builds that slab operator once as three real matrices in
-the axial difference c, B(c) = P + |c|^2 R + c Q + conj(c) Q^T.
+The operator of a medium whose samples are equal along x1 (every layered
+guide and every straight strip) splits into n1 independent axial Bloch
+harmonics: `harmonic_split` gives each as the same assembly on the
+one-cell axial slab at the harmonic's Bloch momentum.  Any other medium is
+its own slab, with one harmonic.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class ScalarField2:
 
     values: np.ndarray
     grid: GridSpec
-    bloch_k1: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -185,99 +184,88 @@ def scalar_matrix(eps: SampledEpsilon, bloch_k1: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# axial Bloch harmonics of an x1-invariant medium
+# axial Bloch harmonics
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HarmonicSplit:
-    """The operator of a 2D or 3D medium constant along x1 (scalar_matrix
-    with Dirichlet walls, maxwell_operator with PEC walls), one axial Bloch
+    """The operator of a medium (scalar_matrix with Dirichlet walls in 1D
+    and 2D, maxwell_operator with PEC walls in 3D), one axial Bloch
     harmonic at a time.
 
-    The operator commutes with axial shifts, so at Bloch momentum k1 it maps
-    each wave u[.., i, ..] = e^{i kappa_j x1_i} v / sqrt(n1) (the same phase
-    on every field component), kappa_j = k1 + 2 pi j / L1 (j = 0 .. n1 - 1,
-    L1 = n1 h1, x1_i the cell centres), to the same wave of B_j v.  B_j is
-    the operator on the one-cell axial slab, where the axial difference is
-    the scalar c = (e^{i kappa_j h1} - 1) / h1:
+    `slab` holds the medium's first p axial cells, and the medium repeats
+    them along x1 (p divides n1).  The operator commutes with shifts by p
+    cells, so at Bloch momentum k1 it maps each wave
+    u[m p + i] = e^{i kappa_j x1_{m p}} v[i] / sqrt(n1/p) (the same phase
+    on every field component, x1 the cell centres) to the same wave of
+    B_j v, where kappa_j = k1 + 2 pi j / L1 (j = 0 .. n1/p - 1, L1 = n1 h1)
+    and B_j = `block(kappa_j)` is the operator on the slab at Bloch
+    momentum kappa_j.  The n1/p blocks hold the whole spectrum.  With
+    p = n1 the slab is the medium itself: its one block is the operator at
+    k1, and a lifted field is the block vector times e^{i k1 x1_0}.
 
-        B(c) = P + |c|^2 R + c Q + conj(c) Q^T,
-
-    with P, Q, R real and built once from the slab's differences at c = 0
-    and c = 1.  Q is empty for the scalar gradient, so 2D blocks are real.
-    The n1 blocks hold the whole spectrum.
-
-    In 2D, P is tridiagonal along x2 and R diagonal, so each block is a real
-    symmetric tridiagonal matrix: `tridiagonal` gives it as two arrays, from
-    diagonals of P and R taken once per split, and `eigen.bloch_modes`
-    solves it by bisection.  3D blocks stay sparse (`block`).
+    A block of a one-cell 2D slab is real symmetric tridiagonal: the
+    transverse operator plus |e^{i kappa h1} - 1|^2 / h1^2 times the axial
+    face weights on the diagonal.  `tridiagonal` gives it as two arrays,
+    and `eigen.bloch_modes` solves it by bisection.
     """
 
-    P: sp.csr_matrix
-    Q: sp.csr_matrix
-    R: sp.csr_matrix
+    slab: SampledEpsilon
     grid: GridSpec
 
     def kappas(self, bloch_k1: float) -> np.ndarray:
-        """Axial wavenumbers kappa_j of the n1 harmonics at Bloch momentum k1."""
+        """Axial wavenumbers kappa_j of the n1/p harmonics at Bloch
+        momentum k1."""
         n1, h1 = self.grid.shape[0], self.grid.spacing[0]
-        return bloch_k1 + 2.0 * np.pi * np.arange(n1) / (n1 * h1)
+        periods = n1 // self.slab.grid.shape[0]
+        return bloch_k1 + 2.0 * np.pi * np.arange(periods) / (n1 * h1)
 
     def block(self, kappa: float) -> sp.csr_matrix:
-        """B(c) at c = (e^{i kappa h1} - 1) / h1."""
-        h1 = self.grid.spacing[0]
-        z = np.exp(1j * kappa * h1) - 1.0
-        B = self.P + abs(z) ** 2 / h1 ** 2 * self.R
-        if self.Q.nnz:
-            B = B + z / h1 * self.Q + np.conj(z) / h1 * self.Q.T
-        return B
+        """The operator on the slab at Bloch momentum kappa."""
+        if self.grid.ndim == 3:
+            return maxwell_operator(self.slab, kappa)
+        return scalar_matrix(self.slab, kappa)
 
     @functools.cached_property
     def _diagonals(self) -> tuple:
-        """diag(P), diag(P, 1) and diag(R) of a 2D split."""
-        if self.grid.ndim != 2:
-            raise ValidationError("only a 2D split has tridiagonal blocks")
-        return self.P.diagonal(), self.P.diagonal(1), self.R.diagonal()
+        """The diagonal and first off-diagonal of a one-cell 2D slab's
+        operator at kappa = 0, where the axial difference is exactly 0,
+        and the slab's axial face weights."""
+        if self.grid.ndim != 2 or self.slab.grid.shape[0] != 1:
+            raise ValidationError(
+                "only a one-cell 2D slab has tridiagonal blocks")
+        A = scalar_matrix(self.slab, 0.0)
+        axial = _face_weights(self.slab, [1.0, "dirichlet"])
+        return (A.diagonal().real, A.diagonal(1).real,
+                axial[:self.grid.shape[1]])
 
     def tridiagonal(self, kappa: float) -> tuple:
-        """The 2D block B(c) as its diagonal and its first off-diagonal,
-        diag(P) + |c|^2 diag(R) and diag(P, 1): the same entries as
-        `block(kappa)`."""
-        p, p1, r = self._diagonals
+        """`block(kappa)` of a one-cell 2D slab as its real diagonal and
+        first off-diagonal."""
+        d, e, w = self._diagonals
         h1 = self.grid.spacing[0]
-        return p + abs(np.exp(1j * kappa * h1) - 1.0) ** 2 / h1 ** 2 * r, p1
+        return d + abs(np.exp(1j * kappa * h1) - 1.0) ** 2 / h1 ** 2 * w, e
 
     def lift(self, kappa: float, v: np.ndarray) -> np.ndarray:
-        """The flattened grid field e^{i kappa x1_i} v / sqrt(n1) of a block
-        vector, component by component."""
-        axial = np.exp(1j * kappa * self.grid.centers(0))
-        slab = np.reshape(v, (-1, 1, int(np.prod(self.grid.shape[1:]))))
-        return (axial[:, None] * slab / np.sqrt(self.grid.shape[0])).ravel()
+        """The flattened grid field e^{i kappa x1_{m p}} v / sqrt(n1/p) of a
+        block vector, component by component."""
+        axial = np.exp(1j * kappa
+                       * self.grid.centers(0)[::self.slab.grid.shape[0]])
+        slab = np.reshape(v, (-1, 1, self.slab.values.size))
+        return (axial[:, None] * slab / np.sqrt(len(axial))).ravel()
 
 
-def harmonic_split(eps: SampledEpsilon) -> HarmonicSplit | None:
-    """The axial harmonic split of a 2D or 3D medium whose samples are equal
-    along x1, or None when they are not (or the grid is 1D).
-
-    The slab operator is D(c)^H W D(c) with D the gradient (2D) or the curl
-    (3D) and D(c) = D0 + c D1 linear in the axial difference c.  D0 and D1
-    come from the slab at unit axial spacing, where the Bloch wraps 1 and 2
-    make that difference exactly 0 and the identity; then P = D0^T W D0,
-    Q = D0^T W D1 and R = D1^T W D1.
-    """
+def harmonic_split(eps: SampledEpsilon) -> HarmonicSplit:
+    """The axial harmonic split of a medium: over its one-cell axial slab
+    when its samples are equal along x1 (every layered guide and every
+    straight strip), else over the whole medium, whose one block at each
+    k1 is its operator."""
     grid = eps.grid
-    if grid.ndim == 1 or np.any(eps.values != eps.values[:1]):
-        return None
-    slab = SampledEpsilon(GridSpec((1, *grid.shape[1:]),
-                                   (1.0, *grid.spacing[1:]), grid.origin),
-                          eps.values[:1])
-    walls = ["pec" if grid.ndim == 3 else "dirichlet"] * (grid.ndim - 1)
-    D = curl if grid.ndim == 3 else gradient
-    D0 = D(slab.grid, [1.0, *walls])
-    D1 = D(slab.grid, [2.0, *walls]) - D0
-    W = sp.diags(_face_weights(slab, [1.0, *walls]))
-    return HarmonicSplit(P=(D0.T @ W @ D0).tocsr(), Q=(D0.T @ W @ D1).tocsr(),
-                         R=(D1.T @ W @ D1).tocsr(), grid=grid)
+    if np.any(eps.values != eps.values[:1]):
+        return HarmonicSplit(slab=eps, grid=grid)
+    slab = SampledEpsilon(GridSpec((1, *grid.shape[1:]), grid.spacing,
+                                   grid.origin), eps.values[:1])
+    return HarmonicSplit(slab=slab, grid=grid)
 
 
 # ---------------------------------------------------------------------------

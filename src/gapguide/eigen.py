@@ -20,8 +20,7 @@ from .errors import IterationError, ValidationError
 from .existence import GapInterval, gap_samples
 from .media import SampledEpsilon, StripSpec
 from .discrete_op import (ScalarField2, _axis_wraps, _factor,
-                          _one_blas_thread, harmonic_split, maxwell_operator,
-                          scalar_matrix)
+                          _one_blas_thread, harmonic_split, scalar_matrix)
 
 __all__ = [
     "BandTable", "ModeResult", "DefectSpectrum", "band_structure",
@@ -366,7 +365,7 @@ def interior_eigs(op, window, count: int = 10):
     window, or ValidationError.
 
     `op` is a sparse or dense matrix; operators of a medium are solved by
-    `bloch_modes`, which splits x1-invariant media first.  The window is
+    `bloch_modes`, one axial harmonic block at a time.  The window is
     first counted: m is 0 when op's Gershgorin interval misses it, else the
     number of negative pivots of the LU of op - hi I minus that of
     op - lo I (Sylvester inertia; pivot threshold 0, symmetric
@@ -392,21 +391,23 @@ def interior_eigs(op, window, count: int = 10):
 @_one_blas_thread
 def bloch_modes(eps: SampledEpsilon, k1_samples, window,
                 count: int) -> list:
-    """Every in-window eigenpair of the operator of `eps` with Dirichlet
-    (1D, 2D: scalar_matrix) or PEC (3D: maxwell_operator) walls at each
-    Bloch momentum k1, as ModeResults with k1 set and the flattened grid
-    field, in k1 order and by ascending eigenvalue.
+    """Every in-window eigenpair of the operator of `eps` (the scalar
+    operator with Dirichlet walls in 1D and 2D, the Maxwell double curl
+    with PEC walls in 3D) at each Bloch momentum k1, as ModeResults with k1
+    set and the flattened grid field, in k1 order and by ascending
+    eigenvalue.
 
-    A medium whose samples are equal along x1 is split once
-    (`harmonic_split`) and each k1's n1 harmonic blocks are solved
-    together; any other medium's full operator is the single block.  At
-    each k1 the window count m is taken over all blocks together and
-    `count` caps it as in interior_eigs: m > count raises ValidationError
-    naming m and count, after the counts and before any Lanczos LU.  Each
-    block vector is lifted to the grid (`HarmonicSplit.lift`).  The blocks
-    of a 2D split are real symmetric tridiagonal matrices, counted and
-    solved as arrays by bisection (`_tridiagonal_eigs`: no LU, no
-    Lanczos); 3D blocks and full operators take the inertia count and
+    The medium is split once (`harmonic_split`): a medium whose samples are
+    equal along x1 into the n1 harmonic blocks of its one-cell axial slab,
+    any other into one block, its operator at k1.  At each k1 the window
+    count m is taken over all blocks together and `count` caps it as in
+    interior_eigs: m > count raises ValidationError naming m and count,
+    after the counts and before any Lanczos LU.  Each block vector is
+    lifted to the grid (`HarmonicSplit.lift`); the one block of an unsplit
+    medium gives the operator's eigenvector times e^{i k1 x1_0}.  The
+    blocks of a one-cell 2D slab are real symmetric tridiagonal matrices,
+    counted and solved as arrays by bisection (`_tridiagonal_eigs`: no LU,
+    no Lanczos); every other block takes the inertia count and
     shift-invert Lanczos of interior_eigs.
 
     Every medium is solved on one OpenBLAS thread (`_one_blas_thread`), so
@@ -416,20 +417,16 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
     wall at two threads, 17.5-22.1 s at one).
     """
     split = harmonic_split(eps)
-    operator = maxwell_operator if eps.grid.ndim == 3 else scalar_matrix
-    tridiagonal = split is not None and eps.grid.ndim == 2
+    tridiagonal = eps.grid.ndim == 2 and split.slab.grid.shape[0] == 1
     kernel = _tridiagonal_kernel if tridiagonal else _sparse_kernel
     modes = []
     for k1 in map(float, k1_samples):
-        if split is None:
-            kappas, blocks = [k1], [operator(eps, k1)]
-        else:
-            kappas = split.kappas(k1)
-            blocks = [split.tridiagonal(kappa) if tridiagonal
-                      else split.block(kappa) for kappa in kappas]
+        kappas = split.kappas(k1)
+        blocks = [split.tridiagonal(kappa) if tridiagonal
+                  else split.block(kappa) for kappa in kappas]
         for lam, j, v, res in _window_pairs(blocks, window, count, kernel):
-            fld = v if split is None else split.lift(kappas[j], v)
-            modes.append(ModeResult(lam=lam, field=fld, residual=res, k1=k1))
+            modes.append(ModeResult(lam=lam, field=split.lift(kappas[j], v),
+                                    residual=res, k1=k1))
     return modes
 
 
@@ -463,10 +460,12 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     argument for the distance geometry) as a negative control.
 
     The eigenpairs at each k1 are every in-window pair of `bloch_modes` on
-    the Dirichlet scalar operator, the window being the gap less a pad of
-    1e-3 of its width at each end; a window holding more than `count`
-    eigenvalues at some k1 raises ValidationError naming the number.  This
-    function only filters the pairs by localization.
+    the Dirichlet scalar operator (its harmonic blocks: tridiagonal
+    bisections for a medium constant along x1, else the one full operator
+    at k1), the window being the gap less a pad of 1e-3 of its width at
+    each end; a window holding more than `count` eigenvalues at some k1
+    raises ValidationError naming the number.  This function only filters
+    the pairs by localization.
     """
     if k1_samples is None:
         a = eps_defect.bloch_period or 1.0
@@ -480,7 +479,7 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
         vals2 = m.field.reshape(grid.shape)
         frac = _fraction_near(vals2, near)
         if frac >= 0.5:
-            fld = ScalarField2(vals2, grid, bloch_k1=m.k1)
+            fld = ScalarField2(vals2, grid)
             modes.append(ModeResult(lam=m.lam, field=fld, residual=m.residual,
                                     k1=m.k1, localization=frac))
     modes.sort(key=lambda m: m.lam)

@@ -94,7 +94,7 @@ class Profile:
         self.ip_d2 = 2.0 * float((p2 * p).integ()(1.0))
 
     @classmethod
-    def bump(cls, k: int = 2) -> "Profile":
+    def bump(cls, k: int) -> "Profile":
         """Smoothstep-of-distance bump; k=2 gives the C^2 quintic profile."""
         # S_k(t) at t = 1 - x, x in [0, 1]
         return cls(smoothstep_polynomial(k)(Polynomial([1, -1])))

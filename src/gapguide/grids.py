@@ -32,14 +32,6 @@ class GridSpec:
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
 
-    @classmethod
-    def from_bounds(cls, lo, hi, shape) -> "GridSpec":
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        shape = tuple(int(n) for n in np.atleast_1d(shape))
-        spacing = tuple((hi - lo) / np.asarray(shape))
-        return cls(shape=shape, spacing=spacing, origin=tuple(lo))
-
     @property
     def ndim(self) -> int:
         return len(self.shape)
@@ -55,11 +47,6 @@ class GridSpec:
     def meshgrid(self):
         axes = [self.centers(a) for a in range(self.ndim)]
         return np.meshgrid(*axes, indexing="ij")
-
-    def points(self) -> np.ndarray:
-        """All cell centers as an (ncells, ndim) array."""
-        mesh = self.meshgrid()
-        return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def extent(self, axis: int) -> tuple[float, float]:
         return self.origin[axis], self.origin[axis] + self.shape[axis] * self.spacing[axis]

@@ -89,7 +89,6 @@ class TestField:
     g: np.ndarray
     stream: np.ndarray
     grid: GridSpec
-    support_margin: float
     quotient: float
     lap_norm_sq: float
     ip_lap: float
@@ -434,7 +433,6 @@ def make_test_field(cs: CrossSection, rho: float, h: float) -> TestField:
                              for dk in fwd) * cell)
     spectral_lap, spectral_ip = _stream_spectral_moments(stream, grid)
     return TestField(g=g.reshape(2, *grid.shape), stream=stream, grid=grid,
-                     support_margin=rho,
                      quotient=float(np.sqrt(lap_norm_sq)),
                      lap_norm_sq=lap_norm_sq, ip_lap=ip_lap,
                      grad_norm_sq=grad_norm_sq,

@@ -275,8 +275,7 @@ def test_criterion_08_confinement(experiment, confinement_fits, bulk2d):
     target = float(band1[len(band1) // 2])
     found = interior_eigs(A, (target - 0.01, target + 0.01), count=4)
     m = found[0]
-    fld = ScalarField2(np.asarray(m.field).reshape(GRID2.shape), GRID2,
-                       bloch_k1=1.0)
+    fld = ScalarField2(np.asarray(m.field).reshape(GRID2.shape), GRID2)
     bulk_mode = ModeResult(lam=m.lam, field=fld, residual=m.residual, k1=1.0)
     bulk_fit = fit_decay(profile(bulk_mode, STRIP, step=0.125))
     ok = min_rate > 0 and min_r2 > 0.95 and abs(bulk_fit.rate) < 0.1 * min_rate

@@ -24,7 +24,7 @@ from gapguide.media import StripSpec
 def _synthetic(rate=2.0, pref=3.0, dmax=5.0, step=0.25):
     d = np.arange(0.0, dmax, step)
     return DecayProfile(distances=d, norms=pref * np.exp(-rate * d),
-                        half_side=1.0, strip_radius=0.5, extent=dmax)
+                        strip_radius=0.5, extent=dmax)
 
 
 def test_fit_recovers_exact_exponential():
@@ -40,7 +40,7 @@ def test_fit_recovers_exact_exponential():
 def test_fit_constant_profile_gives_zero_rate():
     d = np.arange(0.0, 5.0, 0.25)
     p = DecayProfile(distances=d, norms=np.full_like(d, 0.7),
-                     half_side=1.0, strip_radius=0.5, extent=5.0)
+                     strip_radius=0.5, extent=5.0)
     fit = fit_decay(p, d_min=0.5, d_max=4.0)
     assert fit.rate == 0.0
 
@@ -57,8 +57,8 @@ def test_fit_matches_linregress():
     profiles.append((d, np.log(3.0) - 2.0 * d))          # an exact line
     profiles.append((d, np.full_like(d, np.log(0.7))))   # a flat profile
     for d, logs in profiles:
-        p = DecayProfile(distances=d, norms=np.exp(logs), half_side=1.0,
-                         strip_radius=0.0, extent=2 * d[-1])
+        p = DecayProfile(distances=d, norms=np.exp(logs), strip_radius=0.0,
+                         extent=2 * d[-1])
         fit = fit_decay(p, d_min=0.0, d_max=d[-1])
         ref = stats.linregress(d, logs)
         assert fit.n_samples == d.size and fit.excluded == 0
@@ -74,8 +74,8 @@ def test_fit_matches_linregress():
 def test_fit_excludes_noise_floor():
     d = np.arange(0.0, 6.0, 0.25)
     norms = np.maximum(np.exp(-5.0 * d), 1e-14)   # eigensolver noise floor
-    p = DecayProfile(distances=d, norms=norms, half_side=1.0,
-                     strip_radius=0.5, extent=6.0)
+    p = DecayProfile(distances=d, norms=norms, strip_radius=0.5,
+                     extent=6.0)
     fit = fit_decay(p, d_min=0.5, d_max=5.75)
     assert fit.excluded > 0
     assert fit.rate == pytest.approx(5.0, rel=0.05)
@@ -92,14 +92,14 @@ def test_fit_window_guards():
 def test_profile_validation():
     with pytest.raises(ValidationError):
         DecayProfile(distances=np.array([1.0, 0.5]), norms=np.array([1.0, 1.0]),
-                     half_side=1.0, strip_radius=0.5, extent=2.0)
+                     strip_radius=0.5, extent=2.0)
     with pytest.raises(ValidationError):
         DecayProfile(distances=np.array([0.0, 1.0]), norms=np.array([1.0, -1.0]),
-                     half_side=1.0, strip_radius=0.5, extent=2.0)
+                     strip_radius=0.5, extent=2.0)
 
 
 def _mode(grid, values, lam=2.0, k1=5.0):
-    fld = ScalarField2(values, grid, bloch_k1=k1)
+    fld = ScalarField2(values, grid)
     return ModeResult(lam=lam, field=fld, residual=0.0, k1=k1)
 
 

@@ -6,8 +6,9 @@ import scipy.sparse.linalg as spla
 import oracles
 from gapguide.cross_section import Disk, Interval
 from gapguide import discrete_op, eigen
-from gapguide.discrete_op import (harmonic_split, maxwell_operator,
-                                  plane_wave_eigenvalue, scalar_matrix)
+from gapguide.discrete_op import (HarmonicSplit, harmonic_split,
+                                  maxwell_operator, plane_wave_eigenvalue,
+                                  scalar_matrix)
 from gapguide.eigen import (BandTable, _window_count, band_structure,
                             bloch_modes, defect_spectrum, find_gaps,
                             interior_eigs, localization_fraction)
@@ -437,7 +438,8 @@ def test_defect_spectrum_splits_invariant_media_only(defected, tm_gap,
     assert len(calls) <= 1 and len(ds.modes) >= 2
     # the general path on the same medium gives the same modes
     calls.clear()
-    monkeypatch.setattr(eigen, "harmonic_split", lambda eps: None)
+    monkeypatch.setattr(eigen, "harmonic_split",
+                        lambda eps: HarmonicSplit(eps, eps.grid))
     full = defect_spectrum(defected, STRIP, tm_gap, k1_samples=ks,
                            delta=0.25, count=16)
     assert len(calls) == len(ks)
@@ -455,7 +457,7 @@ def test_defect_spectrum_splits_invariant_media_only(defected, tm_gap,
     varied = defected.values.copy()
     varied[0, :8] *= 1.01                  # far from the strip
     eps = SampledEpsilon(defected.grid, varied)
-    assert harmonic_split(eps) is None
+    assert harmonic_split(eps).slab is eps
     defect_spectrum(eps, STRIP, tm_gap, k1_samples=ks, delta=0.25, count=16)
     assert len(calls) == len(ks)
 
@@ -571,9 +573,12 @@ def test_bloch_modes_of_a_3d_guide_match_the_full_operator():
     varied = eps.values.copy()
     varied[0, 0, 0] = 2.0
     eps = SampledEpsilon(grid, varied)
-    assert harmonic_split(eps) is None
+    assert harmonic_split(eps).slab is eps
     with discrete_op._one_blas_thread:
         general = interior_eigs(maxwell_operator(eps, bloch_k1=0.7), window,
                                 100)
     split = bloch_modes(eps, [0.7], window, 100)
     assert [m.lam for m in split] == [m.lam for m in general]
+    phase = np.exp(1j * 0.7 * grid.centers(0)[0])
+    assert all(np.array_equal(s.field, phase * g.field)
+               for s, g in zip(split, general))

@@ -37,8 +37,8 @@ def _strict_parse(text):
 def test_json_is_strict(tmp_path):
     # a flat decay profile fits r^2 = NaN; its record is written as null
     flat = DecayProfile(distances=np.arange(0.0, 3.0, 0.25),
-                        norms=np.full(12, 0.7), half_side=0.25,
-                        strip_radius=0.5, extent=3.0)
+                        norms=np.full(12, 0.7), strip_radius=0.5,
+                        extent=3.0)
     fit = fit_decay(flat, d_min=0.0, d_max=3.0)
     assert np.isnan(fit.r2)
     doc = {"fit": fit.record(), "values": (1.5, np.float64("nan")),
@@ -86,8 +86,8 @@ def test_band_and_profile_csv(tmp_path):
     assert lines[0] == "k,band,lambda"
     assert len(lines) == 5
     prof = DecayProfile(distances=np.array([0.0, 1.0]),
-                        norms=np.array([1.0, 0.1]), half_side=1.0,
-                        strip_radius=0.5, extent=2.0)
+                        norms=np.array([1.0, 0.1]), strip_radius=0.5,
+                        extent=2.0)
     q = io.profile_csv(prof, tmp_path / "prof.csv", 0.5, 1.5)
     rows = q.read_text().splitlines()
     assert rows[0] == "dist,norm,log_norm,in_window"

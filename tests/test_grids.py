@@ -19,20 +19,10 @@ def test_extent_and_volume():
     assert g.ndim == 2
 
 
-def test_from_bounds_reproduces_extent():
-    g = GridSpec.from_bounds((-1.0, 0.0), (1.0, 3.0), (8, 6))
-    assert g.shape == (8, 6)
-    assert np.allclose(g.extent(0), (-1.0, 1.0))
-    assert np.allclose(g.extent(1), (0.0, 3.0))
-
-
 def test_meshgrid_and_points_shapes():
     g = GridSpec(shape=(3, 5), spacing=(1.0, 1.0))
     mesh = g.meshgrid()
     assert len(mesh) == 2 and mesh[0].shape == (3, 5)
-    pts = g.points()
-    assert pts.shape == (15, 2)
-    assert np.allclose(pts[:, 0], mesh[0].ravel())
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,13 +1,15 @@
 """Every defaulted parameter of the package takes another value somewhere,
-and every command-line flag is read.
+every field of its dataclasses is read, and every command-line flag is
+read.
 
 A default that no call in src/, tests/, demos/ or bench/ ever overrides,
 or that every call overriding it sets to the default literal again, is a
 constant dressed up as an option: it doubles the configurations to cover
 and is exercised at one value only.  Constructors are left out; their
-defaults are the fields of value objects.  A flag of `gapguide` that
-`cli.py` never reads as `args.<dest>` does nothing; the two kept only so
-that old command lines parse must say so in their help.
+defaults are the fields of value objects.  A dataclass field that no code
+there loads as an attribute is written and carried for nothing.  A flag
+of `gapguide` that `cli.py` never reads as `args.<dest>` does nothing; the
+two kept only so that old command lines parse must say so in their help.
 """
 
 import argparse
@@ -97,6 +99,49 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
             unset.append(f"{qual}({param})")
     assert not unset, ("defaulted parameters no caller sets to another value; "
                        "make them constants: " + ", ".join(unset))
+
+
+def _dataclass_fields():
+    """(qualified class name, field) for every annotated field of a
+    dataclass in the package."""
+    for path in sorted((ROOT / "src" / "gapguide").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                    _name(d.func if isinstance(d, ast.Call) else d)
+                    == "dataclass" for d in cls.decorator_list):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    yield f"{path.stem}.{cls.name}", stmt.target.id
+
+
+def _loaded_attributes():
+    """Every attribute name loaded as `x.name` or `getattr(x, "name")` in
+    src/, tests/, demos/ or bench/."""
+    names = set()
+    for d in CALLER_DIRS:
+        for path in (ROOT / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    names.add(node.attr)
+                elif (isinstance(node, ast.Call)
+                      and _name(node.func) == "getattr"
+                      and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    names.add(node.args[1].value)
+    return names
+
+
+def test_every_dataclass_field_is_read():
+    # by name only: a field whose name another class's read attribute
+    # shares passes unseen
+    loaded = _loaded_attributes()
+    unread = [f"{cls}.{field}" for cls, field in _dataclass_fields()
+              if field not in loaded]
+    assert not unread, ("dataclass fields nothing reads; delete them: "
+                        + ", ".join(unread))
 
 
 UNREAD_FLAGS = {"seed", "threads"}
