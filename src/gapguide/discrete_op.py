@@ -10,11 +10,13 @@ Two operators drive everything downstream:
   2D (the guide cross-section) and in 1D (the layered bulk).
 
 Both come from one assembly: a 1D forward difference per axis, closed by a
-Bloch phase or a zero ghost, is lifted to the grid by Kronecker products and
-combined into a gradient or a curl D (both public, so C G = 0 can be stated
-as a matrix identity); the operator is the sparse matrix D^H W D with W the
-face-averaged 1/eps.  Hermitian symmetry, nonnegativity and curl(grad) = 0
-therefore hold to rounding rather than to discretization order.
+Bloch phase or a zero ghost, is lifted to the grid as I (x) D (x) I (one
+sparse matrix per axis, built from broadcast index arrays with the bits a
+Kronecker product would give) and combined into a gradient or a curl D
+(both public, so C G = 0 can be stated as a matrix identity); the operator
+is the sparse matrix D^H W D with W the face-averaged 1/eps.  Hermitian
+symmetry, nonnegativity and curl(grad) = 0 therefore hold to rounding
+rather than to discretization order.
 
 The operator of a medium whose samples are equal along x1 (every layered
 guide and every straight strip) splits into n1 independent axial Bloch
@@ -84,32 +86,62 @@ class ScalarField2:
 # assembly
 # ---------------------------------------------------------------------------
 
-def _difference(n: int, h: float, wrap) -> sp.csr_matrix:
-    """(u[i+1] - u[i]) / h on n nodes, closed by `wrap`.
+def _difference(n: int, h: float, wrap) -> tuple:
+    """(u[i+1] - u[i]) / h on n nodes, closed by `wrap`, as its row count
+    and the rows, columns and values of its stored entries, row by row and
+    by column within a row.
 
-    A Bloch phase sets u[n] = phase * u[0].  "pec" sets the ghost u[n] to
-    zero.  "dirichlet" sets zero ghosts on both walls, u[-1] = u[n] = 0,
-    which adds the face below node 0 as the first row.
+    A Bloch phase sets u[n] = phase * u[0]; on one node the wrap shares the
+    diagonal, phase - 1, and at phase 1 nothing is stored, so the
+    difference is the real zero matrix.  "pec" sets the ghost u[n] to zero.
+    "dirichlet" sets zero ghosts on both walls, u[-1] = u[n] = 0, which
+    adds the face below node 0 as the first row.  Values are scaled by 1/h.
+    A stencil with at least half its entries nonzero (n <= 4) stores its
+    whole block, zeros included, as a Kronecker product with a dense
+    factor stores it: sparse products and SuperLU orderings follow the
+    stored pattern, so the grid matrices keep the bits of the Kronecker
+    assembly (tests/test_discrete_op.py).
     """
-    d = sp.eye(n, n, 1) - sp.eye(n)
+    i = np.arange(n)
+    rows, cols = np.append(i, i[:-1]), np.append(i, i[1:])
+    vals = np.append(np.full(n, -1.0), np.ones(n - 1))
     if wrap == "dirichlet":
-        d = sp.vstack([sp.eye(1, n), d])
+        rows, cols = np.append(0, rows + 1), np.append(0, cols)
+        vals = np.append(1.0, vals)
+    elif not isinstance(wrap, str) and n > 1:
+        rows, cols = np.append(rows, n - 1), np.append(cols, 0)
+        vals = np.append(vals, wrap)
     elif not isinstance(wrap, str):
-        # CSR, so the sum is a new complex matrix: on one node the wrap
-        # shares the float diagonal, which a DIA sum would update in place
-        d = d + wrap * sp.eye(n, n, 1 - n, format="csr")
-    return sp.csr_matrix(d / h)
+        vals = vals + wrap if wrap != 1 else vals[:0]
+        rows, cols = rows[:len(vals)], cols[:len(vals)]
+    m = n + (wrap == "dirichlet")
+    if 2 * len(vals) >= m * n:
+        block = np.zeros((m, n), dtype=vals.dtype)
+        block[rows, cols] = vals
+        rows, cols = np.divmod(np.arange(m * n), n)
+        vals = block.ravel()
+    else:
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    return m, rows, cols, vals * (1 / h)
 
 
 def differences(grid: GridSpec, wraps) -> list:
-    """Each axis's difference lifted to the C-ordered grid by Kronecker
-    products with identities on the other axes."""
+    """Each axis's difference D on the C-ordered grid, I (x) D (x) I with
+    identities on the axes before and after it, assembled at once from
+    broadcast index arrays."""
     out = []
     for a, wrap in enumerate(wraps):
-        before = sp.identity(int(np.prod(grid.shape[:a])))
-        after = sp.identity(int(np.prod(grid.shape[a + 1:])))
-        d = _difference(grid.shape[a], grid.spacing[a], wrap)
-        out.append(sp.kron(sp.kron(before, d), after, format="csr"))
+        n = grid.shape[a]
+        m, rows, cols, vals = _difference(n, grid.spacing[a], wrap)
+        outer = int(np.prod(grid.shape[:a]))
+        inner = int(np.prod(grid.shape[a + 1:]))
+        b, c = np.arange(outer)[:, None, None], np.arange(inner)
+        out.append(sp.csr_matrix(
+            (np.broadcast_to(vals[:, None], (outer, len(vals), inner)).ravel(),
+             (((b * m + rows[:, None]) * inner + c).ravel(),
+              ((b * n + cols[:, None]) * inner + c).ravel())),
+            shape=(outer * m * inner, outer * n * inner)))
     return out
 
 
@@ -207,7 +239,8 @@ class HarmonicSplit:
     A block of a one-cell 2D slab is real symmetric tridiagonal: the
     transverse operator plus |e^{i kappa h1} - 1|^2 / h1^2 times the axial
     face weights on the diagonal.  `tridiagonal` gives it as two arrays,
-    and `eigen.bloch_modes` solves it by bisection.
+    and `eigen.bloch_modes` solves it by bisection and a Rayleigh-Ritz
+    step.
     """
 
     slab: SampledEpsilon
@@ -246,13 +279,18 @@ class HarmonicSplit:
         h1 = self.grid.spacing[0]
         return d + abs(np.exp(1j * kappa * h1) - 1.0) ** 2 / h1 ** 2 * w, e
 
-    def lift(self, kappa: float, v: np.ndarray) -> np.ndarray:
-        """The flattened grid field e^{i kappa x1_{m p}} v / sqrt(n1/p) of a
-        block vector, component by component."""
+    def lift(self, kappa: float, V: np.ndarray) -> np.ndarray:
+        """The flattened grid fields e^{i kappa x1_{m p}} v / sqrt(n1/p) of
+        block vectors v, component by component: V is one vector or one
+        block's vectors in columns, and the fields come back the same way,
+        each column contiguous.  The axial phase is computed once."""
         axial = np.exp(1j * kappa
                        * self.grid.centers(0)[::self.slab.grid.shape[0]])
-        slab = np.reshape(v, (-1, 1, self.slab.values.size))
-        return (axial[:, None] * slab / np.sqrt(len(axial))).ravel()
+        cols = V.shape[1:]
+        slab = V.T.reshape(*cols, -1, 1, self.slab.values.size)
+        fields = np.multiply(axial[:, None], slab, order="C")
+        fields /= np.sqrt(len(axial))
+        return fields.reshape(*cols, -1).T
 
 
 def harmonic_split(eps: SampledEpsilon) -> HarmonicSplit:

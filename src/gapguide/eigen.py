@@ -223,22 +223,45 @@ def _nearest_eigs(A, sigma: float, k: int):
     return vals[order], vecs[:, order]
 
 
+def _tridiagonal_matvec(d, e, x):
+    """T x along the last axis of x (one vector, or vectors in rows), T the
+    real symmetric tridiagonal matrix with diagonal d and off-diagonal e."""
+    out = d * x
+    out[..., :-1] += e * x[..., 1:]
+    out[..., 1:] += e * x[..., :-1]
+    return out
+
+
 def _tridiagonal_eigs(d, e, window):
-    """Every eigenpair of the real symmetric tridiagonal matrix with
+    """Every eigenpair of the real symmetric tridiagonal matrix T with
     diagonal d and off-diagonal e strictly inside the open window, by
     ascending eigenvalue, as (values, vectors in columns).
 
     Sturm-sequence bisection and inverse iteration (LAPACK stebz and stein,
     Barth, Martin & Wilkinson 1967): exact counts, no factorization, no
-    Lanczos.  LAPACK's range is (lo, hi]; an eigenvalue returned at hi is
-    dropped.  A LAPACK failure raises IterationError.
+    Lanczos.  Bisection stops once it has isolated the eigenvalues to
+    1e-6 of the window's width, and stein's unit vectors V are refined by
+    one Rayleigh-Ritz step over the window (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 11): the eigenpairs of V^T T V, rotated back by
+    V.  That step makes the coarse bisection safe: eigenvalues closer
+    together than the tolerance, which stein takes as one cluster, come out
+    to rounding.  (On the layered guide a tolerance of 1e-4 of the width
+    left residuals near 1e-11, against 1e-13 at 1e-6.)  LAPACK's range is
+    (lo, hi]; an eigenvalue at hi is dropped.  A LAPACK failure raises
+    IterationError.
     """
+    lo, hi = window
     try:
         vals, vecs = dla.eigh_tridiagonal(d, e, select="v",
-                                          select_range=window)
+                                          select_range=window,
+                                          tol=1e-6 * (hi - lo))
     except dla.LinAlgError as exc:
         raise IterationError(f"tridiagonal eigensolve failed: {exc}") from exc
-    inside = (vals > window[0]) & (vals < window[1])
+    if len(vals):
+        H = vecs.T @ _tridiagonal_matvec(d, e, vecs.T).T
+        vals, rot = np.linalg.eigh(0.5 * (H + H.T))
+        vecs = vecs @ rot
+    inside = (vals > lo) & (vals < hi)
     return vals[inside], vecs[:, inside]
 
 
@@ -301,16 +324,11 @@ def _sparse_kernel(A, window):
 def _tridiagonal_kernel(block, window):
     """The window count, the in-window pairs and the matvec of a
     (diagonal, off-diagonal) block, all from one `_tridiagonal_eigs`
-    solve."""
+    solve: bisection to isolation and one Rayleigh-Ritz step."""
     d, e = block
     vals, vecs = _tridiagonal_eigs(d, e, window)
-
-    def matvec(v):
-        out = d * v
-        out[:-1] += e * v[1:]
-        out[1:] += e * v[:-1]
-        return out
-    return len(vals), lambda: (vals, vecs), matvec
+    return (len(vals), lambda: (vals, vecs),
+            lambda v: _tridiagonal_matvec(d, e, v))
 
 
 def _window_pairs(blocks, window, count: int, kernel=_sparse_kernel) -> list:
@@ -402,13 +420,14 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
     any other into one block, its operator at k1.  At each k1 the window
     count m is taken over all blocks together and `count` caps it as in
     interior_eigs: m > count raises ValidationError naming m and count,
-    after the counts and before any Lanczos LU.  Each block vector is
-    lifted to the grid (`HarmonicSplit.lift`); the one block of an unsplit
-    medium gives the operator's eigenvector times e^{i k1 x1_0}.  The
-    blocks of a one-cell 2D slab are real symmetric tridiagonal matrices,
-    counted and solved as arrays by bisection (`_tridiagonal_eigs`: no LU,
-    no Lanczos); every other block takes the inertia count and
-    shift-invert Lanczos of interior_eigs.
+    after the counts and before any Lanczos LU.  Each block's vectors are
+    lifted to the grid together (`HarmonicSplit.lift`); the one block of an
+    unsplit medium gives the operator's eigenvector times e^{i k1 x1_0}.
+    The blocks of a one-cell 2D slab are real symmetric tridiagonal
+    matrices, counted and solved as arrays by bisection to isolation and
+    one Rayleigh-Ritz step (`_tridiagonal_eigs`: no LU, no Lanczos); every
+    other block takes the inertia count and shift-invert Lanczos of
+    interior_eigs.
 
     Every medium is solved on one OpenBLAS thread (`_one_blas_thread`), so
     its modes are bitwise the same whatever the caller's thread count; only
@@ -424,9 +443,13 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
         kappas = split.kappas(k1)
         blocks = [split.tridiagonal(kappa) if tridiagonal
                   else split.block(kappa) for kappa in kappas]
-        for lam, j, v, res in _window_pairs(blocks, window, count, kernel):
-            modes.append(ModeResult(lam=lam, field=split.lift(kappas[j], v),
-                                    residual=res, k1=k1))
+        pairs = _window_pairs(blocks, window, count, kernel)
+        fields = {}             # each block's lifted fields, in pair order
+        for j in {j for _, j, _, _ in pairs}:
+            V = np.stack([v for _, i, v, _ in pairs if i == j], axis=1)
+            fields[j] = iter(split.lift(kappas[j], V).T)
+        modes.extend(ModeResult(lam=lam, field=next(fields[j]), residual=res,
+                                k1=k1) for lam, j, _, res in pairs)
     return modes
 
 

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gapguide.discrete_op import (ScalarField2, check_identities, curl,
+from gapguide.discrete_op import (ScalarField2, _axis_wraps, _operator,
+                                  check_identities, curl, differences,
                                   gradient, harmonic_split, maxwell_operator,
                                   plane_wave_eigenvalue, scalar_matrix)
 from gapguide.errors import ValidationError
@@ -223,6 +226,75 @@ def test_harmonic_split_of_a_3d_guide_holds_the_whole_spectrum():
     full = np.linalg.eigvalsh(M.toarray())
     union = np.sort(np.concatenate(spectra))
     assert np.allclose(union, full, rtol=0, atol=1e-10 * full.max())
+
+
+def _kron_difference(n, h, wrap):
+    """The 1D difference as a sum of sparse diagonals, closed as
+    `differences` closes it."""
+    d = sp.eye(n, n, 1) - sp.eye(n)
+    if wrap == "dirichlet":
+        d = sp.vstack([sp.eye(1, n), d])
+    elif not isinstance(wrap, str):
+        d = d + wrap * sp.eye(n, n, 1 - n, format="csr")
+    return sp.csr_matrix(d / h)
+
+
+def _kron_differences(grid, wraps):
+    """Each axis's difference lifted to the grid by Kronecker products with
+    identities: the reference the index-array assembly must match bit for
+    bit."""
+    return [sp.kron(sp.kron(sp.identity(int(np.prod(grid.shape[:a]))),
+                            _kron_difference(grid.shape[a], grid.spacing[a],
+                                             wrap)),
+                    sp.identity(int(np.prod(grid.shape[a + 1:]))),
+                    format="csr")
+            for a, wrap in enumerate(wraps)]
+
+
+def _kron_curl(d0, d1, d2):
+    return sp.bmat([[None, -d2, d1], [d2, None, -d0], [-d1, d0, None]],
+                   format="csr")
+
+
+def _same_csr(A, B):
+    return (A.format == B.format == "csr" and A.shape == B.shape
+            and A.dtype == B.dtype and A.indices.dtype == B.indices.dtype
+            and np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data, B.data))
+
+
+@pytest.mark.parametrize("shape", [
+    (1,), (2,), (4,), (64,), (1, 9), (4, 9), (3, 2), (1, 3, 4), (4, 3, 2),
+    (2, 1, 5)])
+def test_assembly_is_bitwise_the_kronecker_one(shape):
+    # same dtype, pattern (explicit zeros included) and values: sparse
+    # products and SuperLU orderings follow the stored pattern.  A one-cell
+    # axis at Bloch phase 1 has no entries and stays real.
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    grid = GridSpec(shape, tuple(rng.choice([1 / 16, 2 / 96, 0.15, 0.3],
+                                            len(shape))))
+    kinds = ("dirichlet", "pec", 1.0, np.exp(0j), np.exp(0.7j))
+    for wraps in itertools.product(kinds, repeat=len(shape)):
+        want = _kron_differences(grid, wraps)
+        assert all(_same_csr(got, ref)
+                   for got, ref in zip(differences(grid, wraps), want))
+        assert _same_csr(gradient(grid, wraps), sp.vstack(want, format="csr"))
+        if len(shape) == 3 and "dirichlet" not in wraps:
+            assert _same_csr(curl(grid, wraps), _kron_curl(*want))
+    eps = SampledEpsilon(grid, rng.uniform(1.0, 12.0, shape))
+    walls = "pec" if len(shape) == 3 else "dirichlet"
+    for k1, bc in itertools.product((0.0, 0.7), (walls, "periodic")):
+        if len(shape) == 3:
+            wraps = _axis_wraps(grid, k1, bc)
+            assert _same_csr(maxwell_operator(eps, k1, bc), _operator(
+                eps, wraps, _kron_curl(*_kron_differences(grid, wraps))))
+            continue
+        for k2 in (0.0, 0.4)[:len(shape)]:
+            wraps = _axis_wraps(grid, k1, bc, k2)
+            assert _same_csr(scalar_matrix(eps, k1, bc, k2), _operator(
+                eps, wraps, sp.vstack(_kron_differences(grid, wraps),
+                                      format="csr")))
 
 
 def test_field_shape_validation():

@@ -397,6 +397,43 @@ def test_tridiagonal_blocks_match_dense_eigvalsh(defected, k1):
         assert any(got[a] for a, b in twins if a != b)
 
 
+def _two_strip_block():
+    """The kappa = 10 block of a guide with two eps-12 strips of width 1,
+    1.5 apart in vacuum, and a window over its bound modes: they come in
+    pairs split by tunnelling across the gap."""
+    grid = GridSpec((1, 511), (1 / 16, 1 / 32), (0.0, -8.0))
+    x2 = np.abs(grid.centers(1))
+    eps = SampledEpsilon(grid, np.where(np.abs(x2 - 1.25) < 0.5, 12.0,
+                                        1.0)[None, :])
+    return harmonic_split(eps).tridiagonal(10.0), (5.0, 25.0)
+
+
+def _halves_block():
+    """A random tridiagonal matrix made of two equal halves joined by an
+    off-diagonal exactly 0: every eigenvalue is double."""
+    rng = np.random.default_rng(4)
+    d, e = rng.uniform(1.0, 3.0, 40), rng.uniform(-1.0, 1.0, 39)
+    return (np.tile(d, 2), np.concatenate([e, [0.0], e])), (1.5, 2.5)
+
+
+@pytest.mark.parametrize("make", [_halves_block, _two_strip_block])
+def test_tridiagonal_eigs_resolve_clusters(make):
+    # bisection stops at 1e-6 of the window width, so each pair below is
+    # one cluster to stein; the Rayleigh-Ritz step must still resolve it
+    (d, e), window = make()
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    want = np.linalg.eigvalsh(T)
+    want = want[(want > window[0]) & (want < window[1])]
+    assert len(want) >= 8 and len(want) % 2 == 0
+    assert np.max(want[1::2] - want[::2]) < 1e-6 * (window[1] - window[0])
+    vals, vecs = eigen._tridiagonal_eigs(d, e, window)
+    assert len(vals) == len(want)
+    assert np.allclose(vals, want, rtol=1e-12, atol=0)
+    assert np.abs(vecs.T @ vecs - np.eye(len(vals))).max() <= 1e-12
+    res = np.linalg.norm(T @ vecs - vecs * vals, axis=0)
+    assert np.all(res <= 1e-8 * np.maximum(vals, 1.0))
+
+
 def test_tridiagonal_windows_are_open(defected):
     split = harmonic_split(defected)
     d, e = split.tridiagonal(5.0)
