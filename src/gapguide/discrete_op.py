@@ -3,11 +3,13 @@
 Two operators drive everything downstream:
 
 * the 3D Maxwell double curl  M u = curl (1/eps) curl u  on an
-  edge-staggered (Yee) grid, quasi-periodic along x1 with Bloch phase
-  e^{i k1 a} on the wraparound and perfect-conductor (or periodic)
-  truncation transversely;
+  edge-staggered (Yee) grid;
 * the scalar analog  A u = -div (1/eps) grad u  in flux form on nodes, in
   2D (the guide cross-section) and in 1D (the layered bulk).
+
+Both take one closure, `momenta`, one entry per axis: a Bloch momentum k,
+whose wraparound carries the phase e^{i k L} (L the axis's extent), or
+None, a wall of zero ghosts (perfect conductor in 3D, Dirichlet below).
 
 Both come from one assembly: a 1D forward difference per axis, closed by a
 Bloch phase or a zero ghost, is lifted to the grid as I (x) D (x) I (one
@@ -43,23 +45,18 @@ from .grids import GridSpec
 from .media import SampledEpsilon
 
 
-def _axis_wraps(grid: GridSpec, bloch_k1: float, transverse_bc: str,
-                bloch_k2: float = 0.0) -> list:
-    """How each axis closes: the Bloch phase e^{i k L} along x1 and along
-    periodic transverse axes (momentum bloch_k2 on x2, zero on x3), else the
-    name of the zero-ghost truncation ("pec" in 3D, "dirichlet" below)."""
+def _axis_wraps(grid: GridSpec, momenta) -> list:
+    """How each axis closes, from its entry of `momenta` (one per axis, else
+    ValidationError): the Bloch phase e^{i k L} for a momentum k, L the
+    axis's extent, and for None the name of the zero-ghost wall ("pec" in
+    3D, "dirichlet" below)."""
+    if len(momenta) != grid.ndim:
+        raise ValidationError(f"momenta needs one entry per axis of the "
+                              f"{grid.ndim}D grid, got {len(momenta)}")
     walls = "pec" if grid.ndim == 3 else "dirichlet"
-    if transverse_bc not in (walls, "periodic"):
-        raise ValidationError(f"transverse_bc must be {walls!r} or 'periodic'")
-    ks = (bloch_k1, bloch_k2, 0.0)
-    wraps = []
-    for a in range(grid.ndim):
-        if a == 0 or transverse_bc == "periodic":
-            lo, hi = grid.extent(a)
-            wraps.append(np.exp(1j * ks[a] * (hi - lo)))
-        else:
-            wraps.append(walls)
-    return wraps
+    spans = [hi - lo for lo, hi in map(grid.extent, range(grid.ndim))]
+    return [walls if k is None else np.exp(1j * k * span)
+            for k, span in zip(momenta, spans)]
 
 
 @dataclass(frozen=True)
@@ -189,16 +186,16 @@ def _operator(eps: SampledEpsilon, wraps, d) -> sp.csr_matrix:
 # 3D Maxwell double curl
 # ---------------------------------------------------------------------------
 
-def maxwell_operator(eps: SampledEpsilon, bloch_k1: float = 0.0,
-                     transverse_bc: str = "pec") -> sp.csr_matrix:
+def maxwell_operator(eps: SampledEpsilon, momenta) -> sp.csr_matrix:
     """Sparse M u = curl (1/eps) curl u on flattened 3-component complex
-    edge vectors, component-major (Hermitian, nonnegative by construction).
+    edge vectors, component-major (Hermitian, nonnegative by construction),
+    each axis closed by its entry of `momenta`: a Bloch momentum, or None
+    for a perfect-conductor wall.
 
     Component c lives on edges parallel to axis c: offset by half a cell
-    along c, on nodes along the other axes; the x1 wraparound carries the
-    Bloch phase e^{i k1 a} with a the axial extent of the grid.
+    along c, on nodes along the other axes.
     """
-    wraps = _axis_wraps(eps.grid, bloch_k1, transverse_bc)
+    wraps = _axis_wraps(eps.grid, momenta)
     return _operator(eps, wraps, curl(eps.grid, wraps))
 
 
@@ -206,12 +203,14 @@ def maxwell_operator(eps: SampledEpsilon, bloch_k1: float = 0.0,
 # scalar flux-form operator
 # ---------------------------------------------------------------------------
 
-def scalar_matrix(eps: SampledEpsilon, bloch_k1: float = 0.0,
-                  transverse_bc: str = "dirichlet",
-                  bloch_k2: float = 0.0) -> sp.csr_matrix:
-    """Sparse -div (1/eps) grad on a 1D or 2D grid: Bloch along x1;
-    Dirichlet, or Bloch-periodic with momentum bloch_k2, along x2."""
-    wraps = _axis_wraps(eps.grid, bloch_k1, transverse_bc, bloch_k2)
+def scalar_matrix(eps: SampledEpsilon, momenta) -> sp.csr_matrix:
+    """Sparse -div (1/eps) grad on a 1D or 2D grid (else ValidationError),
+    each axis closed by its entry of `momenta`: a Bloch momentum, or None
+    for a Dirichlet wall."""
+    if eps.grid.ndim not in (1, 2):
+        raise ValidationError(f"the scalar operator takes a 1D or 2D grid, "
+                              f"not {eps.grid.ndim}D")
+    wraps = _axis_wraps(eps.grid, momenta)
     return _operator(eps, wraps, gradient(eps.grid, wraps))
 
 
@@ -254,10 +253,9 @@ class HarmonicSplit:
         return bloch_k1 + 2.0 * np.pi * np.arange(periods) / (n1 * h1)
 
     def block(self, kappa: float) -> sp.csr_matrix:
-        """The operator on the slab at Bloch momentum kappa."""
-        if self.grid.ndim == 3:
-            return maxwell_operator(self.slab, kappa)
-        return scalar_matrix(self.slab, kappa)
+        """The operator on the slab at Bloch momentum kappa, walled across."""
+        op = maxwell_operator if self.grid.ndim == 3 else scalar_matrix
+        return op(self.slab, (kappa,) + (None,) * (self.grid.ndim - 1))
 
     @functools.cached_property
     def _diagonals(self) -> tuple:
@@ -267,7 +265,7 @@ class HarmonicSplit:
         if self.grid.ndim != 2 or self.slab.grid.shape[0] != 1:
             raise ValidationError(
                 "only a one-cell 2D slab has tridiagonal blocks")
-        A = scalar_matrix(self.slab, 0.0)
+        A = scalar_matrix(self.slab, (0.0, None))
         axial = _face_weights(self.slab, [1.0, "dirichlet"])
         return (A.diagonal().real, A.diagonal(1).real,
                 axial[:self.grid.shape[1]])
@@ -322,7 +320,8 @@ def _factor(A, sigma: float, thresh: float):
     where the ordering of A + A^T serves as well.  It runs on its caller's
     BLAS threads: one in every solve of a medium or a cross-section
     (`_one_blas_thread`); the caller's count in `eigen.interior_eigs` on a
-    bare matrix (16^3 cube shell: 16.0-17.3 s at two, 17.5-22.1 s at one).
+    bare matrix (a shell of the full 16^3 cube operator: 16.0-17.3 s at
+    two, 17.5-22.1 s at one).
     """
     n = A.shape[0]
     shifted = sp.csc_matrix(A) - sigma * sp.identity(n, format="csc")
@@ -444,15 +443,15 @@ def check_identities(eps: SampledEpsilon) -> dict:
     truncation / scalar under Dirichlet truncation).  Raises StructuralError
     carrying the worst violation if any identity fails the 1e-12 budget.
     """
-    trials, bloch_k1 = 20, 0.7
+    trials, momenta = 20, (0.7,) + (None,) * (eps.grid.ndim - 1)
     rng = np.random.default_rng(0)
     grid = eps.grid
     if grid.ndim == 3:
-        wraps = _axis_wraps(grid, bloch_k1, "pec")
+        wraps = _axis_wraps(grid, momenta)
         C, G = curl(grid, wraps), gradient(grid, wraps)
         A = _operator(eps, wraps, C)
     else:
-        A = scalar_matrix(eps, bloch_k1)
+        A = scalar_matrix(eps, momenta)
 
     def rand(n):
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -83,12 +83,6 @@ class DefectSpectrum:
             for m in self.modes)
 
 
-def _bulk_matrix(eps: SampledEpsilon, k) -> sp.csr_matrix:
-    kk = np.atleast_1d(np.asarray(k, dtype=float))
-    return scalar_matrix(eps, bloch_k1=kk[0], transverse_bc="periodic",
-                         bloch_k2=kk[1] if kk.size > 1 else 0.0)
-
-
 def _ring_bands(eps: SampledEpsilon, ks, bands: int) -> np.ndarray:
     """The lowest `bands` eigenvalues of the 1D periodic operator at each
     k-sample (k1 of a (k1, k2) pair), one row per sample, from the k = 0
@@ -96,12 +90,11 @@ def _ring_bands(eps: SampledEpsilon, ks, bands: int) -> np.ndarray:
     n = eps.grid.shape[0]
     if n < 3:
         raise ValidationError("a 1D band structure needs at least 3 cells")
-    A0 = scalar_matrix(eps, 0.0, "periodic")
+    A0 = scalar_matrix(eps, (0.0,))
     sigma = -A0[0, n - 1].real
     d = A0.diagonal().real.copy()
     d[[0, -1]] -= sigma
-    phases = [_axis_wraps(eps.grid, np.atleast_1d(k)[0], "periodic")[0]
-              for k in ks]
+    phases = [_axis_wraps(eps.grid, (np.atleast_1d(k)[0],))[0] for k in ks]
     return _ring_eigs(d, A0.diagonal(1).real, sigma, np.array(phases), bands)
 
 
@@ -110,7 +103,8 @@ def band_structure(eps: SampledEpsilon, k_path, bands: int = 8) -> BandTable:
     """Lowest `bands` eigenvalues of the periodic bulk at each k-sample.
 
     1D media take scalar Bloch momenta (a (k1, k2) pair uses k1); 2D media
-    take scalars (transverse momentum zero) or (k1, k2) pairs.  A 1D medium
+    take scalars (transverse momentum zero) or (k1, k2) pairs, and other
+    media raise ValidationError (`scalar_matrix`).  A 1D medium
     is diagonalized once, as the open chain of its k = 0 operator, and each
     sample's values are bisected on the inertia count of the wrap bond's
     rank-one update (`_ring_eigs`): no LU and no Lanczos.  It needs at
@@ -127,7 +121,8 @@ def band_structure(eps: SampledEpsilon, k_path, bands: int = 8) -> BandTable:
     else:
         eigs = []
         for k in ks:
-            A = _bulk_matrix(eps, k)
+            k1, k2 = np.append(np.asarray(k, float), 0.0)[:2]
+            A = scalar_matrix(eps, (k1, k2))
             eigs.append(_nearest_eigs(
                 A, -1e-3 * abs(A).sum() / A.shape[0], bands)[0])
     return BandTable(k_samples=ks,
@@ -394,12 +389,12 @@ def interior_eigs(op, window, count: int = 10):
     exactly m pairs, all of which must lie in the window.  Repeated solves
     agree bitwise on the same BLAS thread count.  Every solve of a medium
     or a cross-section runs on one OpenBLAS thread; this keeps the caller's
-    threads, which pay off on a large LU: a shell of criterion 10a's 16^3
-    cube took 16.0-17.3 s wall (31.5-33.9 s CPU) at two threads, 17.5-22.1 s
-    at one.  IterationError is raised when an end or centre LU is exactly
-    singular, when an end LU pivots off the diagonal (no inertia count),
-    when Lanczos returns other than m in-window pairs, on an ARPACK failure,
-    and for an eigenpair residual above 1e-8 * max(|lam|, 1).
+    threads, which pay off on a large LU: a shell of the full 16^3 cube
+    operator took 16.0-17.3 s wall (31.5-33.9 s CPU) at two threads,
+    17.5-22.1 s at one.  IterationError is raised when an end or centre LU
+    is exactly singular, when an end LU pivots off the diagonal (no inertia
+    count), when Lanczos returns other than m in-window pairs, on an ARPACK
+    failure, and for an eigenpair residual above 1e-8 * max(|lam|, 1).
     Returns a possibly-empty list of ModeResult sorted by eigenvalue.
     """
     return [ModeResult(lam=lam, field=v, residual=res, k1=np.nan)
@@ -432,7 +427,7 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
     Every medium is solved on one OpenBLAS thread (`_one_blas_thread`), so
     its modes are bitwise the same whatever the caller's thread count; only
     interior_eigs on a bare matrix keeps the caller's, where a second
-    thread pays off (a shell of criterion 10a's 16^3 cube: 16.0-17.3 s
+    thread pays off (a shell of the full 16^3 cube operator: 16.0-17.3 s
     wall at two threads, 17.5-22.1 s at one).
     """
     split = harmonic_split(eps)

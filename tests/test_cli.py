@@ -136,6 +136,19 @@ def test_bands_command(tmp_path, capsys):
     assert set(blas) == {"libraries", "solve_threads"}
 
 
+def test_bands_command_rejects_a_3d_medium(tmp_path, capsys):
+    # scalar bands of a 3D grid are not the medium's: no gaps.json is written
+    cfg = _cfg(tmp_path, "bands3.json", {
+        "schema": 1, "medium": {"lattice": [1.0, 1.0, 1.0]},
+        "grid": {"shape": [4, 4, 4], "spacing": [0.25] * 3,
+                 "origin": [0.0] * 3},
+        "k_samples": {"start": 0.0, "stop": np.pi, "num": 3}})
+    out = tmp_path / "out"
+    assert cli.main(["bands", "--config", cfg, "--out", str(out)]) == 2
+    assert "1D or 2D grid" in capsys.readouterr().err
+    assert not (out / "gaps.json").exists()
+
+
 def test_defect_command_is_deterministic(tmp_path, capsys):
     cfg = _defect_cfg(tmp_path, dump_fields=1)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -54,20 +54,20 @@ def test_curl_adjointness():
     eps = SampledEpsilon(grid, np.full(grid.shape, 2.5))
     wraps = (np.exp(0.7j * 6 * 0.2), "pec", "pec")
     C = curl(grid, wraps)
-    A = maxwell_operator(eps, bloch_k1=0.7, transverse_bc="pec")
+    A = maxwell_operator(eps, (0.7, None, None))
     assert abs(A - C.conj().T @ C / 2.5).max() <= 1e-12 * abs(A).max()
 
 
 def test_maxwell_operator_is_sparse_and_hermitian():
     eps = _media_trio()[0]
-    A = maxwell_operator(eps, bloch_k1=0.7, transverse_bc="pec")
+    A = maxwell_operator(eps, (0.7, None, None))
     assert sp.issparse(A) and A.shape == (3 * 512, 3 * 512)
     assert abs(A - A.conj().T).max() <= 1e-12 * abs(A).max()
 
 
 def test_scalar_matrix_is_hermitian():
     eps = _media_trio()[2]
-    A = scalar_matrix(eps, bloch_k1=1.3)
+    A = scalar_matrix(eps, (1.3, None))
     assert sp.issparse(A) and A.shape == (4 * 64, 4 * 64)
     assert abs(A - A.conj().T).max() <= 1e-12 * abs(A).max()
 
@@ -91,13 +91,16 @@ def _plane_wave(grid, k):
     return np.stack([v[c] * phase for c in range(3)])
 
 
-@pytest.mark.parametrize("mk", [(1, 0, 0), (1, 1, 0), (2, 1, 1)])
+@pytest.mark.parametrize("mk", [(1, 0, 0), (1, 1, 0), (2, 1, 1),
+                                (0.11, -0.21, 0.46)])   # off the lattice
 def test_plane_wave_matches_stencil_symbol(mk):
+    # the Bloch plane wave of momentum k is an eigenvector of the operator
+    # closed by the same momenta on all three axes
     eps = _homog3(16, 1 / 16)
     k = 2 * np.pi * np.asarray(mk, dtype=float)
     u = _plane_wave(eps.grid, k).ravel()
     lam = plane_wave_eigenvalue(k, eps.grid.spacing, 1.0)
-    out = maxwell_operator(eps, bloch_k1=k[0], transverse_bc="periodic") @ u
+    out = maxwell_operator(eps, tuple(k)) @ u
     num = np.vdot(u, out).real / np.vdot(u, u).real
     assert num == pytest.approx(lam, rel=5e-3)
     resid = np.linalg.norm(out - lam * u)
@@ -115,7 +118,7 @@ def test_periodic_scalar_matches_symbol(shape, spacing, k):
     eps_value = 2.5
     grid = GridSpec(shape, spacing)
     eps = SampledEpsilon(grid, np.full(shape, eps_value))
-    A = scalar_matrix(eps, k[0], "periodic", *k[1:])
+    A = scalar_matrix(eps, k)
     got = np.sort(np.linalg.eigvalsh(A.toarray()))
     h = np.asarray(spacing)
     m = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"), -1)
@@ -132,15 +135,15 @@ def test_scalar_dirichlet_eigenfunction():
     j = np.arange(n2)
     u = np.tile(np.sin(np.pi * (j + 1) / (n2 + 1)), n1)
     lam = (2 / h) ** 2 * np.sin(np.pi / (2 * (n2 + 1))) ** 2
-    out = scalar_matrix(eps, bloch_k1=0.0) @ u
+    out = scalar_matrix(eps, (0.0, None)) @ u
     assert np.allclose(out, lam * u, rtol=1e-10, atol=1e-10)
 
 
 def test_bloch_momentum_periodicity():
     eps = _media_trio()[2]
     a = eps.grid.shape[0] * eps.grid.spacing[0]
-    A1 = scalar_matrix(eps, bloch_k1=0.9).toarray()
-    A2 = scalar_matrix(eps, bloch_k1=0.9 + 2 * np.pi / a).toarray()
+    A1 = scalar_matrix(eps, (0.9, None)).toarray()
+    A2 = scalar_matrix(eps, (0.9 + 2 * np.pi / a, None)).toarray()
     v1 = np.sort(np.linalg.eigvalsh(A1))
     v2 = np.sort(np.linalg.eigvalsh(A2))
     assert np.allclose(v1, v2, rtol=1e-9, atol=1e-9)
@@ -158,7 +161,7 @@ def test_one_cell_axial_slab_adds_the_axial_symbol(kappa):
          - np.diag(faces[1:-1], -1)) / h2 ** 2
     s = abs(np.exp(1j * kappa * h1) - 1.0) ** 2 / h1 ** 2
     slab = SampledEpsilon(GridSpec((1, n2), (h1, h2)), 1.0 / inv[None, :])
-    A = scalar_matrix(slab, bloch_k1=kappa).toarray()
+    A = scalar_matrix(slab, (kappa, None)).toarray()
     want = T + s * np.diag(inv)
     assert np.allclose(A, want, rtol=0, atol=1e-13 * np.abs(want).max())
     d, e = harmonic_split(slab).tridiagonal(kappa)
@@ -166,7 +169,7 @@ def test_one_cell_axial_slab_adds_the_axial_symbol(kappa):
     B = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     assert np.allclose(B, want, rtol=0, atol=1e-13 * np.abs(want).max())
     cell = SampledEpsilon(GridSpec((1,), (h1,)), np.array([4.0]))
-    assert scalar_matrix(cell, bloch_k1=kappa).toarray() == pytest.approx(
+    assert scalar_matrix(cell, (kappa,)).toarray() == pytest.approx(
         s / 4.0, rel=1e-12, abs=1e-12)
 
 
@@ -175,7 +178,7 @@ def test_harmonic_blocks_are_the_operator_on_bloch_waves():
     # block eigenvector the full operator acts as that block
     ml = _media_trio()[2]
     split = harmonic_split(ml)
-    A = scalar_matrix(ml, bloch_k1=1.3, transverse_bc="dirichlet")
+    A = scalar_matrix(ml, (1.3, None))
     for kappa in split.kappas(1.3):
         d, e = split.tridiagonal(kappa)
         assert np.isrealobj(d) and np.isrealobj(e)
@@ -207,7 +210,7 @@ def _guide3(n1=4, n=12):
 def test_harmonic_split_of_a_3d_guide_holds_the_whole_spectrum():
     eps, k1 = _guide3(), 0.7
     split = harmonic_split(eps)
-    M = maxwell_operator(eps, bloch_k1=k1)
+    M = maxwell_operator(eps, (k1, None, None))
     assert M.shape == (1728, 1728)
     n = eps.grid.shape[1]
     slab = SampledEpsilon(GridSpec((1, n, n), eps.grid.spacing,
@@ -215,7 +218,7 @@ def test_harmonic_split_of_a_3d_guide_holds_the_whole_spectrum():
     spectra = []
     for kappa in split.kappas(k1):
         B = split.block(kappa)
-        ref = maxwell_operator(slab, bloch_k1=kappa)
+        ref = maxwell_operator(slab, (kappa, None, None))
         assert abs(B - ref).max() <= 1e-14 * abs(ref).max()
         vals, vecs = np.linalg.eigh(B.toarray())
         spectra.append(vals)
@@ -282,19 +285,30 @@ def test_assembly_is_bitwise_the_kronecker_one(shape):
         assert _same_csr(gradient(grid, wraps), sp.vstack(want, format="csr"))
         if len(shape) == 3 and "dirichlet" not in wraps:
             assert _same_csr(curl(grid, wraps), _kron_curl(*want))
+    # every closure, each axis walled or at a Bloch momentum on its own
     eps = SampledEpsilon(grid, rng.uniform(1.0, 12.0, shape))
-    walls = "pec" if len(shape) == 3 else "dirichlet"
-    for k1, bc in itertools.product((0.0, 0.7), (walls, "periodic")):
+    for momenta in itertools.product((None, 0.0, 0.7), repeat=len(shape)):
+        wraps = _axis_wraps(grid, momenta)
+        want = _kron_differences(grid, wraps)
         if len(shape) == 3:
-            wraps = _axis_wraps(grid, k1, bc)
-            assert _same_csr(maxwell_operator(eps, k1, bc), _operator(
-                eps, wraps, _kron_curl(*_kron_differences(grid, wraps))))
-            continue
-        for k2 in (0.0, 0.4)[:len(shape)]:
-            wraps = _axis_wraps(grid, k1, bc, k2)
-            assert _same_csr(scalar_matrix(eps, k1, bc, k2), _operator(
-                eps, wraps, sp.vstack(_kron_differences(grid, wraps),
-                                      format="csr")))
+            assert _same_csr(maxwell_operator(eps, momenta),
+                             _operator(eps, wraps, _kron_curl(*want)))
+        else:
+            assert _same_csr(scalar_matrix(eps, momenta), _operator(
+                eps, wraps, sp.vstack(want, format="csr")))
+
+
+def test_closures_take_one_entry_per_axis():
+    m3, m2, ml = _media_trio()
+    for op, eps, momenta in ((maxwell_operator, m3, (0.7, None)),
+                             (maxwell_operator, m3, (0.7, None, None, 0.0)),
+                             (scalar_matrix, m2, (0.7,)),
+                             (scalar_matrix, ml, (0.7, None, None))):
+        with pytest.raises(ValidationError, match="one entry per axis"):
+            op(eps, momenta)
+    # a 3D medium's operator is the curl-curl, never the scalar one
+    with pytest.raises(ValidationError, match="1D or 2D grid"):
+        scalar_matrix(m3, (0.0, 0.0, 0.0))
 
 
 def test_field_shape_validation():

@@ -88,9 +88,17 @@ def test_band_structure_on_a_tiny_grid_matches_eigvalsh(bands):
     ks = (0.0, 1.0, np.pi)
     bt = band_structure(eps, ks, bands=bands)
     for k, got in zip(ks, bt.eigenvalues):
-        A = scalar_matrix(eps, bloch_k1=k, transverse_bc="periodic")
+        A = scalar_matrix(eps, (k,))
         want = np.maximum(np.linalg.eigvalsh(A.toarray())[:bands], 0.0)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_band_structure_rejects_a_3d_medium():
+    # the scalar operator on a 3D grid is no band structure of the medium:
+    # a homogeneous 4^3 cube would read the scalar Laplacian's [0, 32, ...]
+    eps = SampledEpsilon(GridSpec((4, 4, 4), (1 / 4,) * 3), np.ones((4,) * 3))
+    with pytest.raises(ValidationError, match="1D or 2D grid"):
+        band_structure(eps, [0.0], bands=4)
 
 
 def _layered_1d(n, origin):
@@ -108,7 +116,7 @@ def test_1d_band_structure_matches_dense_eigvalsh(n, tol, origin):
     assert np.array_equal(eps.values, eps.values[::-1]) == (origin == -0.5)
     ks = (0.0, 0.7, np.pi, (0.7, 0.3))
     dense = [np.linalg.eigvalsh(scalar_matrix(
-        eps, np.atleast_1d(k)[0], "periodic").toarray()) for k in ks]
+        eps, (np.atleast_1d(k)[0],)).toarray()) for k in ks]
     for bands in (1, 6, n - 1, n):
         bt = band_structure(eps, ks, bands=bands)
         for got, want in zip(bt.eigenvalues, dense):
@@ -152,7 +160,7 @@ def test_find_gaps_min_width_filter():
 
 
 def test_interior_eigs_matches_eigvalsh(defected):
-    A = scalar_matrix(defected, bloch_k1=5.0)          # 1020 unknowns
+    A = scalar_matrix(defected, (5.0, None))          # 1020 unknowns
     ref = np.sort(np.linalg.eigvalsh(A.toarray()))
     window = (2.0, 3.5)
     want = ref[(ref > window[0]) & (ref < window[1])]
@@ -165,7 +173,7 @@ def test_interior_eigs_matches_eigvalsh(defected):
 
 
 def test_small_window_holding_more_than_count_raises(defected, monkeypatch):
-    A = scalar_matrix(defected, bloch_k1=5.0)
+    A = scalar_matrix(defected, (5.0, None))
     ref = np.sort(np.linalg.eigvalsh(A.toarray()))
     inside = ref[(ref > 2.0) & (ref < 3.5)]
     m = len(inside)
@@ -183,7 +191,7 @@ def test_small_window_holding_more_than_count_raises(defected, monkeypatch):
 
 
 def test_interior_eigs_window_validation_and_empty(defected):
-    A = scalar_matrix(defected, bloch_k1=5.0)
+    A = scalar_matrix(defected, (5.0, None))
     with pytest.raises(ValidationError):
         interior_eigs(A, (3.0, 2.0))
     with pytest.raises(ValidationError):
@@ -219,12 +227,12 @@ def test_interior_eigs_cross_checks_lanczos_against_the_count(monkeypatch):
 def test_window_count_matches_dense_count(supercell, defected, tm_gap):
     window = (tm_gap.alpha, tm_gap.beta)
     for k1 in (4.5, 5.0, 5.5):
-        A = scalar_matrix(defected, bloch_k1=k1, transverse_bc="dirichlet")
+        A = scalar_matrix(defected, (k1, None))
         ref = np.linalg.eigvalsh(A.toarray())
         want = np.count_nonzero((ref > window[0]) & (ref < window[1]))
         assert want > 0
         assert _window_count(A, window) == want
-        bare = scalar_matrix(supercell, bloch_k1=k1, transverse_bc="dirichlet")
+        bare = scalar_matrix(supercell, (k1, None))
         assert _window_count(bare, window) == 0
 
 
@@ -233,14 +241,14 @@ def test_empty_window_skips_lanczos(supercell, tm_gap, monkeypatch):
         raise spla.ArpackError(3)
 
     monkeypatch.setattr(spla, "eigsh", fail)
-    A = scalar_matrix(supercell, bloch_k1=5.0, transverse_bc="dirichlet")
+    A = scalar_matrix(supercell, (5.0, None))
     assert interior_eigs(A, (tm_gap.alpha, tm_gap.beta), count=8) == []
 
 
 def test_interior_eigs_raises_when_the_window_holds_more_than_count():
     n, h = 12, 1 / 12
     eps = SampledEpsilon(GridSpec((n,) * 3, (h,) * 3), np.ones((n,) * 3))
-    M = maxwell_operator(eps, bloch_k1=0.0, transverse_bc="periodic")
+    M = maxwell_operator(eps, (0.0, 0.0, 0.0))
     sym = plane_wave_eigenvalue(np.array([2 * np.pi, 0.0, 0.0]), (h,) * 3,
                                 1.0)
     window = (sym - 4.0, sym + 4.0)
@@ -261,7 +269,7 @@ def test_interior_eigs_returns_every_copy_of_a_shell(mk, multiplicity):
     # each, so the window around the symbol holds exactly `multiplicity`
     n, h = 12, 1 / 12
     eps = SampledEpsilon(GridSpec((n,) * 3, (h,) * 3), np.ones((n,) * 3))
-    M = maxwell_operator(eps, bloch_k1=0.0, transverse_bc="periodic")
+    M = maxwell_operator(eps, (0.0, 0.0, 0.0))
     sym = plane_wave_eigenvalue(2 * np.pi * np.asarray(mk, dtype=float),
                                 (h,) * 3, 1.0)
     found = interior_eigs(M, (sym - 4.0, sym + 4.0), count=multiplicity)
@@ -274,7 +282,7 @@ def test_defect_eigenvalues_decrease_with_eps(supercell, tm_gap):
 
     def lowest(eps_inside):
         strip = StripSpec(Interval(1.0), l=1.5, eps_inside=eps_inside)
-        A = scalar_matrix(with_defect(supercell, strip), bloch_k1=5.0)
+        A = scalar_matrix(with_defect(supercell, strip), (5.0, None))
         found = interior_eigs(A, window, count=16)
         loc = [m.lam for m in found
                if localization_fraction(np.asarray(m.field).reshape(
@@ -325,7 +333,7 @@ SPLIT_WINDOW = (40.0, 60.0)     # holds several harmonics at every k1 below
 def test_harmonic_split_matches_the_general_path(defected, k1):
     # at k1 = 0 and pi/L1 harmonics j and n1 - j share a block, so the
     # window holds pairs of equal eigenvalues from different harmonics
-    A = scalar_matrix(defected, bloch_k1=k1, transverse_bc="dirichlet")
+    A = scalar_matrix(defected, (k1, None))
     general = interior_eigs(A, SPLIT_WINDOW, count=100)
     split = bloch_modes(defected, [k1], SPLIT_WINDOW, 100)
     assert len(split) == len(general) >= 10
@@ -352,7 +360,7 @@ def test_harmonic_split_keeps_the_count_contract(defected):
     # count below the window's total: the split raises as the general path
     # does, naming m; count = m: both return the whole window
     k1 = 0.0
-    A = scalar_matrix(defected, bloch_k1=k1, transverse_bc="dirichlet")
+    A = scalar_matrix(defected, (k1, None))
     m = _window_count(A, SPLIT_WINDOW)
     with pytest.raises(ValidationError) as general:
         interior_eigs(A, SPLIT_WINDOW, m - 5)
@@ -595,7 +603,7 @@ def test_bloch_modes_of_a_3d_guide_match_the_full_operator():
     strip = StripSpec(Disk(1.0), l=0.4, eps_inside=12.0)
     eps = with_defect(build_medium(MediumSpec(lattice=(1.0,)), grid), strip)
     window = (2.0, 25.0)        # above the gradient null space
-    M = maxwell_operator(eps, bloch_k1=0.7)
+    M = maxwell_operator(eps, (0.7, None, None))
     general = interior_eigs(M, window, count=100)
     split = bloch_modes(eps, [0.7], window, 100)
     assert len(split) == len(general) >= 20
@@ -612,8 +620,8 @@ def test_bloch_modes_of_a_3d_guide_match_the_full_operator():
     eps = SampledEpsilon(grid, varied)
     assert harmonic_split(eps).slab is eps
     with discrete_op._one_blas_thread:
-        general = interior_eigs(maxwell_operator(eps, bloch_k1=0.7), window,
-                                100)
+        general = interior_eigs(maxwell_operator(eps, (0.7, None, None)),
+                                window, 100)
     split = bloch_modes(eps, [0.7], window, 100)
     assert [m.lam for m in split] == [m.lam for m in general]
     phase = np.exp(1j * 0.7 * grid.centers(0)[0])
