@@ -193,8 +193,12 @@ def maxwell_operator(eps: SampledEpsilon, momenta) -> sp.csr_matrix:
     for a perfect-conductor wall.
 
     Component c lives on edges parallel to axis c: offset by half a cell
-    along c, on nodes along the other axes.
+    along c, on nodes along the other axes.  A grid that is not 3D raises
+    ValidationError.
     """
+    if eps.grid.ndim != 3:
+        raise ValidationError(f"the Maxwell operator takes a 3D grid, "
+                              f"not {eps.grid.ndim}D")
     wraps = _axis_wraps(eps.grid, momenta)
     return _operator(eps, wraps, curl(eps.grid, wraps))
 
@@ -320,8 +324,7 @@ def _factor(A, sigma: float, thresh: float):
     where the ordering of A + A^T serves as well.  It runs on its caller's
     BLAS threads: one in every solve of a medium or a cross-section
     (`_one_blas_thread`); the caller's count in `eigen.interior_eigs` on a
-    bare matrix (a shell of the full 16^3 cube operator: 16.0-17.3 s at
-    two, 17.5-22.1 s at one).
+    bare matrix, for the timing given there.
     """
     n = A.shape[0]
     shifted = sp.csc_matrix(A) - sigma * sp.identity(n, format="csc")

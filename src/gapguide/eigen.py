@@ -189,13 +189,15 @@ def _nearest_eigs(A, sigma: float, k: int):
     sparse LU of A - sigma I, started from the fixed vector of
     default_rng(0) (complex for complex A), so repeated solves agree
     bitwise.  Minimum-degree ordering of A + A^T with diagonal pivots
-    preferred keeps the LU of the 16x32x32 curl-curl supercell near 2 GiB.
-    The pivot threshold 1e-2 still pivots off the diagonal where a shift on
-    an eigenvalue leaves a tiny diagonal pivot: at 1e-3 such shifts gave
-    eigenvector residuals up to 1e-5 on a degenerate shell, and thresholds
-    of 0.1 and above grow that LU's fill 1.7 to 2.1 times.  ARPACK cannot
-    take k >= n - 1; then A is diagonalized in full.  An exactly singular
-    LU or an ARPACK failure raises IterationError.
+    preferred was measured to hold the LU of a whole 16x32x32 curl-curl
+    supercell near 2 GiB (no path factors it whole now: it is solved one
+    axial harmonic block at a time).  The pivot threshold 1e-2 still
+    pivots off the diagonal where a shift on an eigenvalue leaves a tiny
+    diagonal pivot: at 1e-3 such shifts gave eigenvector residuals up to
+    1e-5 on a degenerate shell, and thresholds of 0.1 and above grew that
+    supercell LU's fill 1.7 to 2.1 times.  ARPACK cannot take k >= n - 1;
+    then A is diagonalized in full.  An exactly singular LU or an ARPACK
+    failure raises IterationError.
     """
     n = A.shape[0]
     if k >= n - 1:
@@ -427,8 +429,7 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
     Every medium is solved on one OpenBLAS thread (`_one_blas_thread`), so
     its modes are bitwise the same whatever the caller's thread count; only
     interior_eigs on a bare matrix keeps the caller's, where a second
-    thread pays off (a shell of the full 16^3 cube operator: 16.0-17.3 s
-    wall at two threads, 17.5-22.1 s at one).
+    thread pays off (timed there).
     """
     split = harmonic_split(eps)
     tridiagonal = eps.grid.ndim == 2 and split.slab.grid.shape[0] == 1

@@ -96,13 +96,12 @@ def read_field(path_base):
     base = Path(path_base)
     header = read_json(base.with_suffix(".json"))
     raw = base.with_suffix(".bin").read_bytes()
-    arr = np.frombuffer(raw, dtype=np.dtype(header["dtype"]))
-    arr = arr.reshape(header["shape"])
-    expect = int(np.prod(header["shape"]))
-    if arr.size != expect:
+    dtype = np.dtype(header["dtype"])
+    expect = int(np.prod(header["shape"])) * dtype.itemsize
+    if len(raw) != expect:
         raise ValidationError(
-            f"field dump has {arr.size} entries, header says {expect}")
-    return arr, header
+            f"field dump has {len(raw)} bytes, header says {expect}")
+    return np.frombuffer(raw, dtype=dtype).reshape(header["shape"]), header
 
 
 def band_csv(bt, path) -> Path:

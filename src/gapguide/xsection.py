@@ -22,13 +22,13 @@ of the scalar Laplacian are built the same way, per axis and side.  The
 ghost rows make the bilaplacian nonsymmetric, so the smallest eigenpair
 comes from ARPACK's general shift-invert at zero (`eigs` with the Laplacian
 as mass matrix), with OPinv from the sparse LU shared with the interior
-eigensolves (`discrete_op._factor`).  Where the node mask and the operators
-are symmetric under the axis mirrors x1 -> -x1 and x2 -> -x2, the problem
-is folded onto a quadrant and solved once per symmetry class, on matrices
-about a quarter the size (Bossavit, Comput. Methods Appl. Mech. Eng. 56,
-167, 1986); the least class eigenvalue is nu.  The lifted eigenpair is
-accepted only at a relative residual of 1e-6 or better against the
-unfolded operators.
+eigensolves (`discrete_op._factor`).  Where the node mask and the boundary
+closure are symmetric under the axis mirrors x1 -> -x1 and x2 -> -x2 (the
+interior stencils then are too), the problem is folded onto a quadrant and
+solved once per symmetry class, on matrices about a quarter the size
+(Bossavit, Comput. Methods Appl. Mech. Eng. 56, 167, 1986); the least class
+eigenvalue is nu.  The lifted eigenpair is accepted only at a relative
+residual of 1e-6 or better against the unfolded operators.
 
 A cross-section object keeps its latest buckling minimizer (nu, the
 read-only stream function and mask, the grid and the quotient; no LU) for
@@ -201,7 +201,7 @@ def _summed(rows, cols, vals, n: int) -> sp.coo_matrix:
 
 
 def _buckling_system(cs: CrossSection, h: float):
-    """13-point bilaplacian A and 5-point -Laplacian B on interior nodes.
+    """13-point bilaplacian A, 5-point -Laplacian B and A's ghost closure.
 
     For each stencil offset, the ring nodes whose offset node lies outside
     get its value by the quadratic reflection psi ~ c d^2 along the stencil
@@ -237,13 +237,13 @@ def _buckling_system(cs: CrossSection, h: float):
         rows.append(_at(idx, nodes))
         cols.append(_at(idx, src))
         vals.append((w / h**4) * ratio)
-    ghosts = _summed(rows, cols, vals, B.shape[0])
+    ghosts = _summed(rows, cols, vals, B.shape[0]).tocsr()
     A = (P @ (Lf @ Lf) @ P.T + ghosts).tocsc()
-    return A, B, grid, mask
+    return A, B, ghosts, grid, mask
 
 
 def _scalar_system(cs: CrossSection, h: float):
-    """Shortley-Weller -Laplacian with Dirichlet data on the true boundary.
+    """Shortley-Weller Dirichlet -Laplacian on the true boundary, its cuts.
 
     Along each axis, a ring node with a neighbour outside replaces its
     zero-ghost second difference by the unequal-arm one, with the cut arm
@@ -281,49 +281,53 @@ def _scalar_system(cs: CrossSection, h: float):
             rows.append(row[inside])
             cols.append(nb[inside])
             vals.append(1.0 / h**2 - 2.0 * t_other[inside] / denom[inside])
-    cuts = _summed(rows, cols, vals, P.shape[0])
+    cuts = _summed(rows, cols, vals, P.shape[0]).tocsr()
     A = (-(P @ Lf @ P.T) + cuts).tocsc()
-    return A, grid, mask
+    return A, cuts, grid, mask
 
 
 # ---------------------------------------------------------------------------
 # eigen solves
 # ---------------------------------------------------------------------------
 
-def _commutes(perm, A, B) -> bool:
-    """Whether relabelling the unknowns by the involution `perm` leaves A
-    and B equal to 1e-12 relative (the ghost rows of A carry rounding:
-    1.3e-14 on the unit disk at h = 2/192)."""
-    return all(abs(M[perm][:, perm] - M).max() <= 1e-12 * abs(M).max()
-               for M in (A, B))
+def _commutes(perm, closure) -> bool:
+    """Whether relabelling the unknowns by the involution `perm` leaves the
+    boundary closure equal to 1e-12 relative (the ghost rows carry
+    rounding: 1.3e-14 on the unit disk at h = 2/192)."""
+    moved = closure[perm][:, perm]
+    return abs(moved - closure).max() <= 1e-12 * abs(closure).max()
 
 
-def _symmetry_classes(mask, A, B):
+def _symmetry_classes(mask, closure):
     """(rows, E) of each mirror-symmetry class of A x = lam B x to solve.
 
-    The mirror of an axis is kept when `mask` equals its flip along that
-    axis and relabelling the unknowns by it leaves A and B unchanged
-    (`_commutes`).  The kept mirrors S_a generate a group G; each tuple s
-    of one sign per mirror is a class, the vectors with x = s_a S_a x.
-    E = sum_g chi_s(g) S_g, restricted to the columns `rows`, maps a
-    quadrant vector to the full grid with sign chi_s(g) on image g;
-    `rows` are the nodes at most halfway along each mirrored axis, less
-    those on the line of a mirror of sign -1, where the class vanishes.
-    An image that falls on its own node adds up, so that the sum over G
-    is |G| times a symmetric projector commuting with A and B: then
-    A[rows] @ E and B[rows] @ E are the Galerkin blocks E^T A E and
-    E^T B E over |G|, and the folded B stays symmetric positive definite.
-    When the transpose is also a symmetry it swaps the classes (+, -) and
-    (-, +), which then share a spectrum, and only (+, -) is returned.
-    With no mirror, G is trivial: one class, every node, E the identity.
+    The check rests on one premise: the interior stencils (P Lf Lf P^T,
+    -P Lf P^T and B) are the same at every node of a uniform grid with
+    equal spacing on both axes, so a mask equal to its flip or transpose
+    leaves them unchanged, and only the boundary `closure` of A can break
+    a mirror.  The mirror of an axis is kept when `mask` equals its flip
+    along that axis and relabelling the unknowns by it leaves the closure
+    unchanged (`_commutes`).  The kept mirrors S_a generate a group G;
+    each tuple s of one sign per mirror is a class, the vectors with
+    x = s_a S_a x.  E = prod_a (I + s_a S_a) = sum_g chi_s(g) S_g on the
+    columns `rows` maps a quadrant vector to the grid with sign chi_s(g)
+    on image g; `rows` are the nodes at most halfway along each mirrored
+    axis, less those on the line of a mirror of sign -1, where the class
+    vanishes.  An image on its own node adds up, so the sum over G is |G|
+    times a symmetric projector commuting with A and B: A[rows] @ E and
+    B[rows] @ E are the Galerkin blocks E^T A E and E^T B E over |G|, and
+    the folded B stays symmetric positive definite.  When the transpose is
+    also a symmetry it swaps the classes (+, -) and (-, +), which then
+    share a spectrum, and only (+, -) is returned.  With no mirror, G is
+    trivial: one class, every node, E the identity.
     """
     idx = _node_index(mask)
     flips = {axis: np.flip(idx, axis)[mask] for axis in range(mask.ndim)
              if np.array_equal(mask, np.flip(mask, axis))}
-    axes = [axis for axis, perm in flips.items() if _commutes(perm, A, B)]
+    axes = [axis for axis, perm in flips.items() if _commutes(perm, closure)]
     mirrors = [flips[axis] for axis in axes]
     twins = (len(mirrors) == 2 and np.array_equal(mask, mask.T)
-             and _commutes(idx.T[mask], A, B))
+             and _commutes(idx.T[mask], closure))
     middle = np.array(mask.shape)[axes] - 1
     node = 2 * np.argwhere(mask)[:, axes]
     quadrant = np.all(node <= middle, axis=1)
@@ -333,18 +337,9 @@ def _symmetry_classes(mask, A, B):
             continue
         rows = np.flatnonzero(
             quadrant & ~np.any(on_line & (np.array(signs) < 0), axis=1))
-        images, chis = [], []
-        for taken in itertools.product((False, True), repeat=len(mirrors)):
-            image, chi = rows, 1.0
-            for flip, perm, s in zip(taken, mirrors, signs):
-                if flip:
-                    image, chi = perm[image], chi * s
-            images.append(image)
-            chis.append(np.full(len(rows), chi))
-        cols = np.tile(np.arange(len(rows)), len(images))
-        E = sp.csr_matrix((np.concatenate(chis),
-                           (np.concatenate(images), cols)),
-                          shape=(A.shape[0], len(rows)))
+        E = sp.eye(closure.shape[0], format="csr")[:, rows]
+        for perm, s in zip(mirrors, signs):
+            E = E + s * E[perm]
         yield rows, E
 
 
@@ -377,21 +372,22 @@ def _arpack_smallest(A, B):
     return float(vals[0].real), vecs[:, 0].real
 
 
-def _smallest_eig(A, B, mask):
+def _smallest_eig(A, B, closure, mask):
     """Smallest eigenpair of A x = lam B x on the nodes of `mask`, solved
     one mirror-symmetry class at a time.
 
-    Every class of `_symmetry_classes` is solved, on its folded blocks
-    A[rows] @ E and B[rows] @ E (`_arpack_smallest`, one LU per class),
-    because the lowest mode need not be symmetric; the least class
-    eigenvalue wins and its vector is lifted back to the grid as E q.  On the unit disk each of the three
-    classes factors about a sixth of the unfolded fill (0.81M against
-    5.18M entries at h = 2/192).  The lifted pair is accepted only at a
-    relative residual of 1e-6 or better against the full A and B, so a
-    wrong fold fails loudly.
+    Every class of `_symmetry_classes` is solved, with its mirrors checked
+    on the boundary `closure` alone, on its folded blocks A[rows] @ E and
+    B[rows] @ E (`_arpack_smallest`, one LU per class), because the lowest
+    mode need not be symmetric; the least class eigenvalue wins and its
+    vector is lifted back to the grid as E q.  On the unit disk each of
+    the three classes factors about a sixth of the unfolded fill (0.81M
+    against 5.18M entries at h = 2/192).  The lifted pair is accepted only
+    at a relative residual of 1e-6 or better against the full A and B, so
+    a wrong fold fails loudly.
     """
     best = None
-    for rows, E in _symmetry_classes(mask, A, B):
+    for rows, E in _symmetry_classes(mask, closure):
         # B's folded block sorted like B, so that with no mirror the solve
         # is bitwise the unfolded one
         lam, q = _arpack_smallest(A[rows] @ E, (B[rows] @ E).sorted_indices())
@@ -434,8 +430,8 @@ def _buckling_minimizer(cs, h):
     held = cs.__dict__.get("_buckling_minimizer")
     if held is not None and held[0] == h:
         return held[1]
-    A, B, grid, mask = _buckling_system(cs, h)
-    nu, v = _smallest_eig(A, B, mask)
+    A, B, ghosts, grid, mask = _buckling_system(cs, h)
+    nu, v = _smallest_eig(A, B, ghosts, mask)
     psi = np.zeros(mask.shape)
     psi[mask] = v
     # fix the overall sign so repeated runs agree
@@ -457,8 +453,8 @@ def solve_nu_scalar(cs: CrossSection, h: float) -> NuEstimate:
     """Scalar-analog constant: smallest Dirichlet eigenvalue of -Laplace,
     solved one mirror-symmetry class at a time and on one OpenBLAS thread,
     like `solve_nu_vector`."""
-    A, _, mask = _scalar_system(cs, h)
-    lam, _ = _smallest_eig(A, sp.identity(A.shape[0], format="csr"), mask)
+    A, cuts, _, mask = _scalar_system(cs, h)
+    lam, _ = _smallest_eig(A, sp.eye(A.shape[0], format="csr"), cuts, mask)
     return NuEstimate(value=lam, grid_h=h)
 
 

@@ -309,6 +309,11 @@ def test_closures_take_one_entry_per_axis():
     # a 3D medium's operator is the curl-curl, never the scalar one
     with pytest.raises(ValidationError, match="1D or 2D grid"):
         scalar_matrix(m3, (0.0, 0.0, 0.0))
+    # and the curl-curl takes a 3D medium only
+    m1 = SampledEpsilon(GridSpec((8,), (1 / 8,)), np.ones(8))
+    for eps, momenta in ((m2, (0.0, None)), (ml, (0.7, None)), (m1, (0.0,))):
+        with pytest.raises(ValidationError, match="3D grid, not [12]D"):
+            maxwell_operator(eps, momenta)
 
 
 def test_field_shape_validation():

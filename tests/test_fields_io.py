@@ -67,6 +67,16 @@ def test_field_round_trip(tmp_path):
     assert header["staggering"] == "cell-centred"
 
 
+@pytest.mark.parametrize("cut", [8, 1])
+def test_truncated_field_dump_raises(tmp_path, cut):
+    # one float64 entry or one byte short of the 4 x 4 the header states
+    grid = GridSpec((4, 4), (0.25, 0.25))
+    bin_path = io.write_field(tmp_path / "mode", np.ones((4, 4)), grid)
+    bin_path.write_bytes(bin_path.read_bytes()[:-cut])
+    with pytest.raises(ValidationError, match="header says 128"):
+        io.read_field(tmp_path / "mode")
+
+
 def test_csv_writing_is_deterministic(tmp_path):
     rows = [(0.1, 2, "x"), (1 / 3, 5, "y")]
     p = io.write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)

@@ -327,10 +327,10 @@ def _assert_same_matrix(got, want):
 @pytest.mark.parametrize("name", sorted(_SECTIONS))
 def test_batched_assembly_matches_a_per_node_loop(name):
     cs, h = _SECTIONS[name], 2 / 64
-    S, _, _ = xsection._scalar_system(cs, h)
+    S, _, _, _ = xsection._scalar_system(cs, h)
     _assert_same_matrix(S, _scalar_loop(cs, h))
     if cs.ndim == 2:
-        A, _, _, _ = xsection._buckling_system(cs, h)
+        A, _, _, _, _ = xsection._buckling_system(cs, h)
         _assert_same_matrix(A, _buckling_loop(cs, h))
 
 
@@ -419,10 +419,41 @@ _FOLDS = {
 }
 
 
+def _mask_mirrors(mask):
+    """Node relabellings of every mirror the mask admits: its flips and
+    its transpose."""
+    idx = xsection._node_index(mask)
+    perms = [np.flip(idx, axis)[mask] for axis in range(mask.ndim)
+             if np.array_equal(mask, np.flip(mask, axis))]
+    if mask.shape[0] == mask.shape[-1] and np.array_equal(mask, mask.T):
+        perms.append(idx.T[mask])
+    return perms
+
+
+@pytest.mark.parametrize("name", [*_FOLDS, "scalar-disk"])
+def test_interior_operators_keep_every_mirror_of_the_mask(name):
+    # the premise of checking only the boundary closure: the interior
+    # stencils of both systems are bitwise invariant under every mirror of
+    # the mask, so only the closure can break one
+    make, h, _ = _FOLDS.get(name, (lambda: Disk(1.0), 2 / 96, None))
+    grid, mask, _ = xsection._domain_grid(make(), h)
+    P = xsection._restriction(mask)
+    Lf = xsection._laplacian(grid)
+    interior = (P @ (Lf @ Lf) @ P.T, -(P @ Lf @ P.T))
+    perms = _mask_mirrors(mask)
+    # both flips and the transpose, but the 3 x 1 grid is not square, the
+    # off-centre square keeps only its transpose and the notch breaks all
+    counts = {"rect-3x1": 2, "square-63": 1, "notched-mask": 0}
+    assert len(perms) == counts.get(name, 3)
+    for perm in perms:
+        for M in interior:
+            assert abs(M[perm][:, perm] - M).max() == 0.0
+
+
 @pytest.mark.parametrize("name", list(_FOLDS))
 def test_symmetry_classes_match_the_unfolded_solve(name, monkeypatch):
     make, h, classes = _FOLDS[name]
-    A, B, _, _ = xsection._buckling_system(make(), h)
+    A, B, _, _, _ = xsection._buckling_system(make(), h)
     lam, v = _unfolded_eig(A, B)
     calls = _count_factors(monkeypatch)
     est = solve_nu_vector(make(), h)
@@ -434,7 +465,7 @@ def test_symmetry_classes_match_the_unfolded_solve(name, monkeypatch):
 
 def test_scalar_symmetry_classes_match_the_unfolded_solve(monkeypatch):
     h = 2 / 96
-    A, _, _ = xsection._scalar_system(Disk(1.0), h)
+    A, _, _, _ = xsection._scalar_system(Disk(1.0), h)
     lam, _ = _unfolded_eig(A)
     calls = _count_factors(monkeypatch)
     assert solve_nu_scalar(Disk(1.0), h).value == pytest.approx(lam, rel=1e-9)
@@ -444,6 +475,6 @@ def test_scalar_symmetry_classes_match_the_unfolded_solve(monkeypatch):
 def test_a_wrong_fold_fails_the_full_residual(monkeypatch):
     # folding the lopsided disk by the mirror its operator lacks solves the
     # unperturbed half; only the residual against the full operators sees it
-    monkeypatch.setattr(xsection, "_commutes", lambda perm, A, B: True)
+    monkeypatch.setattr(xsection, "_commutes", lambda perm, closure: True)
     with pytest.raises(IterationError, match="residual"):
         solve_nu_vector(_Lopsided(1.0), 2 / 48)
