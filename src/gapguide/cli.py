@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -55,17 +56,31 @@ def _need(cfg: dict, *keys):
         raise ConfigError(f"config is missing required keys: {missing}")
 
 
-def _section(cfg):
+@contextmanager
+def _block(name: str):
+    """Raise a malformed config value or block as a ConfigError naming it."""
     try:
+        yield
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise ConfigError(f"bad {name!r} in config: {exc!r}") from exc
+
+
+def _number(cfg: dict, key: str, default=None, kind=float):
+    """cfg[key], else `default`, as a `kind`."""
+    with _block(key):
+        return kind(cfg.get(key, default))
+
+
+def _section(cfg):
+    with _block("cross_section"):
         return _dec_section(cfg)
-    except (KeyError, TypeError, ValidationError) as exc:
-        raise ConfigError(f"bad cross_section block: {exc}") from exc
 
 
 def _grid(cfg) -> GridSpec:
-    _need(cfg, "shape", "spacing")
-    return GridSpec(tuple(cfg["shape"]), tuple(cfg["spacing"]),
-                    tuple(cfg.get("origin", [0.0] * len(cfg["shape"]))))
+    with _block("grid"):
+        _need(cfg, "shape", "spacing")
+        return GridSpec(tuple(cfg["shape"]), tuple(cfg["spacing"]),
+                        tuple(cfg.get("origin", [0.0] * len(cfg["shape"]))))
 
 
 def _medium(cfg) -> MediumSpec:
@@ -73,25 +88,31 @@ def _medium(cfg) -> MediumSpec:
         p = Path(cfg)
         if not p.is_file():
             raise ConfigError(f"medium spec file not found: {p}")
-        return MediumSpec.from_json(p.read_text())
-    return MediumSpec.from_json(json.dumps(cfg))
+        text = p.read_text()
+    else:
+        text = json.dumps(cfg)
+    with _block("medium"):
+        return MediumSpec.from_json(text)
 
 
 def _gap(cfg) -> GapInterval:
-    if "gap" in cfg:
-        a, b = cfg["gap"]
-        return GapInterval(float(a), float(b))
-    if "gap_width" in cfg:
-        return GapInterval(1.0, 1.0 + float(cfg["gap_width"]))
+    with _block("gap"):
+        if "gap" in cfg:
+            a, b = cfg["gap"]
+            return GapInterval(float(a), float(b))
+        if "gap_width" in cfg:
+            return GapInterval(1.0, 1.0 + float(cfg["gap_width"]))
     raise ConfigError("config needs 'gap': [alpha, beta] or 'gap_width'")
 
 
-def _samples(block):
+def _samples(cfg: dict, key: str):
+    block = cfg.get(key)
     if block is None:
         return None
-    if isinstance(block, dict):
-        return np.linspace(block["start"], block["stop"], block["num"])
-    return np.asarray(block, dtype=float)
+    with _block(key):
+        if isinstance(block, dict):
+            return np.linspace(block["start"], block["stop"], block["num"])
+        return np.asarray(block, dtype=float)
 
 
 def _provenance(cfg, **extra) -> dict:
@@ -107,9 +128,13 @@ def _provenance(cfg, **extra) -> dict:
 def cmd_nu(args, cfg, out: Path) -> int:
     _need(cfg, "cross_section")
     cs = _section(cfg["cross_section"])
-    hs = cfg.get("h_values") or [cfg.get("h", cs.diameter() / 96)]
+    if cfg.get("h_values"):
+        with _block("h_values"):
+            hs = [float(h) for h in cfg["h_values"]]
+    else:
+        hs = [_number(cfg, "h", cs.diameter() / 96)]
     solver = solve_nu_scalar if cfg.get("kind") == "scalar" else solve_nu_vector
-    estimates = [solver(cs, float(h)) for h in hs]
+    estimates = [solver(cs, h) for h in hs]
     best = refine_extrapolate(estimates) if len(estimates) >= 3 else estimates[-1]
     doc = best.record()
     doc["per_grid"] = [e.record() for e in estimates]
@@ -124,14 +149,14 @@ def cmd_check(args, cfg, out: Path) -> int:
     _need(cfg, "l", "eps")
     gap = _gap(cfg)
     if "nu" in cfg:
-        nu = float(cfg["nu"])
+        nu = _number(cfg, "nu")
         grid_h = None
     else:
         _need(cfg, "cross_section")
         cs = _section(cfg["cross_section"])
-        grid_h = float(cfg.get("h", cs.diameter() / 96))
+        grid_h = _number(cfg, "h", cs.diameter() / 96)
         nu = solve_nu_vector(cs, grid_h)
-    rep = check_condition(float(cfg["l"]), float(cfg["eps"]), gap, nu)
+    rep = check_condition(_number(cfg, "l"), _number(cfg, "eps"), gap, nu)
     doc = rep.record()
     doc["provenance"] = _provenance(cfg, module="existence", grid_h=grid_h)
     io.write_json(out / "check.json", doc)
@@ -143,12 +168,12 @@ def cmd_check(args, cfg, out: Path) -> int:
 def cmd_residual(args, cfg, out: Path) -> int:
     _need(cfg, "l", "eps", "mu", "delta", "cross_section")
     cs = _section(cfg["cross_section"])
-    h = float(cfg.get("h", cs.diameter() / 96))
-    tf = make_test_field(cs, float(cfg.get("rho", 0.1 * cs.inradius())), h)
+    h = _number(cfg, "h", cs.diameter() / 96)
+    tf = make_test_field(cs, _number(cfg, "rho", 0.1 * cs.inradius()), h)
     psi = Profile.bump(2)
-    tp = TrialParams(l=float(cfg["l"]), eps=float(cfg["eps"]),
-                     mu=float(cfg["mu"]), delta=float(cfg["delta"]),
-                     n=int(cfg.get("n", 1)), psi=psi, g=tf)
+    tp = TrialParams(l=_number(cfg, "l"), eps=_number(cfg, "eps"),
+                     mu=_number(cfg, "mu"), delta=_number(cfg, "delta"),
+                     n=_number(cfg, "n", 1, int), psi=psi, g=tf)
     if "n" not in cfg:
         n = minimal_n(tp)
         if n is None:
@@ -172,9 +197,9 @@ def cmd_residual(args, cfg, out: Path) -> int:
 def cmd_bands(args, cfg, out: Path) -> int:
     _need(cfg, "medium", "grid", "k_samples")
     eps = build_medium(_medium(cfg["medium"]), _grid(cfg["grid"]))
-    bt = band_structure(eps, _samples(cfg["k_samples"]),
-                        bands=int(cfg.get("bands", 8)))
-    gaps = find_gaps(bt, float(cfg.get("min_gap_width", 0.5)))
+    bt = band_structure(eps, _samples(cfg, "k_samples"),
+                        bands=_number(cfg, "bands", 8, int))
+    gaps = find_gaps(bt, _number(cfg, "min_gap_width", 0.5))
     io.band_csv(bt, out / "bands.csv")
     io.write_json(out / "gaps.json", {
         "gaps": [[g.alpha, g.beta] for g in gaps],
@@ -194,9 +219,9 @@ def _defect_run(args, cfg):
     eps = with_defect(build_medium(spec, _grid(cfg["grid"])), spec.defect)
     ds = defect_spectrum(
         eps, spec.defect, _gap(cfg),
-        k1_samples=_samples(cfg.get("k1_samples")),
-        delta=float(cfg.get("delta", 0.15)),
-        count=int(cfg.get("count", 30)))
+        k1_samples=_samples(cfg, "k1_samples"),
+        delta=_number(cfg, "delta", 0.15),
+        count=_number(cfg, "count", 30, int))
     return spec, eps, ds
 
 
@@ -209,7 +234,7 @@ def cmd_defect(args, cfg, out: Path) -> int:
         "k1_samples": list(ds.k1_samples),
         "provenance": _provenance(cfg, module="eigen",
                                   grid_h=float(max(eps.grid.spacing)))})
-    for i, m in enumerate(ds.modes[: int(cfg.get("dump_fields", 0))]):
+    for i, m in enumerate(ds.modes[:_number(cfg, "dump_fields", 0, int)]):
         io.write_field(out / f"mode_{i:03d}", m.field.values, m.field.grid,
                        meta={"lambda": m.lam, "bloch_k1": m.k1,
                              "staggering": "cell-centred"})
@@ -220,11 +245,14 @@ def cmd_defect(args, cfg, out: Path) -> int:
 def cmd_decay(args, cfg, out: Path) -> int:
     spec, eps, ds = _defect_run(args, cfg)
     gap = _gap(cfg)
-    dumped = min(len(ds.modes), int(cfg.get("dump_profiles", 3)))
+    dumped = min(len(ds.modes), _number(cfg, "dump_profiles", 3, int))
+    step = _number(cfg, "step", 0.125)
+    window = {k: _number(cfg, k) for k in ("d_min", "d_max")
+              if cfg.get(k) is not None}
     fits = []
     for i, m in enumerate(ds.modes):
-        prof = profile(m, spec.defect, step=float(cfg.get("step", 0.125)))
-        fit = fit_decay(prof, d_min=cfg.get("d_min"), d_max=cfg.get("d_max"))
+        prof = profile(m, spec.defect, step=step)
+        fit = fit_decay(prof, **window)
         rec = fit.record()
         rec.update({"lambda": m.lam, "k1": m.k1,
                     "ct_shape": ct_shape(m.lam, gap)})
@@ -253,27 +281,32 @@ def cmd_sweep(args, cfg, out: Path) -> int:
         raise ConfigError("sweep needs a template defect strip in the medium")
     grid = _grid(cfg["grid"])
     gap = _gap(cfg)
-    nu = float(cfg["nu"])
+    nu = _number(cfg, "nu")
+    k1_samples = _samples(cfg, "k1_samples")
+    delta = _number(cfg, "delta", 0.15)
+    count = _number(cfg, "count", 30, int)
+    with _block("l_values"):
+        ls = [float(l) for l in cfg["l_values"]]
+    with _block("eps_values"):
+        es = [float(e) for e in cfg["eps_values"]]
     eps0 = build_medium(base, grid)
 
     # a cell's strip may miss or under-resolve the grid, or its solve fail:
     # that cell's row records the error; a configuration error (a window
     # above count) is the same in every cell and exits 2
     def cell(l, e):
-        strip = dataclasses.replace(base.defect, l=float(l),
-                                    eps_inside=float(e))
-        rep = check_condition(float(l), float(e), gap, nu)
+        strip = dataclasses.replace(base.defect, l=l, eps_inside=e)
+        rep = check_condition(l, e, gap, nu)
         try:
             ds = defect_spectrum(with_defect(eps0, strip), strip, gap,
-                                 k1_samples=_samples(cfg.get("k1_samples")),
-                                 delta=float(cfg.get("delta", 0.15)),
-                                 count=int(cfg.get("count", 30)))
+                                 k1_samples=k1_samples, delta=delta,
+                                 count=count)
             return (l, e, rep.margin, int(rep.passed), len(ds.modes),
                     int(ds.covered), "")
         except (GeometryError, ResolutionError, IterationError) as exc:
             return (l, e, rep.margin, int(rep.passed), -1, 0, str(exc))
 
-    rows = [cell(l, e) for l in cfg["l_values"] for e in cfg["eps_values"]]
+    rows = [cell(l, e) for l in ls for e in es]
     io.write_csv(out / "existence_map.csv",
                  ["l", "eps", "margin", "condition", "modes", "delta_net",
                   "error"], rows)

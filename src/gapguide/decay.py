@@ -105,8 +105,10 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
     windows are unit cubes centred on the axial midpoint of the grid;
     windows that stick out of the grid truncate the profile and set its
     flag.  The window geometry is built once per grid, strip
-    radius, step and rays (`_windows`).
+    radius, step and rays (`_windows`).  `step` must be positive.
     """
+    if not step > 0:
+        raise ValidationError(f"profile step must be positive, not {step!r}")
     fld = mode.field
     grid = fld.grid
     if grid.ndim != 2:

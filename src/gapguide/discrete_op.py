@@ -318,7 +318,7 @@ def _factor(A, sigma: float, thresh: float):
     pivot threshold `thresh`.  An exactly singular factor (SuperLU's
     RuntimeError) raises IterationError.
 
-    One helper for every shift-invert solve: the Hermitian operators of
+    One helper for every sparse LU solve: the Hermitian operators of
     :mod:`gapguide.eigen` (inertia counts and Lanczos) and the
     nonsymmetric clamped-plate buckling matrix of :mod:`gapguide.xsection`,
     where the ordering of A + A^T serves as well.  It runs on its caller's

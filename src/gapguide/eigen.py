@@ -243,7 +243,9 @@ def _tridiagonal_eigs(d, e, window):
     V.  That step makes the coarse bisection safe: eigenvalues closer
     together than the tolerance, which stein takes as one cluster, come out
     to rounding.  (On the layered guide a tolerance of 1e-4 of the width
-    left residuals near 1e-11, against 1e-13 at 1e-6.)  LAPACK's range is
+    left residuals near 1e-11, against 1e-13 at 1e-6; 1e-3 failed the 1e-8
+    residual check, at 7.24e-8 in the guide-2d sweep cell l = 2, eps = 9,
+    so the tolerance is not to be loosened.)  LAPACK's range is
     (lo, hi]; an eigenvalue at hi is dropped.  A LAPACK failure raises
     IterationError.
     """
@@ -484,8 +486,10 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     at k1), the window being the gap less a pad of 1e-3 of its width at
     each end; a window holding more than `count` eigenvalues at some k1
     raises ValidationError naming the number.  This function only filters
-    the pairs by localization.
+    the pairs by localization.  `delta` must be positive.
     """
+    if not delta > 0:
+        raise ValidationError(f"coverage delta must be positive, not {delta!r}")
     if k1_samples is None:
         a = eps_defect.bloch_period or 1.0
         k1_samples = np.linspace(0.0, np.pi / a, 8)

@@ -17,11 +17,12 @@ clamped conditions to the order the stencil supports.  The elimination runs
 per stencil offset, not per node: one batched `CrossSection.crossing` call
 finds the boundary points of every ring node whose offset node lies
 outside, array masks pick each ghost's source, and the corrections enter as
-one sparse matrix added to the interior stencil.  The Shortley-Weller rows
-of the scalar Laplacian are built the same way, per axis and side.  The
-ghost rows make the bilaplacian nonsymmetric, so the smallest eigenpair
-comes from ARPACK's general shift-invert at zero (`eigs` with the Laplacian
-as mass matrix), with OPinv from the sparse LU shared with the interior
+one sparse matrix added to the interior stencil (P L)(P L)^T, with P the
+restriction to the inside nodes and L the grid Laplacian.  The
+Shortley-Weller rows of the scalar Laplacian are built the same way, per
+axis and side.  The ghost rows make the bilaplacian nonsymmetric, so the
+smallest eigenpair comes from ARPACK's ordinary mode on x -> A^-1 B x
+(`eigs` with no mass matrix), with the sparse LU shared with the interior
 eigensolves (`discrete_op._factor`).  Where the node mask and the boundary
 closure are symmetric under the axis mirrors x1 -> -x1 and x2 -> -x2 (the
 interior stencils then are too), the problem is folded onto a quadrant and
@@ -215,8 +216,8 @@ def _buckling_system(cs: CrossSection, h: float):
     _check_resolution(cs, h)
     grid, mask, pts = _domain_grid(cs, h)
     P = _restriction(mask)
-    Lf = _laplacian(grid)
-    B = (-(P @ Lf @ P.T)).tocsr()
+    PL = P @ _laplacian(grid)
+    B = (-(PL @ P.T)).tocsr()
 
     idx = _node_index(mask)
     ring = _ring_nodes(mask, reach=2)
@@ -238,7 +239,7 @@ def _buckling_system(cs: CrossSection, h: float):
         cols.append(_at(idx, src))
         vals.append((w / h**4) * ratio)
     ghosts = _summed(rows, cols, vals, B.shape[0]).tocsr()
-    A = (P @ (Lf @ Lf) @ P.T + ghosts).tocsc()
+    A = (PL @ PL.T + ghosts).tocsc()
     return A, B, ghosts, grid, mask
 
 
@@ -252,7 +253,7 @@ def _scalar_system(cs: CrossSection, h: float):
     _check_resolution(cs, h)
     grid, mask, pts = _domain_grid(cs, h)
     P = _restriction(mask)
-    Lf = _laplacian(grid)
+    PL = P @ _laplacian(grid)
 
     idx = _node_index(mask)
     ring = _ring_nodes(mask, reach=1)
@@ -282,7 +283,7 @@ def _scalar_system(cs: CrossSection, h: float):
             cols.append(nb[inside])
             vals.append(1.0 / h**2 - 2.0 * t_other[inside] / denom[inside])
     cuts = _summed(rows, cols, vals, P.shape[0]).tocsr()
-    A = (-(P @ Lf @ P.T) + cuts).tocsc()
+    A = (-(PL @ P.T) + cuts).tocsc()
     return A, cuts, grid, mask
 
 
@@ -301,8 +302,8 @@ def _commutes(perm, closure) -> bool:
 def _symmetry_classes(mask, closure):
     """(rows, E) of each mirror-symmetry class of A x = lam B x to solve.
 
-    The check rests on one premise: the interior stencils (P Lf Lf P^T,
-    -P Lf P^T and B) are the same at every node of a uniform grid with
+    The check rests on one premise: the interior stencils ((P L)(P L)^T
+    and -P L P^T) are the same at every node of a uniform grid with
     equal spacing on both axes, so a mask equal to its flip or transpose
     leaves them unchanged, and only the boundary `closure` of A can break
     a mirror.  The mirror of an axis is kept when `mask` equals its flip
@@ -344,32 +345,28 @@ def _symmetry_classes(mask, closure):
 
 
 def _arpack_smallest(A, B):
-    """Smallest eigenpair of A x = lam B x by ARPACK shift-invert at zero.
+    """Smallest eigenpair of A x = lam B x: ARPACK's ordinary mode finds
+    the largest eigenvalue 1/lam of A^-1 B.
 
-    OPinv is the shared sparse LU of A (`discrete_op._factor`, pivot
-    threshold 1e-2), whose minimum-degree ordering of A + A^T fills less
-    than the COLAMD LU `eigs` would build (5.2M against 7.5M entries for
-    the unfolded unit-disk buckling matrix at h = 2/192).  The LU is
-    released on return.  The start vector is fixed so that repeated
-    solves agree bitwise.
+    A^-1 is the shared sparse LU (`discrete_op._factor`, pivot threshold
+    1e-2), whose minimum-degree ordering of A + A^T fills less than the
+    COLAMD LU `eigs` would build (5.2M against 7.5M entries for the
+    unfolded unit-disk buckling matrix at h = 2/192).  Ordinary mode,
+    because `eigs` given a mass matrix leaves a reference cycle that keeps
+    the LU until a garbage collection (87 unreachable objects per unit-disk
+    solve at h = 2/96, against none).  The start vector is fixed so that
+    repeated solves agree bitwise.
     """
     n = A.shape[0]
     v0 = np.random.default_rng(0).standard_normal(n)
-    lu = [_factor(A, 0.0, 1e-2)]
-    opinv = spla.LinearOperator((n, n), matvec=lambda x: lu[0].solve(x),
-                                dtype=float)
+    lu = _factor(A, 0.0, 1e-2)
+    op = spla.LinearOperator((n, n), matvec=lambda x: lu.solve(B @ x),
+                             dtype=float)
     try:
-        vals, vecs = spla.eigs(A, k=1, M=B, sigma=0, tol=1e-10, v0=v0,
-                               OPinv=opinv)
+        vals, vecs = spla.eigs(op, k=1, which="LM", tol=1e-10, v0=v0)
     except spla.ArpackError as exc:
-        raise IterationError(f"shift-invert eigensolve failed: {exc}") from exc
-    finally:
-        # with M given, eigs leaves its parameter object in a reference
-        # cycle that reaches OPinv; dropping the LU here frees it now, not
-        # at the next garbage collection, so a ladder's earlier LUs are
-        # not still resident beside the finest one
-        lu.clear()
-    return float(vals[0].real), vecs[:, 0].real
+        raise IterationError(f"ARPACK eigensolve failed: {exc}") from exc
+    return 1.0 / float(vals[0].real), vecs[:, 0].real
 
 
 def _smallest_eig(A, B, closure, mask):
@@ -378,13 +375,13 @@ def _smallest_eig(A, B, closure, mask):
 
     Every class of `_symmetry_classes` is solved, with its mirrors checked
     on the boundary `closure` alone, on its folded blocks A[rows] @ E and
-    B[rows] @ E (`_arpack_smallest`, one LU per class), because the lowest
-    mode need not be symmetric; the least class eigenvalue wins and its
-    vector is lifted back to the grid as E q.  On the unit disk each of
-    the three classes factors about a sixth of the unfolded fill (0.81M
-    against 5.18M entries at h = 2/192).  The lifted pair is accepted only
-    at a relative residual of 1e-6 or better against the full A and B, so
-    a wrong fold fails loudly.
+    B[rows] @ E (`_arpack_smallest`: one LU per class, freed when the
+    class solve returns), because the lowest mode need not be symmetric;
+    the least class eigenvalue wins and its vector is lifted back to the
+    grid as E q.  On the unit disk each of the three classes factors about
+    a sixth of the unfolded fill (0.81M against 5.18M entries at h =
+    2/192).  The lifted pair is accepted only at a relative residual of
+    1e-6 or better against the full A and B, so a wrong fold fails loudly.
     """
     best = None
     for rows, E in _symmetry_classes(mask, closure):
@@ -398,9 +395,8 @@ def _smallest_eig(A, B, closure, mask):
     res = float(np.linalg.norm(A @ v - lam * Bv) /
                 (abs(lam) * np.linalg.norm(Bv)))
     if not res <= 1e-6:
-        raise IterationError(
-            f"shift-invert eigenpair residual {res:.2e} above 1e-6",
-            residual=res)
+        raise IterationError(f"eigenpair residual {res:.2e} above 1e-6",
+                             residual=res)
     return lam, v
 
 

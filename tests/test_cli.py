@@ -87,6 +87,23 @@ def test_config_errors_exit_2(tmp_path, capsys):
     typo = _defect_cfg(tmp_path, k1_sample=[5.0], loc_fraction=0.6)
     assert cli.main(["defect", "--config", typo, "--out", str(tmp_path)]) == 2
     assert "['k1_sample', 'loc_fraction']" in capsys.readouterr().err
+    # malformed values are configuration errors too, not tracebacks
+    no_hi = dict(MEDIUM, inclusions=[{"kind": "box", "lo": [-0.125, -0.1875],
+                                      "eps": 9.0}])
+    malformed = [dict(k1_samples={"start": 4.3, "stop": 6.3}),
+                 dict(gap=[1.6, 5.0, 6.0]), dict(grid=dict(GRID, shape=4)),
+                 dict(medium=no_hi), dict(count="x"), dict(delta=-1)]
+    for extra in malformed:
+        cfg = _defect_cfg(tmp_path, **extra)
+        assert cli.main(["defect", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+    word = _cfg(tmp_path, "word.json", {"schema": 1, "l": "two", "eps": 12.0,
+                                        "gap_width": 3.0, "nu": 14.682})
+    assert cli.main(["check", "--config", word, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    words = _defect_cfg(tmp_path, nu=14.682, l_values=["x"], eps_values=[9.0])
+    assert cli.main(["sweep", "--config", words, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_unknown_command_and_missing_config_exit_2(tmp_path, capsys):
@@ -181,6 +198,14 @@ def test_decay_command_and_numerical_failure(tmp_path, capsys):
     # empty fit window after the guards: numerical failure, exit 3
     bad = _defect_cfg(tmp_path, step=0.25, d_min=4.0, d_max=4.4)
     assert cli.main(["decay", "--config", bad, "--out", str(tmp_path / "o3")]) == 3
+    # a step that is not positive, or a fit bound that is not a number, is
+    # a configuration error, exit 2
+    flat = _defect_cfg(tmp_path, step=0)
+    assert cli.main(["decay", "--config", flat, "--out", str(tmp_path / "o2")]) == 2
+    assert "step must be positive" in capsys.readouterr().err
+    word = _defect_cfg(tmp_path, step=0.25, d_min="x")
+    assert cli.main(["decay", "--config", word, "--out", str(tmp_path / "o2")]) == 2
+    assert "bad 'd_min' in config" in capsys.readouterr().err
 
 
 def test_arpack_errors_exit_3(tmp_path, capsys, monkeypatch):

@@ -116,6 +116,17 @@ def test_profile_of_sampled_exponential_field():
     assert fit.r2 > 0.999999
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1])
+def test_profile_rejects_a_step_that_is_not_positive(step):
+    # a zero step divided by zero in np.arange; a negative one left no
+    # sample and surfaced as a fit-window failure
+    grid = GridSpec((4, 256), (1 / 16, 1 / 32), (0.0, -4.0))
+    mode = _mode(grid, np.ones(grid.shape))
+    strip = StripSpec(Interval(1.0), l=0.5, eps_inside=12.0)
+    with pytest.raises(ValidationError, match="step must be positive"):
+        profile(mode, strip, step=step)
+
+
 def test_profile_mirror_symmetry():
     grid = GridSpec((4, 256), (1 / 16, 1 / 32), (0.0, -4.0))
     y = grid.centers(1)

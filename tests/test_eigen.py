@@ -252,13 +252,11 @@ def test_interior_eigs_raises_when_the_window_holds_more_than_count():
     sym = plane_wave_eigenvalue(np.array([2 * np.pi, 0.0, 0.0]), (h,) * 3,
                                 1.0)
     window = (sym - 4.0, sym + 4.0)
-    # half the shell is no answer: the degenerate copies have no order
+    # half the shell is no answer: the degenerate copies have no order (the
+    # whole shell at count = 12 is the (1, 0, 0) case of the next test)
     with pytest.raises(ValidationError,
                        match="holds 12 eigenvalues, more than count = 6"):
         interior_eigs(M, window, count=6)
-    found = interior_eigs(M, window, count=12)
-    assert len(found) == 12
-    assert all(abs(m.lam - sym) <= 1e-8 * sym for m in found)
 
 
 @pytest.mark.parametrize("mk, multiplicity",
@@ -314,6 +312,15 @@ def test_defect_spectrum_finds_localized_modes(defected, tm_gap):
     lams = sorted(m.lam for m in ds.modes)
     for mu, flag in ds.coverage:
         assert flag == (min(abs(l - mu) for l in lams) < 0.25)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0])
+def test_defect_spectrum_rejects_a_delta_that_is_not_positive(supercell,
+                                                               tm_gap, delta):
+    # before any solve: no mode could ever lie within a delta <= 0
+    with pytest.raises(ValidationError, match="delta must be positive"):
+        defect_spectrum(supercell, STRIP, tm_gap, k1_samples=[4.5],
+                        delta=delta, count=16)
 
 
 def test_defect_spectrum_negative_control(supercell, tm_gap):
