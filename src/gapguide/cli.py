@@ -127,13 +127,15 @@ def _provenance(cfg, **extra) -> dict:
 
 def cmd_nu(args, cfg, out: Path) -> int:
     _need(cfg, "cross_section")
+    with _block("kind"):
+        solver = {"vector": solve_nu_vector,
+                  "scalar": solve_nu_scalar}[cfg.get("kind", "vector")]
     cs = _section(cfg["cross_section"])
     if cfg.get("h_values"):
         with _block("h_values"):
             hs = [float(h) for h in cfg["h_values"]]
     else:
         hs = [_number(cfg, "h", cs.diameter() / 96)]
-    solver = solve_nu_scalar if cfg.get("kind") == "scalar" else solve_nu_vector
     estimates = [solver(cs, h) for h in hs]
     best = refine_extrapolate(estimates) if len(estimates) >= 3 else estimates[-1]
     doc = best.record()

@@ -241,9 +241,10 @@ class HarmonicSplit:
 
     A block of a one-cell 2D slab is real symmetric tridiagonal: the
     transverse operator plus |e^{i kappa h1} - 1|^2 / h1^2 times the axial
-    face weights on the diagonal.  `tridiagonal` gives it as two arrays,
-    and `eigen.bloch_modes` solves it by bisection and a Rayleigh-Ritz
-    step.
+    face weights on the diagonal.  `block` gives it as the (d, e) pair of
+    its diagonal and first off-diagonal, which `eigen.interior_eigs`
+    solves by bisection and a Rayleigh-Ritz step; every other block is a
+    sparse matrix.
     """
 
     slab: SampledEpsilon
@@ -256,8 +257,14 @@ class HarmonicSplit:
         periods = n1 // self.slab.grid.shape[0]
         return bloch_k1 + 2.0 * np.pi * np.arange(periods) / (n1 * h1)
 
-    def block(self, kappa: float) -> sp.csr_matrix:
-        """The operator on the slab at Bloch momentum kappa, walled across."""
+    def block(self, kappa: float):
+        """The operator on the slab at Bloch momentum kappa, walled across:
+        a (d, e) pair of real arrays for a one-cell 2D slab, else a sparse
+        matrix."""
+        if self.grid.ndim == 2 and self.slab.grid.shape[0] == 1:
+            d, e, w = self._diagonals
+            h1 = self.grid.spacing[0]
+            return d + abs(np.exp(1j * kappa * h1) - 1.0) ** 2 / h1 ** 2 * w, e
         op = maxwell_operator if self.grid.ndim == 3 else scalar_matrix
         return op(self.slab, (kappa,) + (None,) * (self.grid.ndim - 1))
 
@@ -266,20 +273,10 @@ class HarmonicSplit:
         """The diagonal and first off-diagonal of a one-cell 2D slab's
         operator at kappa = 0, where the axial difference is exactly 0,
         and the slab's axial face weights."""
-        if self.grid.ndim != 2 or self.slab.grid.shape[0] != 1:
-            raise ValidationError(
-                "only a one-cell 2D slab has tridiagonal blocks")
         A = scalar_matrix(self.slab, (0.0, None))
         axial = _face_weights(self.slab, [1.0, "dirichlet"])
         return (A.diagonal().real, A.diagonal(1).real,
                 axial[:self.grid.shape[1]])
-
-    def tridiagonal(self, kappa: float) -> tuple:
-        """`block(kappa)` of a one-cell 2D slab as its real diagonal and
-        first off-diagonal."""
-        d, e, w = self._diagonals
-        h1 = self.grid.spacing[0]
-        return d + abs(np.exp(1j * kappa * h1) - 1.0) ** 2 / h1 ** 2 * w, e
 
     def lift(self, kappa: float, V: np.ndarray) -> np.ndarray:
         """The flattened grid fields e^{i kappa x1_{m p}} v / sqrt(n1/p) of
@@ -323,8 +320,8 @@ def _factor(A, sigma: float, thresh: float):
     nonsymmetric clamped-plate buckling matrix of :mod:`gapguide.xsection`,
     where the ordering of A + A^T serves as well.  It runs on its caller's
     BLAS threads: one in every solve of a medium or a cross-section
-    (`_one_blas_thread`); the caller's count in `eigen.interior_eigs` on a
-    bare matrix, for the timing given there.
+    (`_one_blas_thread`); the caller's count in a bare
+    `eigen.interior_eigs` call, for the timing given there.
     """
     n = A.shape[0]
     shifted = sp.csc_matrix(A) - sigma * sp.identity(n, format="csc")

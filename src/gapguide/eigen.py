@@ -49,15 +49,23 @@ class BandTable:
                 yield k, j, float(lam)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ModeResult:
-    """One converged eigenpair."""
+    """One converged eigenpair, the one record every window solve returns.
+
+    `interior_eigs` makes it, with the unit eigenvector of block number
+    `block` as `field` and k1 = nan.  `bloch_modes` lifts that field, in
+    the same record, to the flattened grid field of the medium and sets k1;
+    `defect_spectrum` replaces it by that grid field as a ScalarField2 and
+    sets `localization`, the fraction of its squared norm near the strip.
+    """
 
     lam: float
     field: object
     residual: float
     k1: float
     localization: float | None = None
+    block: int = 0
 
 
 @dataclass(frozen=True)
@@ -311,98 +319,88 @@ def _ring_eigs(d, e, sigma: float, phases, bands: int) -> np.ndarray:
     return lo
 
 
-def _sparse_kernel(A, window):
-    """A Hermitian matrix's window count m by inertia (`_window_count`), a
-    solve for its m pairs nearest the window centre by Lanczos
-    (`_nearest_eigs`), and its matvec."""
-    m = _window_count(A, window)
-    centre = 0.5 * (window[0] + window[1])
-    return m, lambda: _nearest_eigs(A, centre, m), lambda v: A @ v
+def _is_pair(block) -> bool:
+    """True for a (d, e) pair of a real symmetric tridiagonal matrix, False
+    for a square matrix; any other block raises ValidationError."""
+    if isinstance(block, tuple) and len(block) == 2:
+        d, e = map(np.shape, block)
+        if len(d) == 1 and e == (d[0] - 1,):
+            return True
+    elif len(getattr(block, "shape", ())) == 2 and \
+            block.shape[0] == block.shape[1]:
+        return False
+    raise ValidationError("a block must be a square matrix or a (d, e) pair "
+                          "with len(e) == len(d) - 1")
 
 
-def _tridiagonal_kernel(block, window):
-    """The window count, the in-window pairs and the matvec of a
-    (diagonal, off-diagonal) block, all from one `_tridiagonal_eigs`
-    solve: bisection to isolation and one Rayleigh-Ritz step."""
-    d, e = block
-    vals, vecs = _tridiagonal_eigs(d, e, window)
-    return (len(vals), lambda: (vals, vecs),
-            lambda v: _tridiagonal_matvec(d, e, v))
-
-
-def _window_pairs(blocks, window, count: int, kernel=_sparse_kernel) -> list:
+def interior_eigs(blocks, window, count: int = 10) -> list:
     """Every eigenpair of the block-diagonal Hermitian diag(blocks) strictly
-    inside the open window, as (eigenvalue, block index, unit block vector,
-    residual) by ascending eigenvalue.
+    inside the open window, 0 <= lo < hi, or ValidationError.
 
-    The window must satisfy 0 <= lo < hi.  `kernel(block, window)` gives a
-    block's count m_j, a solve for its m_j in-window pairs and its matvec.
-    Sparse or dense matrices (`_sparse_kernel`) are counted by inertia and
-    solved by shift-invert Lanczos at the window centre; the real
-    tridiagonal blocks of a 2D harmonic split (`_tridiagonal_kernel`) are
-    counted and solved at once by bisection.  m is the sum over blocks;
-    `count` caps it: m > count raises ValidationError naming m and count
-    after the counts, before any Lanczos factorization.  Otherwise each
-    block holding m_j > 0 is solved, and its m_j pairs must all lie in the
-    window and have residual at most 1e-8 * max(|lam|, 1).
+    `blocks` is a list or tuple, and each block's form picks its solver
+    (anything else raises ValidationError):
+      * a sparse or dense Hermitian matrix is counted by inertia: 0 when its
+        Gershgorin interval misses the window, else the negative pivots of
+        the LU of A - hi I minus those of A - lo I (pivot threshold 0,
+        symmetric permutation).  Its m_j pairs come from `_nearest_eigs`
+        at the window centre and must all lie in the window;
+      * a (d, e) pair, the diagonal and off-diagonal of a real symmetric
+        tridiagonal matrix, is counted and solved at once by bisection and
+        one Rayleigh-Ritz step (`_tridiagonal_eigs`: no LU, no Lanczos).
+    The counts come first, and `count` caps their sum m: m > count raises
+    ValidationError naming m and count before any Lanczos LU, so a window
+    is never returned in part.  Every pair's residual must be at most
+    1e-8 * max(|lam|, 1).  IterationError is raised on a singular LU, an
+    inertia LU that pivots off the diagonal, Lanczos pairs that disagree
+    with the count, an ARPACK or LAPACK failure or a residual above
+    tolerance.  Returns a possibly-empty list of ModeResult by ascending
+    eigenvalue, each holding its unit block vector and its block's index.
+
+    A bare call keeps the caller's BLAS threads, which pay off on a large
+    LU: a shell of the full 16^3 cube operator took 16.0-17.3 s wall
+    (31.5-33.9 s CPU) at two threads, 17.5-22.1 s at one; on the 12^3 cube
+    4.1-4.7 s at two against 4.3-4.9 s at one.  Repeated solves agree
+    bitwise on the same thread count.
     """
+    if not isinstance(blocks, (list, tuple)):
+        raise ValidationError(f"blocks must be a list or tuple, not "
+                              f"{type(blocks).__name__}")
     if window[0] < 0 or window[1] <= window[0]:
         raise ValidationError("window must satisfy 0 <= lo < hi")
-    kernels = [kernel(b, window) for b in blocks]
-    for mj, _, _ in kernels:
+    bisected = [_tridiagonal_eigs(*b, window) if _is_pair(b) else None
+                for b in blocks]
+    counts = [_window_count(b, window) if s is None else len(s[0])
+              for b, s in zip(blocks, bisected)]
+    for mj in counts:
         if mj < 0:
             raise IterationError(f"inertia counts give {mj} eigenvalues in "
                                  f"the window {window}")
-    m = sum(mj for mj, _, _ in kernels)
+    m = sum(counts)
     if m > count:
         raise ValidationError(f"window {window} holds {m} eigenvalues, "
                               f"more than count = {count}")
-    pairs = []
-    for j, (mj, solve, matvec) in enumerate(kernels):
+    centre = 0.5 * (window[0] + window[1])
+    found = []
+    for j, (b, s, mj) in enumerate(zip(blocks, bisected, counts)):
         if mj == 0:
             continue
-        vals, vecs = solve()
+        vals, vecs = _nearest_eigs(b, centre, mj) if s is None else s
         inside = np.count_nonzero((vals > window[0]) & (vals < window[1]))
         if inside != mj:
             raise IterationError(f"Lanczos found {inside} eigenvalues in the "
                                  f"window, inertia asked for {mj}")
         for lam, v in zip(vals, vecs.T):
             v = v / np.linalg.norm(v)
-            res = float(np.linalg.norm(matvec(v) - lam * v))
+            bv = b @ v if s is None else _tridiagonal_matvec(*b, v)
+            res = float(np.linalg.norm(bv - lam * v))
             if res > 1e-8 * max(abs(lam), 1.0):
                 raise IterationError(
                     f"eigenpair residual {res:.2e} above tolerance",
                     residual=res)
-            pairs.append((float(lam), j, v, res))
-    return sorted(pairs, key=lambda p: p[0])
-
-
-def interior_eigs(op, window, count: int = 10):
-    """Every eigenpair of a Hermitian matrix with eigenvalue inside the
-    window, or ValidationError.
-
-    `op` is a sparse or dense matrix; operators of a medium are solved by
-    `bloch_modes`, one axial harmonic block at a time.  The window is
-    first counted: m is 0 when op's Gershgorin interval misses it, else the
-    number of negative pivots of the LU of op - hi I minus that of
-    op - lo I (Sylvester inertia; pivot threshold 0, symmetric
-    permutation).  m = 0 returns [] without any further factorization or
-    Lanczos run.  `count` is a cap: m > count raises ValidationError naming
-    m and count, before the Lanczos LU, so a window is never returned in
-    part.  Otherwise `_nearest_eigs` at the window centre is asked for
-    exactly m pairs, all of which must lie in the window.  Repeated solves
-    agree bitwise on the same BLAS thread count.  Every solve of a medium
-    or a cross-section runs on one OpenBLAS thread; this keeps the caller's
-    threads, which pay off on a large LU: a shell of the full 16^3 cube
-    operator took 16.0-17.3 s wall (31.5-33.9 s CPU) at two threads,
-    17.5-22.1 s at one.  IterationError is raised when an end or centre LU
-    is exactly singular, when an end LU pivots off the diagonal (no inertia
-    count), when Lanczos returns other than m in-window pairs, on an ARPACK
-    failure, and for an eigenpair residual above 1e-8 * max(|lam|, 1).
-    Returns a possibly-empty list of ModeResult sorted by eigenvalue.
-    """
-    return [ModeResult(lam=lam, field=v, residual=res, k1=np.nan)
-            for lam, _, v, res in _window_pairs([op], window, count)]
+            found.append(ModeResult(lam=float(lam), field=v, residual=res,
+                                    k1=np.nan, block=j))
+    found.sort(key=lambda f: f.lam)
+    return found
 
 
 @_one_blas_thread
@@ -410,44 +408,35 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
                 count: int) -> list:
     """Every in-window eigenpair of the operator of `eps` (the scalar
     operator with Dirichlet walls in 1D and 2D, the Maxwell double curl
-    with PEC walls in 3D) at each Bloch momentum k1, as ModeResults with k1
-    set and the flattened grid field, in k1 order and by ascending
-    eigenvalue.
+    with PEC walls in 3D) at each Bloch momentum k1, in k1 order and by
+    ascending eigenvalue: ModeResults with k1 set and the flattened grid
+    field.
 
     The medium is split once (`harmonic_split`): a medium whose samples are
-    equal along x1 into the n1 harmonic blocks of its one-cell axial slab,
-    any other into one block, its operator at k1.  At each k1 the window
-    count m is taken over all blocks together and `count` caps it as in
-    interior_eigs: m > count raises ValidationError naming m and count,
-    after the counts and before any Lanczos LU.  Each block's vectors are
-    lifted to the grid together (`HarmonicSplit.lift`); the one block of an
-    unsplit medium gives the operator's eigenvector times e^{i k1 x1_0}.
-    The blocks of a one-cell 2D slab are real symmetric tridiagonal
-    matrices, counted and solved as arrays by bisection to isolation and
-    one Rayleigh-Ritz step (`_tridiagonal_eigs`: no LU, no Lanczos); every
-    other block takes the inertia count and shift-invert Lanczos of
-    interior_eigs.
+    equal along x1 into the n1 harmonic blocks of its one-cell axial slab
+    ((d, e) pairs for a 2D slab, solved by bisection), any other into one
+    block, its operator at k1.  At each k1 `interior_eigs` solves the
+    blocks, so the count cap is taken over all of them: m > count raises
+    its ValidationError.  Each block's vectors are then lifted to the grid
+    together (`HarmonicSplit.lift`), in the records interior_eigs made; the
+    one block of an unsplit medium gives the operator's eigenvector times
+    e^{i k1 x1_0}.
 
     Every medium is solved on one OpenBLAS thread (`_one_blas_thread`), so
-    its modes are bitwise the same whatever the caller's thread count; only
-    interior_eigs on a bare matrix keeps the caller's, where a second
-    thread pays off (timed there).
+    its modes are bitwise the same whatever the caller's thread count.
     """
     split = harmonic_split(eps)
-    tridiagonal = eps.grid.ndim == 2 and split.slab.grid.shape[0] == 1
-    kernel = _tridiagonal_kernel if tridiagonal else _sparse_kernel
     modes = []
     for k1 in map(float, k1_samples):
         kappas = split.kappas(k1)
-        blocks = [split.tridiagonal(kappa) if tridiagonal
-                  else split.block(kappa) for kappa in kappas]
-        pairs = _window_pairs(blocks, window, count, kernel)
-        fields = {}             # each block's lifted fields, in pair order
-        for j in {j for _, j, _, _ in pairs}:
-            V = np.stack([v for _, i, v, _ in pairs if i == j], axis=1)
-            fields[j] = iter(split.lift(kappas[j], V).T)
-        modes.extend(ModeResult(lam=lam, field=next(fields[j]), residual=res,
-                                k1=k1) for lam, j, _, res in pairs)
+        found = interior_eigs([split.block(kappa) for kappa in kappas],
+                              window, count)
+        for j in {f.block for f in found}:
+            mine = [f for f in found if f.block == j]
+            V = np.stack([f.field for f in mine], axis=1)
+            for f, u in zip(mine, split.lift(kappas[j], V).T):
+                f.field, f.k1 = u, k1
+        modes.extend(found)
     return modes
 
 
@@ -502,9 +491,8 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
         vals2 = m.field.reshape(grid.shape)
         frac = _fraction_near(vals2, near)
         if frac >= 0.5:
-            fld = ScalarField2(vals2, grid)
-            modes.append(ModeResult(lam=m.lam, field=fld, residual=m.residual,
-                                    k1=m.k1, localization=frac))
+            m.field, m.localization = ScalarField2(vals2, grid), frac
+            modes.append(m)
     modes.sort(key=lambda m: m.lam)
     mus = gap_samples(gap)
     lams = np.array([m.lam for m in modes]) if modes else np.empty(0)

@@ -104,6 +104,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
     words = _defect_cfg(tmp_path, nu=14.682, l_values=["x"], eps_values=[9.0])
     assert cli.main(["sweep", "--config", words, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+    # nu solves the vector or the scalar constant; a misspelt kind is no
+    # silent default, whatever the cross-section
+    for section in ({"kind": "disk", "radius": 1.0},
+                    {"kind": "interval", "half_width": 1.0}):
+        scaler = _cfg(tmp_path, "kind.json", {"schema": 1, "kind": "scaler",
+                                              "cross_section": section,
+                                              "h": 2 / 32})
+        assert cli.main(["nu", "--config", scaler, "--out", str(tmp_path)]) == 2
+        assert "bad 'kind' in config: KeyError('scaler')" \
+            in capsys.readouterr().err
 
 
 def test_unknown_command_and_missing_config_exit_2(tmp_path, capsys):
@@ -216,10 +226,10 @@ def test_arpack_errors_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spla, "eigs", fail)
     A = sp.diags(np.arange(1.0, 65.0))
     with pytest.raises(IterationError, match="Lanczos at shift"):
-        interior_eigs(A, (10.5, 20.5), count=10)
+        interior_eigs([A], (10.5, 20.5), count=10)
     # a window above count raises before Lanczos could fail
     with pytest.raises(ValidationError, match="holds 10"):
-        interior_eigs(A, (10.5, 20.5), count=4)
+        interior_eigs([A], (10.5, 20.5), count=4)
     # a 2D bulk's bands come from Lanczos (1D bands need none)
     grid = GridSpec((8, 8), (1 / 8, 1 / 8))
     with pytest.raises(IterationError, match="Lanczos at shift"):

@@ -164,7 +164,7 @@ def test_one_cell_axial_slab_adds_the_axial_symbol(kappa):
     A = scalar_matrix(slab, (kappa, None)).toarray()
     want = T + s * np.diag(inv)
     assert np.allclose(A, want, rtol=0, atol=1e-13 * np.abs(want).max())
-    d, e = harmonic_split(slab).tridiagonal(kappa)
+    d, e = harmonic_split(slab).block(kappa)
     assert np.isrealobj(d) and np.isrealobj(e)
     B = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     assert np.allclose(B, want, rtol=0, atol=1e-13 * np.abs(want).max())
@@ -180,11 +180,11 @@ def test_harmonic_blocks_are_the_operator_on_bloch_waves():
     split = harmonic_split(ml)
     A = scalar_matrix(ml, (1.3, None))
     for kappa in split.kappas(1.3):
-        d, e = split.tridiagonal(kappa)
+        d, e = split.block(kappa)
         assert np.isrealobj(d) and np.isrealobj(e)
         B = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        assert np.allclose(B, split.block(kappa).toarray(), rtol=0,
-                           atol=1e-13 * np.abs(B).max())
+        assert np.allclose(B, scalar_matrix(split.slab, (kappa, None))
+                           .toarray(), rtol=0, atol=1e-13 * np.abs(B).max())
         _, vecs = np.linalg.eigh(B)
         for v in vecs.T[:3]:
             u = split.lift(kappa, v).ravel()

@@ -165,7 +165,7 @@ def test_interior_eigs_matches_eigvalsh(defected):
     window = (2.0, 3.5)
     want = ref[(ref > window[0]) & (ref < window[1])]
     assert len(want) >= 2
-    found = interior_eigs(A, window, count=12)
+    found = interior_eigs([A], window, count=12)
     got = np.array([m.lam for m in found])
     assert len(got) == len(want)
     assert np.allclose(got, want, rtol=1e-8)
@@ -184,22 +184,22 @@ def test_small_window_holding_more_than_count_raises(defected, monkeypatch):
     monkeypatch.setattr(eigen, "_nearest_eigs", no_lanczos)
     with pytest.raises(ValidationError,
                        match=f"holds {m} eigenvalues, more than count = {m - 1}"):
-        interior_eigs(A, (2.0, 3.5), count=m - 1)
+        interior_eigs([A], (2.0, 3.5), count=m - 1)
     monkeypatch.undo()
-    found = interior_eigs(A, (2.0, 3.5), count=m)
+    found = interior_eigs([A], (2.0, 3.5), count=m)
     assert np.allclose([f.lam for f in found], inside, rtol=1e-8)
 
 
 def test_interior_eigs_window_validation_and_empty(defected):
     A = scalar_matrix(defected, (5.0, None))
     with pytest.raises(ValidationError):
-        interior_eigs(A, (3.0, 2.0))
+        interior_eigs([A], (3.0, 2.0))
     with pytest.raises(ValidationError):
-        interior_eigs(A, (-1.0, 2.0))
+        interior_eigs([A], (-1.0, 2.0))
     ref = np.sort(np.linalg.eigvalsh(A.toarray()))
     lo = 0.5 * (ref[3] + ref[4])
     hole = (lo, lo + 1e-6)
-    assert interior_eigs(A, hole, count=4) == []
+    assert interior_eigs([A], hole, count=4) == []
 
 
 def test_interior_eigs_singular_shift_raises():
@@ -208,7 +208,7 @@ def test_interior_eigs_singular_shift_raises():
     A = sp.diags(np.arange(1.0, 4001.0))
     for window in ((1999.0, 2000.5), (1999.5, 2000.5)):
         with pytest.raises(IterationError):
-            interior_eigs(A, window)
+            interior_eigs([A], window)
 
 
 def test_interior_eigs_cross_checks_lanczos_against_the_count(monkeypatch):
@@ -221,7 +221,19 @@ def test_interior_eigs_cross_checks_lanczos_against_the_count(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", one_short)
     with pytest.raises(IterationError, match="Lanczos found 9"):
-        interior_eigs(A, (1995.5, 2005.5), count=20)
+        interior_eigs([A], (1995.5, 2005.5), count=20)
+
+
+@pytest.mark.parametrize("blocks", [
+    sp.identity(4, format="csr"),                  # not a list of blocks
+    [sp.identity(4, format="csr")[:3]],            # not square
+    [(np.ones(4), np.ones(4))],                    # len(e) != len(d) - 1
+    [(np.ones((2, 2)), np.ones(1))],               # d not one-dimensional
+    [[np.ones(4), np.ones(3)]],                    # a pair must be a tuple
+], ids=["bare-matrix", "not-square", "long-e", "2d-d", "list-pair"])
+def test_interior_eigs_rejects_malformed_blocks(blocks):
+    with pytest.raises(ValidationError, match="list or tuple|a block must"):
+        interior_eigs(blocks, (0.5, 1.5))
 
 
 def test_window_count_matches_dense_count(supercell, defected, tm_gap):
@@ -242,7 +254,7 @@ def test_empty_window_skips_lanczos(supercell, tm_gap, monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", fail)
     A = scalar_matrix(supercell, (5.0, None))
-    assert interior_eigs(A, (tm_gap.alpha, tm_gap.beta), count=8) == []
+    assert interior_eigs([A], (tm_gap.alpha, tm_gap.beta), count=8) == []
 
 
 def test_interior_eigs_raises_when_the_window_holds_more_than_count():
@@ -256,7 +268,7 @@ def test_interior_eigs_raises_when_the_window_holds_more_than_count():
     # whole shell at count = 12 is the (1, 0, 0) case of the next test)
     with pytest.raises(ValidationError,
                        match="holds 12 eigenvalues, more than count = 6"):
-        interior_eigs(M, window, count=6)
+        interior_eigs([M], window, count=6)
 
 
 @pytest.mark.parametrize("mk, multiplicity",
@@ -270,7 +282,7 @@ def test_interior_eigs_returns_every_copy_of_a_shell(mk, multiplicity):
     M = maxwell_operator(eps, (0.0, 0.0, 0.0))
     sym = plane_wave_eigenvalue(2 * np.pi * np.asarray(mk, dtype=float),
                                 (h,) * 3, 1.0)
-    found = interior_eigs(M, (sym - 4.0, sym + 4.0), count=multiplicity)
+    found = interior_eigs([M], (sym - 4.0, sym + 4.0), count=multiplicity)
     assert len(found) == multiplicity
     assert all(abs(m.lam - sym) <= 1e-8 * sym for m in found)
 
@@ -281,7 +293,7 @@ def test_defect_eigenvalues_decrease_with_eps(supercell, tm_gap):
     def lowest(eps_inside):
         strip = StripSpec(Interval(1.0), l=1.5, eps_inside=eps_inside)
         A = scalar_matrix(with_defect(supercell, strip), (5.0, None))
-        found = interior_eigs(A, window, count=16)
+        found = interior_eigs([A], window, count=16)
         loc = [m.lam for m in found
                if localization_fraction(np.asarray(m.field).reshape(
                    supercell.grid.shape), supercell.grid, strip) > 0.5]
@@ -341,7 +353,7 @@ def test_harmonic_split_matches_the_general_path(defected, k1):
     # at k1 = 0 and pi/L1 harmonics j and n1 - j share a block, so the
     # window holds pairs of equal eigenvalues from different harmonics
     A = scalar_matrix(defected, (k1, None))
-    general = interior_eigs(A, SPLIT_WINDOW, count=100)
+    general = interior_eigs([A], SPLIT_WINDOW, count=100)
     split = bloch_modes(defected, [k1], SPLIT_WINDOW, 100)
     assert len(split) == len(general) >= 10
     got = np.array([m.lam for m in split])
@@ -370,13 +382,13 @@ def test_harmonic_split_keeps_the_count_contract(defected):
     A = scalar_matrix(defected, (k1, None))
     m = _window_count(A, SPLIT_WINDOW)
     with pytest.raises(ValidationError) as general:
-        interior_eigs(A, SPLIT_WINDOW, m - 5)
+        interior_eigs([A], SPLIT_WINDOW, m - 5)
     with pytest.raises(ValidationError) as split:
         bloch_modes(defected, [k1], SPLIT_WINDOW, m - 5)
     assert f"holds {m} eigenvalues, more than count = {m - 5}" \
         in str(split.value)
     assert str(split.value) == str(general.value)
-    general = interior_eigs(A, SPLIT_WINDOW, m)
+    general = interior_eigs([A], SPLIT_WINDOW, m)
     split = bloch_modes(defected, [k1], SPLIT_WINDOW, m)
     assert len(split) == len(general) == m
     assert np.allclose([f.lam for f in split], [f.lam for f in general],
@@ -390,17 +402,19 @@ def test_tridiagonal_blocks_match_dense_eigvalsh(defected, k1):
     # have equal blocks
     split = harmonic_split(defected)
     kappas = split.kappas(k1)
-    pairs = eigen._window_pairs([split.tridiagonal(kappa) for kappa in kappas],
-                                SPLIT_WINDOW, 100, eigen._tridiagonal_kernel)
+    pairs = interior_eigs([split.block(kappa) for kappa in kappas],
+                          SPLIT_WINDOW, 100)
     got = {j: [] for j in range(len(kappas))}
-    for lam, j, v, res in pairs:
-        got[j].append(lam)
-        B = split.block(kappas[j]).toarray()
+    for m in pairs:
+        got[m.block].append(m.lam)
+        B = scalar_matrix(split.slab, (kappas[m.block], None)).toarray()
+        v = m.field
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
-        assert np.linalg.norm(B @ v - lam * v) <= 1e-8 * max(lam, 1.0)
-        assert res <= 1e-8 * max(lam, 1.0)
+        assert np.linalg.norm(B @ v - m.lam * v) <= 1e-8 * max(m.lam, 1.0)
+        assert m.residual <= 1e-8 * max(m.lam, 1.0)
     for j, kappa in enumerate(kappas):
-        vals = np.linalg.eigvalsh(split.block(kappa).toarray())
+        vals = np.linalg.eigvalsh(
+            scalar_matrix(split.slab, (kappa, None)).toarray())
         want = vals[(vals > SPLIT_WINDOW[0]) & (vals < SPLIT_WINDOW[1])]
         assert len(got[j]) == len(want)
         assert np.allclose(got[j], want, rtol=1e-12, atol=0)
@@ -420,7 +434,7 @@ def _two_strip_block():
     x2 = np.abs(grid.centers(1))
     eps = SampledEpsilon(grid, np.where(np.abs(x2 - 1.25) < 0.5, 12.0,
                                         1.0)[None, :])
-    return harmonic_split(eps).tridiagonal(10.0), (5.0, 25.0)
+    return harmonic_split(eps).block(10.0), (5.0, 25.0)
 
 
 def _halves_block():
@@ -451,23 +465,21 @@ def test_tridiagonal_eigs_resolve_clusters(make):
 
 def test_tridiagonal_windows_are_open(defected):
     split = harmonic_split(defected)
-    d, e = split.tridiagonal(5.0)
+    d, e = split.block(5.0)
     vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
     # a window between two eigenvalues holds none of them
     gap = (vals[3] + 1e-6, vals[4] - 1e-6)
-    assert eigen._window_pairs([(d, e)], gap, 10,
-                               eigen._tridiagonal_kernel) == []
+    assert interior_eigs([(d, e)], gap, 10) == []
     assert bloch_modes(defected, [5.0], (0.0, 0.5 * vals[0]), 10) == []
     # LAPACK returns (lo, hi]; an eigenvalue at hi is not in the window
     diagonal = (np.arange(1.0, 9.0), np.zeros(7))
-    pairs = eigen._window_pairs([diagonal], (0.5, 3.0), 10,
-                                eigen._tridiagonal_kernel)
-    assert [lam for lam, *_ in pairs] == [1.0, 2.0]
+    pairs = interior_eigs([diagonal], (0.5, 3.0), 10)
+    assert [m.lam for m in pairs] == [1.0, 2.0]
     # one cell across x2: each block is its one eigenvalue
     grid = GridSpec((4, 1), (1 / 16, 1 / 32))
     row = SampledEpsilon(grid, np.full(grid.shape, 2.0))
     split = harmonic_split(row)
-    lams = sorted(split.tridiagonal(kappa)[0][0]
+    lams = sorted(split.block(kappa)[0][0]
                   for kappa in split.kappas(0.3))
     assert [m.lam for m in bloch_modes(row, [0.3], (0.0, lams[2]), 10)] \
         == lams[:2]
@@ -611,7 +623,7 @@ def test_bloch_modes_of_a_3d_guide_match_the_full_operator():
     eps = with_defect(build_medium(MediumSpec(lattice=(1.0,)), grid), strip)
     window = (2.0, 25.0)        # above the gradient null space
     M = maxwell_operator(eps, (0.7, None, None))
-    general = interior_eigs(M, window, count=100)
+    general = interior_eigs([M], window, count=100)
     split = bloch_modes(eps, [0.7], window, 100)
     assert len(split) == len(general) >= 20
     assert np.allclose([m.lam for m in split], [m.lam for m in general],
@@ -627,7 +639,7 @@ def test_bloch_modes_of_a_3d_guide_match_the_full_operator():
     eps = SampledEpsilon(grid, varied)
     assert harmonic_split(eps).slab is eps
     with discrete_op._one_blas_thread:
-        general = interior_eigs(maxwell_operator(eps, (0.7, None, None)),
+        general = interior_eigs([maxwell_operator(eps, (0.7, None, None))],
                                 window, 100)
     split = bloch_modes(eps, [0.7], window, 100)
     assert [m.lam for m in split] == [m.lam for m in general]

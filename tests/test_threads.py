@@ -1,8 +1,8 @@
 """Every solve of a medium or a cross-section runs on one OpenBLAS thread
-and is bitwise the same whatever the caller's count; `interior_eigs` on a
-bare matrix keeps the caller's threads, which pay off on a large LU (a
-shell of the full 16^3 cube operator took 16.0-17.3 s wall and 31.5-33.9 s
-CPU at two threads, 17.5-22.1 s wall at one)."""
+and is bitwise the same whatever the caller's count; a bare `interior_eigs`
+call keeps the caller's threads, which pay off on a large LU (a shell of
+the full 16^3 cube operator took 16.0-17.3 s wall and 31.5-33.9 s CPU at
+two threads, 17.5-22.1 s wall at one)."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -192,9 +192,10 @@ def test_every_medium_solve_runs_on_one_thread(monkeypatch, caller_threads):
     assert solves_in(lambda: make_test_field(Disk(1.0), 0.2, 2 / 48)) == one
     assert _counts() == two
     bare = scalar_matrix(layered, (0.5,))
-    assert threads_in(lambda: interior_eigs(bare, (1.0, 60.0), 4)) == two
+    assert threads_in(lambda: interior_eigs([bare], (1.0, 60.0), 4)) == two
     assert threads_in(lambda: interior_eigs(
-        maxwell_operator(varied, (0.7, None, None)), (2.0, 20.0), 100)) == two
+        [maxwell_operator(varied, (0.7, None, None))], (2.0, 20.0), 100)) \
+        == two
 
 
 @needs_openblas
