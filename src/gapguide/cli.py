@@ -71,6 +71,14 @@ def _number(cfg: dict, key: str, default=None, kind=float):
         return kind(cfg.get(key, default))
 
 
+def _count(cfg: dict, key: str, default: int) -> int:
+    """cfg[key], else `default`, as an int that is not negative."""
+    n = _number(cfg, key, default, int)
+    if n < 0:
+        raise ConfigError(f"bad {key!r} in config: {n} is negative")
+    return n
+
+
 def _section(cfg):
     with _block("cross_section"):
         return _dec_section(cfg)
@@ -228,6 +236,7 @@ def _defect_run(args, cfg):
 
 
 def cmd_defect(args, cfg, out: Path) -> int:
+    dumps = _count(cfg, "dump_fields", 0)
     spec, eps, ds = _defect_run(args, cfg)
     io.modes_csv(ds.modes, out / "modes.csv")
     io.write_json(out / "coverage.json", {
@@ -236,7 +245,7 @@ def cmd_defect(args, cfg, out: Path) -> int:
         "k1_samples": list(ds.k1_samples),
         "provenance": _provenance(cfg, module="eigen",
                                   grid_h=float(max(eps.grid.spacing)))})
-    for i, m in enumerate(ds.modes[:_number(cfg, "dump_fields", 0, int)]):
+    for i, m in enumerate(ds.modes[:dumps]):
         io.write_field(out / f"mode_{i:03d}", m.field.values, m.field.grid,
                        meta={"lambda": m.lam, "bloch_k1": m.k1,
                              "staggering": "cell-centred"})
@@ -245,9 +254,10 @@ def cmd_defect(args, cfg, out: Path) -> int:
 
 
 def cmd_decay(args, cfg, out: Path) -> int:
+    dumps = _count(cfg, "dump_profiles", 3)
     spec, eps, ds = _defect_run(args, cfg)
     gap = _gap(cfg)
-    dumped = min(len(ds.modes), _number(cfg, "dump_profiles", 3, int))
+    dumped = min(len(ds.modes), dumps)
     step = _number(cfg, "step", 0.125)
     window = {k: _number(cfg, k) for k in ("d_min", "d_max")
               if cfg.get(k) is not None}

@@ -100,12 +100,14 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
             rays=None) -> DecayProfile:
     """Windowed norms marching outward from the strip along transverse rays.
 
-    `mode` carries a sampled field (`.field.values` on `.field.grid`);
-    rays default to both transverse directions of a 2D supercell.  The
-    windows are unit cubes centred on the axial midpoint of the grid;
+    `mode` carries a sampled field on `.field.grid`, of which only
+    `.field.density()`, |values|^2 on the grid, is read: a `HarmonicField`
+    gives it without lifting its grid field, a ScalarField2 from its
+    values.  Rays default to both transverse directions of a 2D supercell.
+    The windows are unit cubes centred on the axial midpoint of the grid;
     windows that stick out of the grid truncate the profile and set its
-    flag.  The window geometry is built once per grid, strip
-    radius, step and rays (`_windows`).  `step` must be positive.
+    flag.  The window geometry is built once per grid, strip radius, step
+    and rays (`_windows`).  `step` must be positive.
     """
     if not step > 0:
         raise ValidationError(f"profile step must be positive, not {step!r}")
@@ -120,7 +122,7 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
         grid, radius, float(step), tuple(map(float, rays)))
     # per x2 row, |v|^2 summed over the axial window; each window norm^2 is
     # then a sum of these nonnegative row sums (no differenced prefix sums)
-    rows = np.sum(np.abs(fld.values[axial]) ** 2, axis=0)
+    rows = np.sum(fld.density()[axial], axis=0)
     squares = (inside @ rows) * grid.cell_volume
     norms = np.sqrt(np.sum(squares, axis=0))
     return DecayProfile(distances=dists[kept], norms=norms[kept],

@@ -78,6 +78,10 @@ class ScalarField2:
             raise ValidationError("values must match the 2D grid shape")
         object.__setattr__(self, "values", v)
 
+    def density(self) -> np.ndarray:
+        """|values|^2 on the grid."""
+        return np.abs(self.values) ** 2
+
 
 # ---------------------------------------------------------------------------
 # assembly
@@ -278,18 +282,14 @@ class HarmonicSplit:
         return (A.diagonal().real, A.diagonal(1).real,
                 axial[:self.grid.shape[1]])
 
-    def lift(self, kappa: float, V: np.ndarray) -> np.ndarray:
-        """The flattened grid fields e^{i kappa x1_{m p}} v / sqrt(n1/p) of
-        block vectors v, component by component: V is one vector or one
-        block's vectors in columns, and the fields come back the same way,
-        each column contiguous.  The axial phase is computed once."""
+    def lift(self, kappa: float, v: np.ndarray) -> np.ndarray:
+        """The flattened grid field e^{i kappa x1_{m p}} v / sqrt(n1/p) of
+        the block vector v, component by component."""
         axial = np.exp(1j * kappa
                        * self.grid.centers(0)[::self.slab.grid.shape[0]])
-        cols = V.shape[1:]
-        slab = V.T.reshape(*cols, -1, 1, self.slab.values.size)
-        fields = np.multiply(axial[:, None], slab, order="C")
-        fields /= np.sqrt(len(axial))
-        return fields.reshape(*cols, -1).T
+        field = axial[:, None] * v.reshape(-1, 1, self.slab.values.size)
+        field /= np.sqrt(len(axial))
+        return field.ravel()
 
 
 def harmonic_split(eps: SampledEpsilon) -> HarmonicSplit:
@@ -303,6 +303,43 @@ def harmonic_split(eps: SampledEpsilon) -> HarmonicSplit:
     slab = SampledEpsilon(GridSpec((1, *grid.shape[1:]), grid.spacing,
                                    grid.origin), eps.values[:1])
     return HarmonicSplit(slab=slab, grid=grid)
+
+
+@dataclass(frozen=True)
+class HarmonicField:
+    """A field on the grid of `split` that is one axial harmonic, held as
+    the unit vector of its block `split.block(kappa)`: n1/p times smaller
+    than the grid field, which is never stored.
+
+    `values` is the grid field `split.lift(kappa, vector)`, lifted anew on
+    every access, shaped like the grid (components first in 3D).
+    `density()` is |values|^2 without the lift, read-only: |v|^2 / (n1/p)
+    broadcast along x1 for a one-cell slab (p = 1), and |v|^2 on the grid
+    for an unsplit medium (p = n1).
+    """
+
+    split: HarmonicSplit
+    kappa: float
+    vector: np.ndarray
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.split.grid
+
+    def _shape(self) -> tuple:
+        comps = self.vector.size // self.split.slab.values.size
+        return self.grid.shape if comps == 1 else (comps, *self.grid.shape)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.split.lift(self.kappa, self.vector).reshape(self._shape())
+
+    def density(self) -> np.ndarray:
+        slab = self.split.slab.grid.shape
+        periods = self.grid.shape[0] // slab[0]
+        per = np.abs(self.vector.reshape(-1, 1, *slab)) ** 2 / periods
+        return np.broadcast_to(per, (len(per), periods, *slab)).reshape(
+            self._shape())
 
 
 # ---------------------------------------------------------------------------

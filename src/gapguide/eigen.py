@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .errors import IterationError, ValidationError
 from .existence import GapInterval, gap_samples
 from .media import SampledEpsilon, StripSpec
-from .discrete_op import (ScalarField2, _axis_wraps, _factor,
+from .discrete_op import (HarmonicField, _axis_wraps, _factor,
                           _one_blas_thread, harmonic_split, scalar_matrix)
 
 __all__ = [
@@ -54,10 +54,11 @@ class ModeResult:
     """One converged eigenpair, the one record every window solve returns.
 
     `interior_eigs` makes it, with the unit eigenvector of block number
-    `block` as `field` and k1 = nan.  `bloch_modes` lifts that field, in
-    the same record, to the flattened grid field of the medium and sets k1;
-    `defect_spectrum` replaces it by that grid field as a ScalarField2 and
-    sets `localization`, the fraction of its squared norm near the strip.
+    `block` as `field` and k1 = nan.  `bloch_modes` wraps that vector, in
+    the same record, as a `HarmonicField` of the medium (its grid field is
+    lifted only when `field.values` is read) and sets k1;
+    `defect_spectrum` sets `localization`, the fraction of the field's
+    `density()` near the strip.
     """
 
     lam: float
@@ -70,7 +71,12 @@ class ModeResult:
 
 @dataclass(frozen=True)
 class DefectSpectrum:
-    """Localized in-gap modes collected over a k1 sweep, plus gap coverage."""
+    """Localized in-gap modes collected over a k1 sweep, plus gap coverage.
+
+    Each mode's field is the `HarmonicField` of `bloch_modes`: what is read
+    here, and by `decay.profile`, is its `density()`, never its lifted
+    `values`.
+    """
 
     modes: tuple
     coverage: tuple           # (mu, covered) pairs for the sampled gap points
@@ -83,12 +89,12 @@ class DefectSpectrum:
 
     @property
     def wall_amplitudes(self) -> tuple:
-        """Per mode, its peak amplitude at the x2 walls over its peak."""
+        """Per mode, its peak amplitude at the x2 walls over its peak, from
+        the field's density."""
         return tuple(
-            float(max(np.max(np.abs(m.field.values[:, 0])),
-                      np.max(np.abs(m.field.values[:, -1])))
-                  / np.max(np.abs(m.field.values)))
-            for m in self.modes)
+            float(np.sqrt(max(np.max(d[:, 0]), np.max(d[:, -1]))
+                          / np.max(d)))
+            for d in (m.field.density() for m in self.modes))
 
 
 def _ring_bands(eps: SampledEpsilon, ks, bands: int) -> np.ndarray:
@@ -119,11 +125,16 @@ def band_structure(eps: SampledEpsilon, k_path, bands: int = 8) -> BandTable:
     least 3 cells (ValidationError).  Each 2D sample is one (bitwise
     repeatable) `_nearest_eigs` solve shifted just below the spectrum.
     Either way `bands` above the number of cells gives one value per cell.
+    `bands` below 1 and an empty k-path raise ValidationError.
     The whole call runs on one OpenBLAS thread
     (`discrete_op._one_blas_thread`), so the table does not depend on the
     caller's thread count.
     """
     ks = tuple(k_path)
+    if bands < 1:
+        raise ValidationError(f"bands must be at least 1, not {bands}")
+    if not ks:
+        raise ValidationError("the k-path holds no sample")
     if eps.grid.ndim == 1:
         eigs = _ring_bands(eps, ks, bands)
     else:
@@ -409,18 +420,22 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
     """Every in-window eigenpair of the operator of `eps` (the scalar
     operator with Dirichlet walls in 1D and 2D, the Maxwell double curl
     with PEC walls in 3D) at each Bloch momentum k1, in k1 order and by
-    ascending eigenvalue: ModeResults with k1 set and the flattened grid
-    field.
+    ascending eigenvalue: ModeResults with k1 set and, as field, the
+    `HarmonicField` of the block vector.
 
     The medium is split once (`harmonic_split`): a medium whose samples are
     equal along x1 into the n1 harmonic blocks of its one-cell axial slab
     ((d, e) pairs for a 2D slab, solved by bisection), any other into one
     block, its operator at k1.  At each k1 `interior_eigs` solves the
     blocks, so the count cap is taken over all of them: m > count raises
-    its ValidationError.  Each block's vectors are then lifted to the grid
-    together (`HarmonicSplit.lift`), in the records interior_eigs made; the
-    one block of an unsplit medium gives the operator's eigenvector times
-    e^{i k1 x1_0}.
+    its ValidationError.  Each mode keeps its block vector with the split
+    and its block's kappa, in the record interior_eigs made: nothing is
+    lifted here.  Its `field.values` lifts it to the grid on each read
+    (`HarmonicSplit.lift`; for the one block of an unsplit medium, the
+    operator's eigenvector times e^{i k1 x1_0}), and its `field.density()`
+    is |values|^2 without the lift.  So the modes of a medium constant
+    along x1 hold 1/n1 of the bytes of their grid fields (criterion 10b's
+    104 modes 4.9 MiB, not 78.0 MiB).
 
     Every medium is solved on one OpenBLAS thread (`_one_blas_thread`), so
     its modes are bitwise the same whatever the caller's thread count.
@@ -431,11 +446,9 @@ def bloch_modes(eps: SampledEpsilon, k1_samples, window,
         kappas = split.kappas(k1)
         found = interior_eigs([split.block(kappa) for kappa in kappas],
                               window, count)
-        for j in {f.block for f in found}:
-            mine = [f for f in found if f.block == j]
-            V = np.stack([f.field for f in mine], axis=1)
-            for f, u in zip(mine, split.lift(kappas[j], V).T):
-                f.field, f.k1 = u, k1
+        for f in found:
+            f.field = HarmonicField(split, float(kappas[f.block]), f.field)
+            f.k1 = k1
         modes.extend(found)
     return modes
 
@@ -447,15 +460,14 @@ def _near_strip(grid, strip: StripSpec) -> np.ndarray:
     return strip.distance(tpts) <= 1.0
 
 
-def _fraction_near(values: np.ndarray, near: np.ndarray) -> float:
-    dens = np.abs(values) ** 2
+def _fraction_near(dens: np.ndarray, near: np.ndarray) -> float:
     return float(np.sum(dens[near]) / np.sum(dens))
 
 
 def localization_fraction(values: np.ndarray, eps_grid,
                           strip: StripSpec) -> float:
     """Fraction of the squared norm within one period of the scaled section."""
-    return _fraction_near(values, _near_strip(eps_grid, strip))
+    return _fraction_near(np.abs(values) ** 2, _near_strip(eps_grid, strip))
 
 
 def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
@@ -475,7 +487,10 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     at k1), the window being the gap less a pad of 1e-3 of its width at
     each end; a window holding more than `count` eigenvalues at some k1
     raises ValidationError naming the number.  This function only filters
-    the pairs by localization.  `delta` must be positive.
+    the pairs by localization, read from each field's `density()`: the
+    kept modes hold their block vectors (8 n2 bytes each on a 2D guide
+    constant along x1), and no grid field is lifted.  `delta` must be
+    positive.
     """
     if not delta > 0:
         raise ValidationError(f"coverage delta must be positive, not {delta!r}")
@@ -484,14 +499,11 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
         k1_samples = np.linspace(0.0, np.pi / a, 8)
     pad = 1e-3 * gap.width
     window = (gap.alpha + pad, gap.beta - pad)
-    grid = eps_defect.grid
-    near = _near_strip(grid, strip)
+    near = _near_strip(eps_defect.grid, strip)
     modes = []
     for m in bloch_modes(eps_defect, k1_samples, window, count):
-        vals2 = m.field.reshape(grid.shape)
-        frac = _fraction_near(vals2, near)
-        if frac >= 0.5:
-            m.field, m.localization = ScalarField2(vals2, grid), frac
+        m.localization = _fraction_near(m.field.density(), near)
+        if m.localization >= 0.5:
             modes.append(m)
     modes.sort(key=lambda m: m.lam)
     mus = gap_samples(gap)

@@ -114,6 +114,29 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert cli.main(["nu", "--config", scaler, "--out", str(tmp_path)]) == 2
         assert "bad 'kind' in config: KeyError('scaler')" \
             in capsys.readouterr().err
+    # a band count below 1 or an empty k-path is refused, not sliced into
+    # gaps or left to fail in find_gaps
+    bulk = {"schema": 1, "medium": {"lattice": [1.0], "inclusions": [
+        {"kind": "box", "lo": [-0.1875], "hi": [0.1875], "eps": 9.0}]},
+        "grid": {"shape": [64], "spacing": [1 / 64], "origin": [-0.5]},
+        "k_samples": {"start": 0.0, "stop": np.pi, "num": 9}}
+    for extra, message in ((dict(bands=-3), "bands must be at least 1"),
+                           (dict(k_samples={"start": 0.0, "stop": np.pi,
+                                            "num": 0}), "holds no sample")):
+        cfg = _cfg(tmp_path, "bands.json", dict(bulk, **extra))
+        assert cli.main(["bands", "--config", cfg, "--out",
+                         str(tmp_path / "b")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "b" / "gaps.json").exists()
+    # a negative dump count is refused, not sliced from the end or ignored
+    for cmd, key, n in (("defect", "dump_fields", -1),
+                        ("decay", "dump_profiles", -2)):
+        cfg = _defect_cfg(tmp_path, **{key: n})
+        assert cli.main([cmd, "--config", cfg, "--out",
+                         str(tmp_path / "d")]) == 2
+        assert f"bad '{key}' in config: {n} is negative" \
+            in capsys.readouterr().err
+    assert not (tmp_path / "d").exists() or not any((tmp_path / "d").iterdir())
 
 
 def test_unknown_command_and_missing_config_exit_2(tmp_path, capsys):

@@ -14,11 +14,12 @@ from gapguide.cross_section import Interval
 from gapguide.decay import (DecayFit, DecayProfile, ct_shape, fit_decay,
                             profile, rank_correlation)
 from gapguide.discrete_op import ScalarField2
-from gapguide.eigen import ModeResult
+from gapguide.eigen import ModeResult, defect_spectrum, localization_fraction
 from gapguide.errors import IterationError, ValidationError
 from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
-from gapguide.media import StripSpec
+from gapguide.media import (BoxInclusion, MediumSpec, SampledEpsilon,
+                            StripSpec, build_medium, with_defect)
 
 
 def _synthetic(rate=2.0, pref=3.0, dmax=5.0, step=0.25):
@@ -201,6 +202,39 @@ def test_profile_matches_a_window_norm_loop(shape, spacing, origin):
         assert 3.375 in dists and 3.5 not in dists
     if shape == (2, 40):
         assert len(dists) == 0
+
+
+@pytest.mark.parametrize("varies", [False, True])
+def test_density_reads_match_the_lifted_field(varies):
+    # localization, profiles and wall amplitudes read a mode's density();
+    # from its lifted values as a ScalarField2 they agree to 1e-14
+    grid = GridSpec((4, 255), (1 / 16, 1 / 32), (0.0, -4.0))
+    strip = StripSpec(Interval(1.0), l=1.5, eps_inside=12.0)
+    eps = with_defect(build_medium(MediumSpec(lattice=(0.25, 1.0), inclusions=(
+        BoxInclusion((-0.125, -0.1875), (0.125, 0.1875), 9.0),)), grid), strip)
+    if varies:          # one sample changed: solved as the whole operator
+        values = eps.values.copy()
+        values[0, 0] = 2.0
+        eps = SampledEpsilon(grid, values)
+    ds = defect_spectrum(eps, strip, GapInterval(1.50647, 5.24793),
+                         k1_samples=[4.5, 5.0], count=16)
+    assert len(ds.modes) >= 2
+    walls = []
+    for m in ds.modes:
+        lifted = ScalarField2(m.field.values, grid)
+        assert m.localization == pytest.approx(
+            localization_fraction(lifted.values, grid, strip),
+            rel=1e-14, abs=0)
+        got = profile(m, strip, step=0.125)
+        want = profile(ModeResult(lam=m.lam, field=lifted,
+                                  residual=m.residual, k1=m.k1),
+                       strip, step=0.125)
+        assert np.array_equal(got.distances, want.distances)
+        assert np.allclose(got.norms, want.norms, rtol=1e-14, atol=0)
+        amp = np.abs(lifted.values)
+        walls.append(max(np.max(amp[:, 0]), np.max(amp[:, -1]))
+                     / np.max(amp))
+    assert np.allclose(ds.wall_amplitudes, walls, rtol=1e-14, atol=0)
 
 
 def test_profile_needs_2d_field():

@@ -363,7 +363,7 @@ def test_harmonic_split_matches_the_general_path(defected, k1):
     n1 = defected.grid.shape[0]
     for m in split:
         assert m.k1 == k1
-        u = np.asarray(m.field)
+        u = m.field.values.ravel()
         res = np.linalg.norm(A @ u - m.lam * u)
         assert res <= 1e-8 * max(abs(m.lam), 1.0)
         # one axial harmonic: a constant axial ratio c, and n1 steps of it
@@ -373,6 +373,46 @@ def test_harmonic_split_matches_the_general_path(defected, k1):
         c = u2[1, peak] / u2[0, peak]
         assert np.allclose(u2[1:], c * u2[:-1], rtol=0, atol=1e-12)
         assert c ** n1 == pytest.approx(np.exp(1j * k1 * L1), abs=1e-12)
+
+
+def _varied(eps):
+    """`eps` with one sample changed at the lower wall: it varies along x1,
+    so its one block is its whole operator."""
+    values = eps.values.copy()
+    values[0, 0] = 2.0
+    return SampledEpsilon(eps.grid, values)
+
+
+@pytest.mark.parametrize("varies", [False, True])
+def test_bloch_mode_fields_are_their_lift(defected, varies):
+    # a mode holds its block vector v: `values` is bitwise the grid field
+    # e^{i kappa x1_{m p}} v / sqrt(n1/p), and `density()` is |values|^2
+    # without the lift
+    eps = _varied(defected) if varies else defected
+    k1, window = 5.0, (SPLIT_WINDOW if not varies else (40.0, 44.0))
+    modes = bloch_modes(eps, [k1], window, 100)
+    split = harmonic_split(eps)
+    assert (split.slab is eps) == varies
+    kappas = split.kappas(k1)
+    with discrete_op._one_blas_thread:
+        pairs = interior_eigs([split.block(kappa) for kappa in kappas],
+                              window, 100)
+    assert len(modes) == len(pairs) >= 5
+    assert [m.lam for m in modes] == [p.lam for p in pairs]
+    x1 = eps.grid.centers(0)[::split.slab.grid.shape[0]]
+    for m, p in zip(modes, pairs):
+        kappa = kappas[p.block]
+        assert m.field.kappa == kappa
+        assert np.array_equal(m.field.vector, p.field)
+        values = m.field.values
+        assert values.shape == eps.grid.shape
+        want = (np.exp(1j * kappa * x1)[:, None] * p.field[None, :]
+                / np.sqrt(len(x1)))
+        assert np.array_equal(values, want.reshape(eps.grid.shape))
+        dens = m.field.density()
+        want = np.abs(values) ** 2
+        assert dens.shape == want.shape and not dens.flags.writeable
+        assert np.max(np.abs(dens - want)) <= 1e-15 * np.max(want)
 
 
 def test_harmonic_split_keeps_the_count_contract(defected):
@@ -573,7 +613,8 @@ def test_blocks_outside_the_window_are_not_factored(defected, tm_gap,
     full = bloch_modes(guide, ks, window, 16)
     assert len(factored) == 2 * blocks + solved
     assert [(m.k1, m.lam) for m in full] == [(m.k1, m.lam) for m in modes]
-    assert all(np.array_equal(a.field, b.field) for a, b in zip(full, modes))
+    assert all(np.array_equal(a.field.values, b.field.values)
+               for a, b in zip(full, modes))
     # the tridiagonal blocks of a 2D split are never factored
     factored.clear()
     assert bloch_modes(defected, [4.5, 5.0], (tm_gap.alpha, tm_gap.beta), 16)
@@ -630,7 +671,8 @@ def test_bloch_modes_of_a_3d_guide_match_the_full_operator():
                        rtol=1e-10, atol=0)
     for m in split:
         assert m.k1 == 0.7
-        res = np.linalg.norm(M @ m.field - m.lam * m.field)
+        u = m.field.values.ravel()
+        res = np.linalg.norm(M @ u - m.lam * u)
         assert res <= 1e-8 * m.lam
     # a medium that varies along x1 is solved as its full maxwell_operator,
     # on the one OpenBLAS thread every solve of a medium holds
@@ -644,5 +686,5 @@ def test_bloch_modes_of_a_3d_guide_match_the_full_operator():
     split = bloch_modes(eps, [0.7], window, 100)
     assert [m.lam for m in split] == [m.lam for m in general]
     phase = np.exp(1j * 0.7 * grid.centers(0)[0])
-    assert all(np.array_equal(s.field, phase * g.field)
+    assert all(np.array_equal(s.field.values.ravel(), phase * g.field)
                for s, g in zip(split, general))

@@ -78,7 +78,8 @@ def _modes(eps, k1s):
 def _same_modes(a, b):
     return ([(m.k1, m.lam, m.residual) for m in a]
             == [(m.k1, m.lam, m.residual) for m in b]
-            and all(np.array_equal(x.field, y.field) for x, y in zip(a, b)))
+            and all(np.array_equal(x.field.values, y.field.values)
+                    for x, y in zip(a, b)))
 
 
 def _count_xsection_factors(monkeypatch, record=None):
