@@ -24,7 +24,8 @@ The operator of a medium whose samples are equal along x1 (every layered
 guide and every straight strip) splits into n1 independent axial Bloch
 harmonics: `harmonic_split` gives each as the same assembly on the
 one-cell axial slab at the harmonic's Bloch momentum.  Any other medium is
-its own slab, with one harmonic.
+its own slab, with one harmonic.  A field that is one harmonic is held as
+its block vector (`HarmonicField`) and lifted to the grid only when read.
 """
 
 from __future__ import annotations
