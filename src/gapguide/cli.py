@@ -301,6 +301,9 @@ def cmd_sweep(args, cfg, out: Path) -> int:
         ls = [float(l) for l in cfg["l_values"]]
     with _block("eps_values"):
         es = [float(e) for e in cfg["eps_values"]]
+    if not (ls and es):
+        raise ConfigError("sweep needs at least one value in 'l_values' "
+                          "and in 'eps_values'")
     eps0 = build_medium(base, grid)
 
     # a cell's strip may miss or under-resolve the grid, or its solve fail:

@@ -490,13 +490,15 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     the pairs by localization, read from each field's `density()`: the
     kept modes hold their block vectors (8 n2 bytes each on a 2D guide
     constant along x1), and no grid field is lifted.  `delta` must be
-    positive.
+    positive, and an empty k1 sweep raises ValidationError.
     """
     if not delta > 0:
         raise ValidationError(f"coverage delta must be positive, not {delta!r}")
     if k1_samples is None:
         a = eps_defect.bloch_period or 1.0
         k1_samples = np.linspace(0.0, np.pi / a, 8)
+    if len(k1_samples) == 0:
+        raise ValidationError("the k1 sweep holds no sample")
     pad = 1e-3 * gap.width
     window = (gap.alpha + pad, gap.beta - pad)
     near = _near_strip(eps_defect.grid, strip)

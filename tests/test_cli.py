@@ -68,6 +68,10 @@ def test_nu_command_scalar_interval(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["nu"] == pytest.approx(np.pi**2 / 4, rel=5e-3)
+    # each grid states which path its eigensolve took: the even class is
+    # solved and the odd one ruled out
+    (grid,) = read_json(tmp_path / "out" / "nu.json")["per_grid"]
+    assert (grid["classes_solved"], grid["classes_ruled_out"]) == (1, 1)
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -104,6 +108,23 @@ def test_config_errors_exit_2(tmp_path, capsys):
     words = _defect_cfg(tmp_path, nu=14.682, l_values=["x"], eps_values=[9.0])
     assert cli.main(["sweep", "--config", words, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+    # an empty sweep is refused, not reported as a run that found nothing
+    no_k1 = {"start": 4, "stop": 5, "num": 0}
+    for cmd, extra, message in (
+            ("defect", dict(k1_samples=no_k1), "k1 sweep holds no sample"),
+            ("decay", dict(k1_samples=[]), "k1 sweep holds no sample"),
+            ("sweep", dict(nu=14.682, l_values=[], eps_values=[9.0]),
+             "at least one value"),
+            ("sweep", dict(nu=14.682, l_values=[1.5], eps_values=[]),
+             "at least one value"),
+            ("sweep", dict(nu=14.682, l_values=[1.5], eps_values=[9.0],
+                           k1_samples=[]), "k1 sweep holds no sample")):
+        cfg = _defect_cfg(tmp_path, **extra)
+        assert cli.main([cmd, "--config", cfg, "--out",
+                         str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+    assert not (tmp_path / "e").exists() or not any((tmp_path / "e").iterdir())
     # nu solves the vector or the scalar constant; a misspelt kind is no
     # silent default, whatever the cross-section
     for section in ({"kind": "disk", "radius": 1.0},

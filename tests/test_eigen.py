@@ -335,6 +335,16 @@ def test_defect_spectrum_rejects_a_delta_that_is_not_positive(supercell,
                         delta=delta, count=16)
 
 
+@pytest.mark.parametrize("k1_samples", [[], np.linspace(4.0, 5.0, 0)])
+def test_defect_spectrum_rejects_an_empty_k1_sweep(supercell, tm_gap,
+                                                   k1_samples):
+    # an empty sweep finds no mode and covers nothing; it is refused, as
+    # band_structure refuses an empty k-path
+    with pytest.raises(ValidationError, match="k1 sweep holds no sample"):
+        defect_spectrum(supercell, STRIP, tm_gap, k1_samples=k1_samples,
+                        delta=0.25, count=16)
+
+
 def test_defect_spectrum_negative_control(supercell, tm_gap):
     ds = defect_spectrum(supercell, STRIP, tm_gap, k1_samples=[4.5, 5.0],
                          delta=0.25, count=16)

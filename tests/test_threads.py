@@ -34,8 +34,9 @@ GUIDE = MediumSpec(lattice=(0.25, 1.0), inclusions=(
     BoxInclusion((-0.125, -0.1875), (0.125, 0.1875), 9.0),))
 GUIDE_GRID = GridSpec((4, 511), (1 / 16, 1 / 32), (0.0, -8.0))
 GAP_WINDOW = (1.507, 5.247)       # the k1 = 0 gap of the layered bulk
-# one LU per mirror-symmetry class the unit disk's constant solves:
-# (+, +), (+, -) and (-, -), the transpose twinning (+, -) and (-, +)
+# the mirror-symmetry classes of the unit disk's constant: (+, +), (+, -)
+# and (-, -), the transpose twinning (+, -) and (-, +); each is solved (one
+# LU) or ruled out (one banded Cholesky)
 DISK_CLASSES = 3
 
 
@@ -82,19 +83,30 @@ def _same_modes(a, b):
                     for x, y in zip(a, b)))
 
 
-def _count_xsection_factors(monkeypatch, record=None):
-    """Count `xsection._factor` calls, so that a compared or watched
-    cross-section call is shown to solve, not to return a kept minimizer."""
-    factor, calls = xsection._factor, []
+def _count_xsection_classes(monkeypatch, record=None):
+    """Count the classes a cross-section solve takes, each solved
+    (`xsection._factor`) or ruled out (`xsection._ruled_out`), so that a
+    compared or watched cross-section call is shown to solve, not to return
+    a kept minimizer; `record` runs inside both."""
+    factor, ruled_out, seen = xsection._factor, xsection._ruled_out, []
 
-    def counted(A, sigma, thresh):
-        calls.append(A.shape)
+    def solved(A, sigma, thresh):
         if record is not None:
             record()
+        seen.append("solved")
         return factor(A, sigma, thresh)
 
-    monkeypatch.setattr(xsection, "_factor", counted)
-    return calls
+    def checked(A, B, best):
+        if record is not None:
+            record()
+        out = ruled_out(A, B, best)
+        if out:
+            seen.append("ruled out")
+        return out
+
+    monkeypatch.setattr(xsection, "_factor", solved)
+    monkeypatch.setattr(xsection, "_ruled_out", checked)
+    return seen
 
 
 @needs_openblas
@@ -103,13 +115,14 @@ def test_results_do_not_depend_on_the_callers_blas_threads(monkeypatch,
     bulk = build_medium(LAYERED, GridSpec((512,), (1 / 512,), (-0.5,)))
     guide = _guide()
     varied = _varied_3d()
-    factored = _count_xsection_factors(monkeypatch)
+    classes = _count_xsection_classes(monkeypatch)
     runs = []
     for n in (1, 2):
         caller_threads(n)
-        before = len(factored)
+        before = len(classes)
         nu = solve_nu_vector(Disk(1.0), 2 / 128)
-        assert len(factored) == before + DISK_CLASSES
+        assert len(classes) == before + DISK_CLASSES
+        assert classes[before:].count("solved") == 1
         bands = band_structure(bulk, np.linspace(0.0, np.pi, 25), bands=6)
         modes = _modes(guide, [4.3, 5.3, 6.3])
         full = bloch_modes(varied, [0.7], (2.0, 20.0), 100)
@@ -144,7 +157,8 @@ def test_every_medium_solve_runs_on_one_thread(monkeypatch, caller_threads):
         return ring(d, e, sigma, phases, bands)
 
     monkeypatch.setattr(eigen, "_factor", recorded)
-    factored = _count_xsection_factors(
+    # the LU of a solved class and the banded Cholesky of a ruled-out one
+    classes = _count_xsection_classes(
         monkeypatch, lambda: seen.append(_counts()))
     # the 2D guide's blocks are solved by bisection, without an LU
     monkeypatch.setattr(eigen, "_tridiagonal_eigs", recorded_tridiagonal)
@@ -183,9 +197,10 @@ def test_every_medium_solve_runs_on_one_thread(monkeypatch, caller_threads):
     assert threads_in(lambda: band_structure(layered, [0.0, 1.0], 4)) == one
     assert threads_in(lambda: band_structure(crystal, [0.0, 1.0], 4)) == one
     def solves_in(call):
-        before = len(factored)
+        before = len(classes)
         threads = threads_in(call)
-        assert len(factored) == before + DISK_CLASSES
+        assert len(classes) == before + DISK_CLASSES
+        assert classes[before:].count("solved") == 1
         return threads
 
     assert solves_in(lambda: solve_nu_vector(Disk(1.0), 2 / 48)) == one

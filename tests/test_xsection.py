@@ -17,7 +17,8 @@ from gapguide.xsection import (NuEstimate, _laplacian, divergence,
                                solve_nu_scalar, solve_nu_vector)
 
 # the unit disk's grids are symmetric under both mirrors and the transpose,
-# so its constant solves the classes (+, +), (+, -) and (-, -): three LUs
+# so its constant takes the classes (+, +), (+, -) and (-, -); the first
+# holds nu and is solved, the other two are ruled out
 DISK_CLASSES = 3
 
 
@@ -74,8 +75,9 @@ def test_buckling_solve_releases_its_lu(monkeypatch):
     monkeypatch.setattr(xsection, "_factor", tracked)
     gc.disable()            # only reference counting may free the LUs
     try:
-        solve_nu_vector(Disk(1.0), h=2 / 48)
-        assert len(held) == DISK_CLASSES
+        est = solve_nu_vector(Disk(1.0), h=2 / 48)
+        assert len(held) == est.classes_solved == 1
+        assert est.classes_solved + est.classes_ruled_out == DISK_CLASSES
         assert all(lu() is None for lu in held)
     finally:
         gc.enable()
@@ -94,15 +96,24 @@ def test_constant_solve_leaves_no_unreachable_objects(solve):
         gc.enable()
 
 
-def _count_factors(monkeypatch):
-    factor, calls = xsection._factor, []
+def _count_classes(monkeypatch):
+    """The classes the constant solves take, in order: "solved" for each
+    class LU, "ruled out" for each class the banded Cholesky rules out."""
+    factor, ruled_out, seen = xsection._factor, xsection._ruled_out, []
 
-    def counted(*args):
-        calls.append(args[0].shape)
+    def solved(*args):
+        seen.append("solved")
         return factor(*args)
 
-    monkeypatch.setattr(xsection, "_factor", counted)
-    return calls
+    def checked(*args):
+        out = ruled_out(*args)
+        if out:
+            seen.append("ruled out")
+        return out
+
+    monkeypatch.setattr(xsection, "_factor", solved)
+    monkeypatch.setattr(xsection, "_ruled_out", checked)
+    return seen
 
 
 def _same_field(a, b):
@@ -117,32 +128,38 @@ def test_one_buckling_solve_per_section_and_spacing(monkeypatch):
     h, rhos = 2 / 48, (0.1, 0.2, 0.3)
     fresh = [make_test_field(Disk(1.0), rho, h) for rho in rhos]
     fresh_nu = solve_nu_vector(Disk(1.0), h)
-    calls = _count_factors(monkeypatch)
+    seen = _count_classes(monkeypatch)
+
+    def solves(k):
+        # k buckling solves, each solving one class and ruling out the rest
+        return (len(seen) == k * DISK_CLASSES
+                and seen.count("solved") == k)
+
     cs = Disk(1.0)
     nu = solve_nu_vector(cs, h)
     kept = [make_test_field(cs, rho, h) for rho in rhos]
-    assert len(calls) == DISK_CLASSES
+    assert solves(1)
     assert (nu.value, nu.achieved_quotient) == \
         (fresh_nu.value, fresh_nu.achieved_quotient)
     assert all(_same_field(a, b) for a, b in zip(kept, fresh))
     # the kept minimizer also answers a repeat of the constant itself
-    assert solve_nu_vector(cs, h) == nu and len(calls) == DISK_CLASSES
+    assert solve_nu_vector(cs, h) == nu and solves(1)
     # an equal but distinct object solves again
     other = Disk(1.0)
     assert other == cs
     assert _same_field(make_test_field(other, rhos[0], h), kept[0])
-    assert len(calls) == 2 * DISK_CLASSES
+    assert solves(2)
     # so does the same object at another spacing, which replaces the entry
     solve_nu_vector(cs, 2 / 40)
-    assert len(calls) == 3 * DISK_CLASSES
+    assert solves(3)
     assert _same_field(make_test_field(cs, rhos[0], h), kept[0])
-    assert len(calls) == 4 * DISK_CLASSES
+    assert solves(4)
 
 
 def test_kept_minimizer_is_read_only():
     cs = Disk(1.0)
     make_test_field(cs, 0.2, 2 / 48)
-    _, psi, _, mask, _ = xsection._buckling_minimizer(cs, 2 / 48)
+    _, psi, _, mask, _, _ = xsection._buckling_minimizer(cs, 2 / 48)
     with pytest.raises(ValueError):
         psi[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -413,22 +430,23 @@ class _Lopsided(Disk):
         return np.where(np.asarray(q)[..., 0] > 0, (1 - 1e-3) * t, t)
 
 
-# (section, spacing, classes solved); a fresh section each time, since a
-# kept minimizer would answer without a solve
+# (section, spacing, classes, classes solved); a fresh section each time,
+# since a kept minimizer would answer without a solve
 _FOLDS = {
-    "disk-96": (lambda: Disk(1.0), 2 / 96, DISK_CLASSES),
-    "disk-128": (lambda: Disk(1.0), 2 / 128, DISK_CLASSES),
-    "disk-192": (lambda: Disk(1.0), 2 / 192, DISK_CLASSES),
+    "disk-96": (lambda: Disk(1.0), 2 / 96, DISK_CLASSES, 1),
+    "disk-128": (lambda: Disk(1.0), 2 / 128, DISK_CLASSES, 1),
+    "disk-192": (lambda: Disk(1.0), 2 / 192, DISK_CLASSES, 1),
     # the lowest mode is odd in x1 (class (-, +) at 9.48707), where the even
-    # class gives 9.57122; the mask is not square, so (+, -) is solved too
-    "rect-3x1": (lambda: Rect((3.0, 1.0)), 2 / 48, 4),
+    # class (+, +), solved first, gives 9.57122; the mask is not square, so
+    # (+, -) is a class too
+    "rect-3x1": (lambda: Rect((3.0, 1.0)), 2 / 48, 4, 2),
     # 71 x 71 nodes: both mirror lines pass through nodes
-    "square-65": (lambda: Rect((1.0, 1.0)), 2 / 65, DISK_CLASSES),
+    "square-65": (lambda: Rect((1.0, 1.0)), 2 / 65, DISK_CLASSES, 1),
     # 70 x 70 nodes whose centre lies half a cell off the square's: the
     # mask is not symmetric
-    "square-63": (lambda: Rect((1.0, 1.0)), 2 / 63, 1),
-    "notched-mask": (_notched_square, 2 / 48, 1),
-    "lopsided-disk": (lambda: _Lopsided(1.0), 2 / 48, 2),
+    "square-63": (lambda: Rect((1.0, 1.0)), 2 / 63, 1, 1),
+    "notched-mask": (_notched_square, 2 / 48, 1, 1),
+    "lopsided-disk": (lambda: _Lopsided(1.0), 2 / 48, 2, 1),
 }
 
 
@@ -448,7 +466,7 @@ def test_interior_operators_keep_every_mirror_of_the_mask(name):
     # the premise of checking only the boundary closure: the interior
     # stencils of both systems are bitwise invariant under every mirror of
     # the mask, so only the closure can break one
-    make, h, _ = _FOLDS.get(name, (lambda: Disk(1.0), 2 / 96, None))
+    make, h, *_ = _FOLDS.get(name, (lambda: Disk(1.0), 2 / 96))
     grid, mask, _ = xsection._domain_grid(make(), h)
     P = xsection._restriction(mask)
     Lf = xsection._laplacian(grid)
@@ -475,24 +493,74 @@ def test_interior_operators_keep_every_mirror_of_the_mask(name):
 
 @pytest.mark.parametrize("name", list(_FOLDS))
 def test_symmetry_classes_match_the_unfolded_solve(name, monkeypatch):
-    make, h, classes = _FOLDS[name]
+    make, h, classes, solved = _FOLDS[name]
     A, B, _, _, _ = xsection._buckling_system(make(), h)
     lam, v = _unfolded_eig(A, B)
-    calls = _count_factors(monkeypatch)
+    seen = _count_classes(monkeypatch)
     est = solve_nu_vector(make(), h)
     assert est.value == pytest.approx(lam, rel=1e-9)
     quot = (v @ (A @ v)) / (v @ (B @ v))
     assert est.achieved_quotient == pytest.approx(quot, rel=1e-9)
-    assert len(calls) == classes
+    assert len(seen) == classes and seen.count("solved") == solved
+    assert (est.classes_solved, est.classes_ruled_out) == \
+        (solved, classes - solved)
 
 
 def test_scalar_symmetry_classes_match_the_unfolded_solve(monkeypatch):
     h = 2 / 96
     A, _, _, _ = xsection._scalar_system(Disk(1.0), h)
     lam, _ = _unfolded_eig(A)
-    calls = _count_factors(monkeypatch)
-    assert solve_nu_scalar(Disk(1.0), h).value == pytest.approx(lam, rel=1e-9)
-    assert len(calls) == DISK_CLASSES
+    seen = _count_classes(monkeypatch)
+    est = solve_nu_scalar(Disk(1.0), h)
+    assert est.value == pytest.approx(lam, rel=1e-9)
+    assert len(seen) == DISK_CLASSES and seen.count("solved") == 1
+    assert (est.classes_solved, est.classes_ruled_out) == (1, 2)
+
+
+def _class_pencils(name):
+    """The folded blocks (A_c, B_c) of every class of a `_FOLDS` section's
+    buckling problem, or of the unit disk's scalar one at 2/96."""
+    if name == "scalar-disk":
+        A, cuts, _, mask = xsection._scalar_system(Disk(1.0), 2 / 96)
+        B, closure = sp.eye(A.shape[0], format="csr"), cuts
+    else:
+        make, h, *_ = _FOLDS[name]
+        A, B, closure, _, mask = xsection._buckling_system(make(), h)
+    return [(A[rows] @ E, B[rows] @ E)
+            for rows, E in xsection._symmetry_classes(mask, closure)]
+
+
+@pytest.mark.parametrize("name", [*_FOLDS, "scalar-disk"])
+def test_rule_out_check_brackets_each_class_eigenvalue(name):
+    # Bendixson: no class eigenvalue lies below the least eigenvalue of the
+    # symmetric part, so the check fails at the class's own eigenvalue; the
+    # bound lies within 1 % of it, so the check passes 1 % below
+    for A_c, B_c in _class_pencils(name):
+        mu, _ = xsection._arpack_smallest(A_c, B_c.sorted_indices())
+        assert xsection._ruled_out(A_c, B_c, 0.99 * mu)
+        assert not xsection._ruled_out(A_c, B_c, mu)
+
+
+@pytest.mark.parametrize("solve", [solve_nu_vector, solve_nu_scalar])
+def test_classes_in_reverse_order_are_all_solved_to_the_same_answer(
+        solve, monkeypatch):
+    # (-, -) first: each later class lies below the last, so none is ruled
+    # out and the winner is found by the class solve of the usual order
+    h, first, last = 2 / 96, Disk(1.0), Disk(1.0)
+    usual = solve(first, h)
+    classes = xsection._symmetry_classes
+    monkeypatch.setattr(xsection, "_symmetry_classes",
+                        lambda mask, closure: list(classes(mask, closure))[::-1])
+    reverse = solve(last, h)
+    assert (reverse.classes_solved, reverse.classes_ruled_out) == \
+        (DISK_CLASSES, 0)
+    assert (usual.classes_solved, usual.classes_ruled_out) == (1, 2)
+    assert (reverse.value, reverse.achieved_quotient) == \
+        (usual.value, usual.achieved_quotient)
+    if solve is solve_nu_vector:
+        # the kept minimizers, without a further solve
+        assert np.array_equal(xsection._buckling_minimizer(first, h)[1],
+                              xsection._buckling_minimizer(last, h)[1])
 
 
 def test_a_wrong_fold_fails_the_full_residual(monkeypatch):
