@@ -120,7 +120,10 @@ def _samples(cfg: dict, key: str):
     with _block(key):
         if isinstance(block, dict):
             return np.linspace(block["start"], block["stop"], block["num"])
-        return np.asarray(block, dtype=float)
+        samples = np.asarray(block, dtype=float)
+        if samples.ndim != 1:
+            raise ValueError(f"not a list of numbers: {block!r}")
+        return samples
 
 
 def _provenance(cfg, **extra) -> dict:

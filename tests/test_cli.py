@@ -96,7 +96,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                       "eps": 9.0}])
     malformed = [dict(k1_samples={"start": 4.3, "stop": 6.3}),
                  dict(gap=[1.6, 5.0, 6.0]), dict(grid=dict(GRID, shape=4)),
-                 dict(medium=no_hi), dict(count="x"), dict(delta=-1)]
+                 dict(medium=no_hi), dict(count="x"), dict(delta=-1),
+                 dict(k1_samples=5.0)]
     for extra in malformed:
         cfg = _defect_cfg(tmp_path, **extra)
         assert cli.main(["defect", "--config", cfg, "--out", str(tmp_path)]) == 2
