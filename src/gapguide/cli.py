@@ -126,6 +126,13 @@ def _samples(cfg: dict, key: str):
         return samples
 
 
+def _k1_samples(cfg: dict, spec: MediumSpec):
+    """cfg's "k1_samples", else 8 samples over [0, pi / a], a the medium's
+    axial lattice period."""
+    k1 = _samples(cfg, "k1_samples")
+    return np.linspace(0.0, np.pi / spec.lattice[0], 8) if k1 is None else k1
+
+
 def _provenance(cfg, **extra) -> dict:
     d = {"config_hash": io.config_hash(cfg), "blas": _blas_record()}
     d.update(extra)
@@ -136,7 +143,7 @@ def _provenance(cfg, **extra) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_nu(args, cfg, out: Path) -> int:
+def cmd_nu(cfg, out: Path) -> int:
     _need(cfg, "cross_section")
     with _block("kind"):
         solver = {"vector": solve_nu_vector,
@@ -158,7 +165,7 @@ def cmd_nu(args, cfg, out: Path) -> int:
     return 0
 
 
-def cmd_check(args, cfg, out: Path) -> int:
+def cmd_check(cfg, out: Path) -> int:
     _need(cfg, "l", "eps")
     gap = _gap(cfg)
     if "nu" in cfg:
@@ -178,7 +185,7 @@ def cmd_check(args, cfg, out: Path) -> int:
     return 0
 
 
-def cmd_residual(args, cfg, out: Path) -> int:
+def cmd_residual(cfg, out: Path) -> int:
     _need(cfg, "l", "eps", "mu", "delta", "cross_section")
     cs = _section(cfg["cross_section"])
     h = _number(cfg, "h", cs.diameter() / 96)
@@ -207,7 +214,7 @@ def cmd_residual(args, cfg, out: Path) -> int:
     return 0
 
 
-def cmd_bands(args, cfg, out: Path) -> int:
+def cmd_bands(cfg, out: Path) -> int:
     _need(cfg, "medium", "grid", "k_samples")
     eps = build_medium(_medium(cfg["medium"]), _grid(cfg["grid"]))
     bt = band_structure(eps, _samples(cfg, "k_samples"),
@@ -224,7 +231,7 @@ def cmd_bands(args, cfg, out: Path) -> int:
     return 0
 
 
-def _defect_run(args, cfg):
+def _defect_run(cfg):
     _need(cfg, "medium", "grid", "gap")
     spec = _medium(cfg["medium"])
     if spec.defect is None:
@@ -232,15 +239,15 @@ def _defect_run(args, cfg):
     eps = with_defect(build_medium(spec, _grid(cfg["grid"])), spec.defect)
     ds = defect_spectrum(
         eps, spec.defect, _gap(cfg),
-        k1_samples=_samples(cfg, "k1_samples"),
+        k1_samples=_k1_samples(cfg, spec),
         delta=_number(cfg, "delta", 0.15),
         count=_number(cfg, "count", 30, int))
     return spec, eps, ds
 
 
-def cmd_defect(args, cfg, out: Path) -> int:
+def cmd_defect(cfg, out: Path) -> int:
     dumps = _count(cfg, "dump_fields", 0)
-    spec, eps, ds = _defect_run(args, cfg)
+    spec, eps, ds = _defect_run(cfg)
     io.modes_csv(ds.modes, out / "modes.csv")
     io.write_json(out / "coverage.json", {
         "delta": ds.delta, "covered": ds.covered,
@@ -256,9 +263,9 @@ def cmd_defect(args, cfg, out: Path) -> int:
     return 0
 
 
-def cmd_decay(args, cfg, out: Path) -> int:
+def cmd_decay(cfg, out: Path) -> int:
     dumps = _count(cfg, "dump_profiles", 3)
-    spec, eps, ds = _defect_run(args, cfg)
+    spec, eps, ds = _defect_run(cfg)
     gap = _gap(cfg)
     dumped = min(len(ds.modes), dumps)
     step = _number(cfg, "step", 0.125)
@@ -289,7 +296,7 @@ def cmd_decay(args, cfg, out: Path) -> int:
     return 0
 
 
-def cmd_sweep(args, cfg, out: Path) -> int:
+def cmd_sweep(cfg, out: Path) -> int:
     _need(cfg, "medium", "grid", "gap", "l_values", "eps_values", "nu")
     base = _medium(cfg["medium"])
     if base.defect is None:
@@ -297,7 +304,7 @@ def cmd_sweep(args, cfg, out: Path) -> int:
     grid = _grid(cfg["grid"])
     gap = _gap(cfg)
     nu = _number(cfg, "nu")
-    k1_samples = _samples(cfg, "k1_samples")
+    k1_samples = _k1_samples(cfg, base)
     delta = _number(cfg, "delta", 0.15)
     count = _number(cfg, "count", 30, int)
     with _block("l_values"):
@@ -337,7 +344,7 @@ def cmd_sweep(args, cfg, out: Path) -> int:
     return 0
 
 
-def cmd_report(args, cfg, out: Path) -> int:
+def cmd_report(_cfg, out: Path) -> int:
     lines = ["# Run summary", ""]
     found = False
     nu_doc = _maybe(out / "nu.json")
@@ -441,7 +448,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         cfg = _load_config(args.config, args.command) if args.config else {}
-        return COMMANDS[args.command](args, cfg, out)
+        return COMMANDS[args.command](cfg, out)
     except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

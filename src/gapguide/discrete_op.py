@@ -13,12 +13,12 @@ None, a wall of zero ghosts (perfect conductor in 3D, Dirichlet below).
 
 Both come from one assembly: a 1D forward difference per axis, closed by a
 Bloch phase or a zero ghost, is lifted to the grid as I (x) D (x) I (one
-sparse matrix per axis, built from broadcast index arrays with the bits a
-Kronecker product would give) and combined into a gradient or a curl D
-(both public, so C G = 0 can be stated as a matrix identity); the operator
-is the sparse matrix D^H W D with W the face-averaged 1/eps.  Hermitian
-symmetry, nonnegativity and curl(grad) = 0 therefore hold to rounding
-rather than to discretization order.
+sparse matrix per axis, built from broadcast index arrays) and combined
+into a gradient or a curl D (both public, so C G = 0 can be stated as a
+matrix identity); the operator is the sparse matrix D^H W D with W the
+face-averaged 1/eps.  Hermitian symmetry, nonnegativity and
+curl(grad) = 0 therefore hold to rounding rather than to discretization
+order.
 
 The operator of a medium whose samples are equal along x1 (every layered
 guide and every straight strip) splits into n1 independent axial Bloch
@@ -90,19 +90,14 @@ class ScalarField2:
 
 def _difference(n: int, h: float, wrap) -> tuple:
     """(u[i+1] - u[i]) / h on n nodes, closed by `wrap`, as its row count
-    and the rows, columns and values of its stored entries, row by row and
-    by column within a row.
+    and the rows, columns and values of its stencil entries, none of them
+    zero and in no particular order.
 
     A Bloch phase sets u[n] = phase * u[0]; on one node the wrap shares the
     diagonal, phase - 1, and at phase 1 nothing is stored, so the
     difference is the real zero matrix.  "pec" sets the ghost u[n] to zero.
     "dirichlet" sets zero ghosts on both walls, u[-1] = u[n] = 0, which
     adds the face below node 0 as the first row.  Values are scaled by 1/h.
-    A stencil with at least half its entries nonzero (n <= 4) stores its
-    whole block, zeros included, as a Kronecker product with a dense
-    factor stores it: sparse products and SuperLU orderings follow the
-    stored pattern, so the grid matrices keep the bits of the Kronecker
-    assembly (tests/test_discrete_op.py).
     """
     i = np.arange(n)
     rows, cols = np.append(i, i[:-1]), np.append(i, i[1:])
@@ -116,22 +111,13 @@ def _difference(n: int, h: float, wrap) -> tuple:
     elif not isinstance(wrap, str):
         vals = vals + wrap if wrap != 1 else vals[:0]
         rows, cols = rows[:len(vals)], cols[:len(vals)]
-    m = n + (wrap == "dirichlet")
-    if 2 * len(vals) >= m * n:
-        block = np.zeros((m, n), dtype=vals.dtype)
-        block[rows, cols] = vals
-        rows, cols = np.divmod(np.arange(m * n), n)
-        vals = block.ravel()
-    else:
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-    return m, rows, cols, vals * (1 / h)
+    return n + (wrap == "dirichlet"), rows, cols, vals * (1 / h)
 
 
 def differences(grid: GridSpec, wraps) -> list:
     """Each axis's difference D on the C-ordered grid, I (x) D (x) I with
     identities on the axes before and after it, assembled at once from
-    broadcast index arrays."""
+    broadcast index arrays (`csr_matrix` sorts each row's columns)."""
     out = []
     for a, wrap in enumerate(wraps):
         n = grid.shape[a]
@@ -447,7 +433,7 @@ class _OneBlasThread(contextlib.ContextDecorator):
             self._depth += 1
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, *_exc):
         with self._lock:
             self._depth -= 1
             if self._depth == 0:

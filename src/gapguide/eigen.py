@@ -471,9 +471,11 @@ def localization_fraction(values: np.ndarray, eps_grid,
 
 
 def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
-                    gap: GapInterval, k1_samples=None, delta: float = 0.15,
+                    gap: GapInterval, k1_samples, delta: float = 0.15,
                     count: int = 30) -> DefectSpectrum:
-    """Localized eigenvalues inside the gap over a k1 sweep, with coverage.
+    """Localized eigenvalues inside the gap over the k1 sweep `k1_samples`,
+    with coverage.  The sweep has no default: the medium carries no lattice
+    period to place one.
 
     For each sampled mu point of the gap, reports whether some localized
     eigenvalue (half or more of its squared norm within one period of the
@@ -494,9 +496,6 @@ def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
     """
     if not delta > 0:
         raise ValidationError(f"coverage delta must be positive, not {delta!r}")
-    if k1_samples is None:
-        a = eps_defect.bloch_period or 1.0
-        k1_samples = np.linspace(0.0, np.pi / a, 8)
     if len(k1_samples) == 0:
         raise ValidationError("the k1 sweep holds no sample")
     pad = 1e-3 * gap.width

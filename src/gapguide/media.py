@@ -179,11 +179,15 @@ def _dec_section(d):
 
 @dataclass(frozen=True)
 class SampledEpsilon:
-    """Per-cell dielectric samples on a grid."""
+    """Per-cell dielectric samples on a grid.
+
+    The samples carry no lattice period: a caller sweeping the axial Bloch
+    momentum k1 picks its samples itself (the CLI's default sweep takes the
+    period from `MediumSpec.lattice`).
+    """
 
     grid: GridSpec
     values: np.ndarray
-    bloch_period: float | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -221,8 +225,7 @@ def build_medium(spec: MediumSpec, grid: GridSpec) -> SampledEpsilon:
     values = np.full(grid.shape, spec.background, dtype=float)
     for inc in spec.inclusions:
         values[inc.contains(pts)] = inc.eps
-    return SampledEpsilon(grid=grid, values=values,
-                          bloch_period=float(cell[0]))
+    return SampledEpsilon(grid=grid, values=values)
 
 
 def with_defect(eps0: SampledEpsilon, strip: StripSpec) -> SampledEpsilon:
@@ -239,5 +242,4 @@ def with_defect(eps0: SampledEpsilon, strip: StripSpec) -> SampledEpsilon:
     inside = section.contains(tpts)
     values = eps0.values.copy()
     values[inside] = strip.eps_inside
-    return SampledEpsilon(grid=grid, values=values,
-                          bloch_period=eps0.bloch_period)
+    return SampledEpsilon(grid=grid, values=values)

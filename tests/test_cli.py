@@ -235,6 +235,20 @@ def test_defect_command_is_deterministic(tmp_path, capsys):
     assert len(cov["points"]) == 9
 
 
+def test_defect_command_defaults_to_eight_k1_samples(tmp_path, capsys):
+    # with no k1_samples the sweep is 8 samples over [0, pi / a], a the
+    # medium's axial lattice period (0.25 here, so not the unit period)
+    cfg = _cfg(tmp_path, "defect.json", {
+        "schema": 1, "medium": MEDIUM, "grid": GRID, "gap": GAP,
+        "count": 16, "delta": 0.25})
+    out = tmp_path / "out"
+    assert cli.main(["defect", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["modes"] > 0
+    a = MEDIUM["lattice"][0]
+    assert (read_json(out / "coverage.json")["k1_samples"]
+            == np.linspace(0, np.pi / a, 8).tolist())
+
+
 def test_decay_command_and_numerical_failure(tmp_path, capsys):
     ok = _defect_cfg(tmp_path, step=0.25, d_min=1.5, d_max=2.5)
     out = tmp_path / "out"

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gapguide.discrete_op import (ScalarField2, _axis_wraps, _operator,
-                                  check_identities, curl, differences,
-                                  gradient, harmonic_split, maxwell_operator,
-                                  plane_wave_eigenvalue, scalar_matrix)
+from gapguide.discrete_op import (ScalarField2, _axis_wraps, _difference,
+                                  _operator, check_identities, curl,
+                                  differences, gradient, harmonic_split,
+                                  maxwell_operator, plane_wave_eigenvalue,
+                                  scalar_matrix)
 from gapguide.errors import ValidationError
 from gapguide.grids import GridSpec
 from gapguide.cross_section import Disk
@@ -259,42 +260,47 @@ def _kron_curl(d0, d1, d2):
                    format="csr")
 
 
-def _same_csr(A, B):
+def _same_values(A, B):
+    """Same format, shape, dtype and values, bit for bit; the stored
+    patterns may differ by explicit zeros."""
     return (A.format == B.format == "csr" and A.shape == B.shape
-            and A.dtype == B.dtype and A.indices.dtype == B.indices.dtype
-            and np.array_equal(A.indptr, B.indptr)
-            and np.array_equal(A.indices, B.indices)
-            and np.array_equal(A.data, B.data))
+            and A.dtype == B.dtype
+            and A.toarray().tobytes() == B.toarray().tobytes())
 
 
 @pytest.mark.parametrize("shape", [
     (1,), (2,), (4,), (64,), (1, 9), (4, 9), (3, 2), (1, 3, 4), (4, 3, 2),
     (2, 1, 5)])
 def test_assembly_is_bitwise_the_kronecker_one(shape):
-    # same dtype, pattern (explicit zeros included) and values: sparse
-    # products and SuperLU orderings follow the stored pattern.  A one-cell
-    # axis at Bloch phase 1 has no entries and stays real.
+    # same dtype and values as the Kronecker assembly, with no zero stored:
+    # a dense Kronecker factor (n <= 4) stores its zeros, the stencil does
+    # not.  A one-cell axis at Bloch phase 1 has no entries and stays real.
     rng = np.random.default_rng(len(shape) * 100 + shape[0])
     grid = GridSpec(shape, tuple(rng.choice([1 / 16, 2 / 96, 0.15, 0.3],
                                             len(shape))))
     kinds = ("dirichlet", "pec", 1.0, np.exp(0j), np.exp(0.7j))
+    for n, h in zip(shape, grid.spacing):
+        for wrap in kinds:
+            assert np.all(_difference(n, h, wrap)[3] != 0)
     for wraps in itertools.product(kinds, repeat=len(shape)):
         want = _kron_differences(grid, wraps)
-        assert all(_same_csr(got, ref)
-                   for got, ref in zip(differences(grid, wraps), want))
-        assert _same_csr(gradient(grid, wraps), sp.vstack(want, format="csr"))
+        got = differences(grid, wraps)
+        assert all(np.all(d.data != 0) for d in got)
+        assert all(map(_same_values, got, want))
+        assert _same_values(gradient(grid, wraps),
+                            sp.vstack(want, format="csr"))
         if len(shape) == 3 and "dirichlet" not in wraps:
-            assert _same_csr(curl(grid, wraps), _kron_curl(*want))
+            assert _same_values(curl(grid, wraps), _kron_curl(*want))
     # every closure, each axis walled or at a Bloch momentum on its own
     eps = SampledEpsilon(grid, rng.uniform(1.0, 12.0, shape))
     for momenta in itertools.product((None, 0.0, 0.7), repeat=len(shape)):
         wraps = _axis_wraps(grid, momenta)
         want = _kron_differences(grid, wraps)
         if len(shape) == 3:
-            assert _same_csr(maxwell_operator(eps, momenta),
-                             _operator(eps, wraps, _kron_curl(*want)))
+            assert _same_values(maxwell_operator(eps, momenta),
+                                _operator(eps, wraps, _kron_curl(*want)))
         else:
-            assert _same_csr(scalar_matrix(eps, momenta), _operator(
+            assert _same_values(scalar_matrix(eps, momenta), _operator(
                 eps, wraps, sp.vstack(want, format="csr")))
 
 

@@ -49,7 +49,7 @@ def test_band_table_validation():
 
 def test_homogeneous_1d_has_no_gap():
     grid = GridSpec((64,), (1 / 64,), (0.0,))
-    eps = SampledEpsilon(grid, np.ones(64), bloch_period=1.0)
+    eps = SampledEpsilon(grid, np.ones(64))
     bt = band_structure(eps, np.linspace(0, np.pi, 9), bands=6)
     assert find_gaps(bt, min_width=0.5) == []
 
@@ -83,8 +83,7 @@ def test_band_structure_is_deterministic():
 def test_band_structure_on_a_tiny_grid_matches_eigvalsh(bands):
     # 6 unknowns: bands = 6 takes the top bracket [t_5, t_5 + 2 sigma]
     grid = GridSpec((6,), (1 / 6,), (-0.5,))
-    eps = SampledEpsilon(grid, np.array([1.0, 1.0, 9.0, 9.0, 1.0, 1.0]),
-                         bloch_period=1.0)
+    eps = SampledEpsilon(grid, np.array([1.0, 1.0, 9.0, 9.0, 1.0, 1.0]))
     ks = (0.0, 1.0, np.pi)
     bt = band_structure(eps, ks, bands=bands)
     for k, got in zip(ks, bt.eigenvalues):

@@ -21,7 +21,6 @@ def test_rod_volume_fraction():
     eps = build_medium(_rod_medium(), grid)
     frac = np.mean(eps.values == 9.0)
     assert frac == pytest.approx(np.pi * 0.2**2, rel=0.02)
-    assert eps.bloch_period == pytest.approx(1.0)
 
 
 def test_periodic_wrapping_repeats_the_cell():

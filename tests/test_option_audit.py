@@ -1,6 +1,6 @@
 """Every defaulted parameter of the package takes another value somewhere,
-every field of its dataclasses is read, and every command-line flag is
-read.
+every parameter and every field of its dataclasses is read, and every
+command-line flag is read.
 
 A default that no call in src/, tests/, demos/ or bench/ ever overrides,
 or that every call overriding it sets to the default literal again, is a
@@ -10,6 +10,7 @@ defaults are the fields of value objects.  A dataclass field that no code
 there loads as an attribute is written and carried for nothing.  A flag
 of `gapguide` that `cli.py` never reads as `args.<dest>` does nothing; the
 two kept only so that old command lines parse must say so in their help.
+A parameter its function's body never loads is passed for nothing.
 """
 
 import argparse
@@ -169,3 +170,36 @@ def test_every_cli_flag_is_read():
     assert not unread, "flags that cli.py never reads: " + ", ".join(unread)
     assert not silent, ("unread flags whose help does not say so: "
                         + ", ".join(silent))
+
+
+def _is_interface(fn):
+    """Whether the body, past its docstring, is empty or only raises
+    NotImplementedError: a signature that subclasses fill in."""
+    body = [s for s in fn.body if not (isinstance(s, ast.Expr)
+                                       and isinstance(s.value, ast.Constant))]
+    return not body or (
+        len(body) == 1 and isinstance(body[0], ast.Raise)
+        and _name(getattr(body[0].exc, "func", body[0].exc))
+        == "NotImplementedError")
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never loads is passed for nothing; a name that
+    # starts with "_" is unread on purpose (a protocol or uniform dispatch
+    # signature)
+    unread = []
+    for path in sorted((ROOT / "src" / "gapguide").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or _is_interface(fn)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p]
+            loaded = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.stem}.{fn.name}({p.arg})" for p in params
+                       if not p.arg.startswith("_") and p.arg not in loaded]
+    assert not unread, ("parameters their function never reads; delete "
+                        "them: " + ", ".join(unread))
