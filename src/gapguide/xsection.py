@@ -27,11 +27,13 @@ eigensolves (`discrete_op._factor`).  Where the node mask and the boundary
 closure are symmetric under the axis mirrors x1 -> -x1 and x2 -> -x2 (the
 interior stencils then are too), the problem is folded onto a quadrant one
 symmetry class at a time, on matrices about a quarter the size (Bossavit,
-Comput. Methods Appl. Mech. Eng. 56, 167, 1986).  The first class is
-solved; a later one is solved only when one banded Cholesky of the
-symmetric part of its pencil, shifted by the least eigenvalue so far,
-fails to rule it out (Bendixson's bound), and the least class eigenvalue
-is nu.  The lifted eigenpair is accepted only at a relative residual of
+Comput. Methods Appl. Mech. Eng. 56, 167, 1986).  Where the transpose is a
+symmetry too, the classes even or odd under both mirrors are split again
+by it into eighths, and the class (+, -) stands for its transpose twin
+(-, +).  The first class is solved; a later one is solved only when one
+banded Cholesky of the symmetric part of its pencil, shifted by the least
+eigenvalue so far, fails to rule it out (Bendixson's bound), and the
+least class eigenvalue is nu.  The lifted eigenpair is accepted only at a relative residual of
 1e-6 or better against the unfolded operators.
 
 A cross-section object keeps its latest buckling minimizer (nu, the
@@ -72,8 +74,9 @@ class NuEstimate:
     """Cross-section constant estimate (units 1/length^2).
 
     A solved estimate states how many mirror-symmetry classes its
-    eigensolve solved and how many it ruled out (`_smallest_eig`); an
-    extrapolated one states neither.
+    eigensolve solved and how many it ruled out (`_smallest_eig`), and
+    `lu_fill`, the entries of the LUs of the classes it solved; an
+    extrapolated one states none of them.
     """
 
     value: float
@@ -83,6 +86,7 @@ class NuEstimate:
     order: float | None = None
     classes_solved: int | None = None
     classes_ruled_out: int | None = None
+    lu_fill: int | None = None
 
     def __post_init__(self):
         if not (self.value > 0):
@@ -93,7 +97,8 @@ class NuEstimate:
                 "quotient": self.achieved_quotient,
                 "extrapolated": self.extrapolated,
                 "classes_solved": self.classes_solved,
-                "classes_ruled_out": self.classes_ruled_out}
+                "classes_ruled_out": self.classes_ruled_out,
+                "lu_fill": self.lu_fill}
 
 
 @dataclass(frozen=True)
@@ -187,10 +192,14 @@ def _ring_nodes(mask: np.ndarray, reach: int) -> np.ndarray:
     """Interior nodes with an outside node within `reach` steps (any axis).
 
     The core is the erosion of the mask by the full square of side
-    2 reach + 1, nodes beyond the grid counting as outside."""
-    size = (2 * reach + 1,) * mask.ndim
-    windows = sliding_window_view(np.pad(mask, reach), size)
-    core = windows.all(axis=tuple(range(mask.ndim, 2 * mask.ndim)))
+    2 reach + 1, nodes beyond the grid counting as outside.  A square is a
+    product of segments, so the erosion runs one axis at a time, each a
+    window of 2 reach + 1 nodes along that axis, reduced over whole shifted
+    copies of the array (window offset first)."""
+    core = np.pad(mask, reach)
+    for axis in range(mask.ndim):
+        windows = sliding_window_view(core, 2 * reach + 1, axis=axis)
+        core = np.moveaxis(windows, -1, 0).all(axis=0)
     return np.argwhere(mask & ~core)
 
 
@@ -306,10 +315,33 @@ def _scalar_system(cs: CrossSection, h: float):
 
 def _commutes(perm, closure) -> bool:
     """Whether relabelling the unknowns by the involution `perm` leaves the
-    boundary closure equal to 1e-12 relative (the ghost rows carry
-    rounding: 1.3e-14 on the unit disk at h = 2/192)."""
-    moved = closure[perm][:, perm]
+    COO boundary closure equal to 1e-12 relative (the ghost rows carry
+    rounding: 1.3e-14 on the unit disk at h = 2/192).  The relabelled
+    closure is its own COO coordinates passed through `perm`."""
+    moved = sp.coo_matrix(
+        (closure.data, (perm[closure.row], perm[closure.col])),
+        shape=closure.shape)
     return abs(moved - closure).max() <= 1e-12 * abs(closure).max()
+
+
+def _fold(mirrors, signs, n: int):
+    """(rows, E) of the class with one sign per mirror.  Each mirror is a
+    (perm, offset) pair: the node relabelling and each node's signed offset
+    from the mirror line.  `rows` are the nodes on the side offset <= 0 of
+    every mirror, less those on the line of a mirror of sign -1; E =
+    prod_a (I + s_a S_a) on the columns `rows` is written in one COO pass,
+    each factor doubling the list of (image, sign) entries of every column,
+    and images on one node add up."""
+    keep = np.ones(n, dtype=bool)
+    for (_, offset), s in zip(mirrors, signs):
+        keep &= (offset < 0) | ((offset == 0) & (s > 0))
+    rows = np.flatnonzero(keep)
+    images, weights = rows, np.ones(len(rows))
+    for (perm, _), s in zip(mirrors, signs):
+        images = np.concatenate([images, perm[images]])
+        weights = np.concatenate([weights, s * weights])
+    cols = np.tile(np.arange(len(rows)), 2 ** len(mirrors))
+    return rows, sp.csr_matrix((weights, (images, cols)), shape=(n, len(rows)))
 
 
 def _symmetry_classes(mask, closure):
@@ -324,42 +356,56 @@ def _symmetry_classes(mask, closure):
     unchanged (`_commutes`).  The kept mirrors S_a generate a group G;
     each tuple s of one sign per mirror is a class, the vectors with
     x = s_a S_a x.  E = prod_a (I + s_a S_a) = sum_g chi_s(g) S_g on the
-    columns `rows` maps a quadrant vector to the grid with sign chi_s(g)
-    on image g; `rows` are the nodes at most halfway along each mirrored
-    axis, less those on the line of a mirror of sign -1, where the class
-    vanishes.  An image on its own node adds up, so the sum over G is |G|
-    times a symmetric projector commuting with A and B: A[rows] @ E and
-    B[rows] @ E are the Galerkin blocks E^T A E and E^T B E over |G|, and
-    the folded B stays symmetric positive definite.  When the transpose is
-    also a symmetry it swaps the classes (+, -) and (-, +), which then
-    share a spectrum, and only (+, -) is returned.  With no mirror, G is
+    columns `rows` maps a class vector on its fundamental domain to the
+    grid with sign chi_s(g) on image g (`_fold`); `rows` are the nodes at
+    most halfway along each mirrored axis, less those on the line of a
+    mirror of sign -1, where the class vanishes.  An image on its own node
+    adds up, so the sum over G is |G| times a symmetric projector commuting
+    with A and B: A[rows] @ E and B[rows] @ E are the Galerkin blocks
+    E^T A E and E^T B E over |G|, and the folded B stays symmetric
+    positive definite.
+
+    When the transpose T is also a symmetry, G is the group D4 of the
+    square (Bossavit, Comput. Methods Appl. Mech. Eng. 56, 167, 1986).  T
+    swaps the classes (+, -) and (-, +), its two-dimensional
+    representation, which then share a spectrum: only (+, -) is returned,
+    a quarter class.  The classes (+, +) and (-, -) commute with T and
+    split by their sign under it into eighths, with T a third mirror whose
+    line is the diagonal: each keeps the quadrant nodes with i <= j, less
+    the diagonal for sign -1.  So D4 gives five classes: (+, +, +),
+    (+, +, -), (+, -), (-, -, +) and (-, -, -).  With no mirror, G is
     trivial: one class, every node, E the identity.
     """
+    closure = closure.tocoo()
+    n = closure.shape[0]
     idx = _node_index(mask)
-    flips = {axis: np.flip(idx, axis)[mask] for axis in range(mask.ndim)
-             if np.array_equal(mask, np.flip(mask, axis))}
-    axes = [axis for axis, perm in flips.items() if _commutes(perm, closure)]
-    mirrors = [flips[axis] for axis in axes]
-    twins = (len(mirrors) == 2 and np.array_equal(mask, mask.T)
-             and _commutes(idx.T[mask], closure))
-    middle = np.array(mask.shape)[axes] - 1
-    node = 2 * np.argwhere(mask)[:, axes]
-    quadrant = np.all(node <= middle, axis=1)
-    on_line = node == middle
+    nodes = np.argwhere(mask)
+    mirrors = []
+    for axis in range(mask.ndim):
+        if np.array_equal(mask, np.flip(mask, axis)):
+            perm = np.flip(idx, axis)[mask]
+            if _commutes(perm, closure):
+                offset = 2 * nodes[:, axis] - (mask.shape[axis] - 1)
+                mirrors.append((perm, offset))
+    transpose = None
+    if len(mirrors) == 2 and np.array_equal(mask, mask.T):
+        perm = idx.T[mask]
+        if _commutes(perm, closure):
+            transpose = (perm, nodes[:, 0] - nodes[:, 1])
     for signs in itertools.product((1, -1), repeat=len(mirrors)):
-        if twins and signs == (-1, 1):
-            continue
-        rows = np.flatnonzero(
-            quadrant & ~np.any(on_line & (np.array(signs) < 0), axis=1))
-        E = sp.eye(closure.shape[0], format="csr")[:, rows]
-        for perm, s in zip(mirrors, signs):
-            E = E + s * E[perm]
-        yield rows, E
+        if transpose is None:
+            yield _fold(mirrors, signs, n)
+        elif signs[0] == signs[1]:      # (+, +) and (-, -): two eighths each
+            for t in (1, -1):
+                yield _fold(mirrors + [transpose], signs + (t,), n)
+        elif signs[0] > 0:              # (+, -), standing for (-, +) too
+            yield _fold(mirrors, signs, n)
 
 
 def _arpack_smallest(A, B):
-    """Smallest eigenpair of A x = lam B x: ARPACK's ordinary mode finds
-    the largest eigenvalue 1/lam of A^-1 B.
+    """(lam, x, fill): the smallest eigenpair of A x = lam B x, which
+    ARPACK's ordinary mode finds as the largest eigenvalue 1/lam of
+    A^-1 B, and the entries of the LU it factored (`SuperLU.nnz`).
 
     A^-1 is the shared sparse LU (`discrete_op._factor`, pivot threshold
     1e-2), whose minimum-degree ordering of A + A^T fills less than the
@@ -379,7 +425,7 @@ def _arpack_smallest(A, B):
         vals, vecs = spla.eigs(op, k=1, which="LM", tol=1e-10, v0=v0)
     except spla.ArpackError as exc:
         raise IterationError(f"ARPACK eigensolve failed: {exc}") from exc
-    return 1.0 / float(vals[0].real), vecs[:, 0].real
+    return 1.0 / float(vals[0].real), vecs[:, 0].real, lu.nnz
 
 
 def _ruled_out(A, B, best: float) -> bool:
@@ -401,9 +447,10 @@ def _ruled_out(A, B, best: float) -> bool:
 
 
 def _smallest_eig(A, B, closure, mask):
-    """(lam, v, (solved, ruled out)): the smallest eigenpair of A x = lam B x
-    on the nodes of `mask`, found one mirror-symmetry class at a time, and
-    how many classes were solved and how many ruled out.
+    """(lam, v, (solved, ruled out, fill)): the smallest eigenpair of
+    A x = lam B x on the nodes of `mask`, found one mirror-symmetry class at
+    a time, how many classes were solved and how many ruled out, and the
+    entries of the LUs of the classes solved.
 
     The lowest mode need not be symmetric, so every class of
     `_symmetry_classes` (mirrors checked on the boundary `closure` alone)
@@ -419,18 +466,21 @@ def _smallest_eig(A, B, closure, mask):
     rounding, and then lam is the same.  With one class (no mirror) there
     is nothing to rule out and the solve is the unfolded one.
 
-    On the unit disk at h = 2/192 the three classes hold 7,242 unknowns
-    each; the first, (+, +), holds nu and is solved (one LU of 0.81M
-    entries, a sixth of the unfolded fill, and 21 ARPACK solves: 95 ms),
-    and the other two are ruled out, each by a band of 195 x 7,242 (10.8
-    MiB) and `dpbtrf` in 24 ms; at 2/96 the bound lies within 0.3 % of
-    each class eigenvalue.  The band grows faster than the LU: at 2/256 it
-    is 25.4 MiB against 19.2 MiB of LU fill, and the check takes 58-70 ms
-    against a 114-141 ms LU (one thread).  The lifted pair is accepted
-    only at a relative residual of 1e-6 or better against the full A and
-    B, so a wrong fold fails loudly.
+    On the unit disk at h = 2/192 there are five classes.  The first, the
+    eighth (+, +, +) of 3,655 unknowns, holds nu and is solved: one LU of
+    0.32M entries (a sixteenth of the unfolded fill, where the quarter
+    (+, +) took 0.81M) in 9-13 ms, and 21 ARPACK solves, 15-23 ms in all.
+    The eighths (+, +, -), (-, -, +) and (-, -, -) of 3,587-3,655 unknowns
+    are ruled out each by a band with kd = 136-137 (3.8 MiB) and `dpbtrf`
+    in 4-6 ms, the quarter (+, -) of 7,242 by one with kd = 194 (10.8 MiB)
+    in 10-15 ms; at 2/96 the bound lies within 0.3 % of each class
+    eigenvalue.  The band grows faster than the LU: for a quarter at 2/256
+    it is 25.4 MiB against 19.2 MiB of LU fill, and the check takes
+    58-70 ms against a 114-141 ms LU (one thread).  The lifted pair is
+    accepted only at a relative residual of 1e-6 or better against the
+    full A and B, so a wrong fold fails loudly.
     """
-    best, solved, ruled_out = None, 0, 0
+    best, solved, ruled_out, fill = None, 0, 0, 0
     for rows, E in _symmetry_classes(mask, closure):
         A_c, B_c = A[rows] @ E, B[rows] @ E
         if best is not None and _ruled_out(A_c, B_c, best[0]):
@@ -438,8 +488,9 @@ def _smallest_eig(A, B, closure, mask):
             continue
         # B's folded block sorted like B, so that with no mirror the solve
         # is bitwise the unfolded one
-        lam, q = _arpack_smallest(A_c, B_c.sorted_indices())
+        lam, q, nnz = _arpack_smallest(A_c, B_c.sorted_indices())
         solved += 1
+        fill += nnz
         if best is None or lam < best[0]:
             best = lam, E @ q
     lam, v = best
@@ -449,7 +500,7 @@ def _smallest_eig(A, B, closure, mask):
     if not res <= 1e-6:
         raise IterationError(f"eigenpair residual {res:.2e} above 1e-6",
                              residual=res)
-    return lam, v, (solved, ruled_out)
+    return lam, v, (solved, ruled_out, fill)
 
 
 @_one_blas_thread
@@ -457,24 +508,27 @@ def solve_nu_vector(cs: CrossSection, h: float) -> NuEstimate:
     """Cross-section constant via the clamped buckling eigenproblem.
 
     The eigenproblem is taken one mirror-symmetry class at a time
-    (`_smallest_eig`): three classes on the unit disk, of which one is
-    solved and two are ruled out by a banded Cholesky; four on a rectangle
-    with unequal sides; one, solved unfolded, when the grid has no mirror.
-    The estimate states both counts.  The solve and the Rayleigh quotient
+    (`_smallest_eig`): five classes on the unit disk, of which the eighth
+    (+, +, +) is solved (one LU of 921 unknowns at 2/96) and three eighths
+    and the quarter (+, -) are ruled out by a banded Cholesky; four
+    quarters on a rectangle with unequal sides; one, solved unfolded, when
+    the grid has no mirror.  The estimate states both counts and the LU
+    fill.  The solve and the Rayleigh quotient
     of its minimizer run on one OpenBLAS thread
     (`discrete_op._one_blas_thread`): both `value` and `achieved_quotient`
     are bitwise the same at any caller thread count.  The minimizer stays
     on `cs` for `make_test_field` at the same `h`; a repeat answered from
-    it states the counts of the solve that found it.
+    it states the counts and fill of the solve that found it.
     """
-    nu, _, _, _, quot, (solved, ruled_out) = _buckling_minimizer(cs, h)
+    nu, _, _, _, quot, (solved, ruled_out, fill) = _buckling_minimizer(cs, h)
     return NuEstimate(value=nu, grid_h=h, achieved_quotient=quot,
-                      classes_solved=solved, classes_ruled_out=ruled_out)
+                      classes_solved=solved, classes_ruled_out=ruled_out,
+                      lu_fill=fill)
 
 
 def _buckling_minimizer(cs, h):
-    """(nu, psi, grid, mask, quot, (classes solved, classes ruled out)) of
-    the buckling problem on `cs` at `h`.
+    """(nu, psi, grid, mask, quot, (classes solved, classes ruled out, LU
+    fill)) of the buckling problem on `cs` at `h`.
 
     One entry per object, for the last `h`, kept in `cs.__dict__` as
     `functools.cached_property` keeps its values (so frozen dataclasses
@@ -484,7 +538,7 @@ def _buckling_minimizer(cs, h):
     if held is not None and held[0] == h:
         return held[1]
     A, B, ghosts, grid, mask = _buckling_system(cs, h)
-    nu, v, classes = _smallest_eig(A, B, ghosts, mask)
+    nu, v, stats = _smallest_eig(A, B, ghosts, mask)
     psi = np.zeros(mask.shape)
     psi[mask] = v
     # fix the overall sign so repeated runs agree
@@ -496,7 +550,7 @@ def _buckling_minimizer(cs, h):
     quot = float((v @ (A @ v)) / (v @ (B @ v)))
     psi.flags.writeable = False
     mask.flags.writeable = False
-    result = (float(nu), psi, grid, mask, quot, classes)
+    result = (float(nu), psi, grid, mask, quot, stats)
     cs.__dict__["_buckling_minimizer"] = (h, result)
     return result
 
@@ -507,12 +561,14 @@ def solve_nu_scalar(cs: CrossSection, h: float) -> NuEstimate:
     taken one mirror-symmetry class at a time (B = I: a class is ruled out
     when the symmetric part of its Shortley-Weller block less `best` times
     the folded identity is positive definite) and on one OpenBLAS thread,
-    like `solve_nu_vector`."""
+    like `solve_nu_vector`: on the unit disk the eighth (+, +, +) is solved
+    (one LU of 921 unknowns at 2/96) and the other four classes are ruled
+    out."""
     A, cuts, _, mask = _scalar_system(cs, h)
-    lam, _, (solved, ruled_out) = _smallest_eig(
+    lam, _, (solved, ruled_out, fill) = _smallest_eig(
         A, sp.eye(A.shape[0], format="csr"), cuts, mask)
     return NuEstimate(value=lam, grid_h=h, classes_solved=solved,
-                      classes_ruled_out=ruled_out)
+                      classes_ruled_out=ruled_out, lu_fill=fill)
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,10 @@ def test_nu_command_scalar_interval(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["nu"] == pytest.approx(np.pi**2 / 4, rel=5e-3)
     # each grid states which path its eigensolve took: the even class is
-    # solved and the odd one ruled out
+    # solved and the odd one ruled out, and the entries of its LU
     (grid,) = read_json(tmp_path / "out" / "nu.json")["per_grid"]
     assert (grid["classes_solved"], grid["classes_ruled_out"]) == (1, 1)
+    assert grid["lu_fill"] > 0
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

@@ -34,10 +34,11 @@ GUIDE = MediumSpec(lattice=(0.25, 1.0), inclusions=(
     BoxInclusion((-0.125, -0.1875), (0.125, 0.1875), 9.0),))
 GUIDE_GRID = GridSpec((4, 511), (1 / 16, 1 / 32), (0.0, -8.0))
 GAP_WINDOW = (1.507, 5.247)       # the k1 = 0 gap of the layered bulk
-# the mirror-symmetry classes of the unit disk's constant: (+, +), (+, -)
-# and (-, -), the transpose twinning (+, -) and (-, +); each is solved (one
-# LU) or ruled out (one banded Cholesky)
-DISK_CLASSES = 3
+# the mirror-symmetry classes of the unit disk's constant: the eighths
+# (+, +, +), (+, +, -), (-, -, +) and (-, -, -) and the quarter (+, -), the
+# transpose twinning (+, -) and (-, +); each is solved (one LU) or ruled
+# out (one banded Cholesky)
+DISK_CLASSES = 5
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvals
+from scipy.optimize import linear_sum_assignment
 
 import oracles
 from gapguide import discrete_op, xsection
@@ -17,9 +19,10 @@ from gapguide.xsection import (NuEstimate, _laplacian, divergence,
                                solve_nu_scalar, solve_nu_vector)
 
 # the unit disk's grids are symmetric under both mirrors and the transpose,
-# so its constant takes the classes (+, +), (+, -) and (-, -); the first
-# holds nu and is solved, the other two are ruled out
-DISK_CLASSES = 3
+# so its constant takes the eighth classes (+, +, +), (+, +, -), (-, -, +)
+# and (-, -, -) and the quarter class (+, -); the first holds nu and is
+# solved, the other four are ruled out
+DISK_CLASSES = 5
 
 
 def test_scalar_constant_interval():
@@ -63,6 +66,7 @@ def test_buckling_solve_releases_its_lu(monkeypatch):
     class Held:
         def __init__(self, lu):
             self.lu = lu
+            self.nnz = lu.nnz
 
         def solve(self, x):
             return self.lu.solve(x)
@@ -227,6 +231,7 @@ def test_refine_extrapolate_exact_second_order():
     assert out.value == pytest.approx(exact, abs=1e-10)
     assert out.order == pytest.approx(2.0, abs=1e-8)
     assert out.extrapolated
+    assert out.lu_fill is None
 
 
 def test_refine_extrapolate_accepts_estimates_and_needs_three():
@@ -514,7 +519,7 @@ def test_scalar_symmetry_classes_match_the_unfolded_solve(monkeypatch):
     est = solve_nu_scalar(Disk(1.0), h)
     assert est.value == pytest.approx(lam, rel=1e-9)
     assert len(seen) == DISK_CLASSES and seen.count("solved") == 1
-    assert (est.classes_solved, est.classes_ruled_out) == (1, 2)
+    assert (est.classes_solved, est.classes_ruled_out) == (1, 4)
 
 
 def _class_pencils(name):
@@ -536,7 +541,7 @@ def test_rule_out_check_brackets_each_class_eigenvalue(name):
     # symmetric part, so the check fails at the class's own eigenvalue; the
     # bound lies within 1 % of it, so the check passes 1 % below
     for A_c, B_c in _class_pencils(name):
-        mu, _ = xsection._arpack_smallest(A_c, B_c.sorted_indices())
+        mu, _, _ = xsection._arpack_smallest(A_c, B_c.sorted_indices())
         assert xsection._ruled_out(A_c, B_c, 0.99 * mu)
         assert not xsection._ruled_out(A_c, B_c, mu)
 
@@ -544,23 +549,114 @@ def test_rule_out_check_brackets_each_class_eigenvalue(name):
 @pytest.mark.parametrize("solve", [solve_nu_vector, solve_nu_scalar])
 def test_classes_in_reverse_order_are_all_solved_to_the_same_answer(
         solve, monkeypatch):
-    # (-, -) first: each later class lies below the last, so none is ruled
-    # out and the winner is found by the class solve of the usual order
+    # (-, -, -), (-, -, +), (+, +, -), (+, -), then (+, +, +): for both
+    # constants at 2/96 each later class lies below the last (the eighths
+    # (+, +, -) and (-, -, +), one pair on the true disk, split by 2e-4 and
+    # 7e-4 relative), so none is ruled out and the winner is found by the
+    # class solve of the usual order
     h, first, last = 2 / 96, Disk(1.0), Disk(1.0)
     usual = solve(first, h)
     classes = xsection._symmetry_classes
-    monkeypatch.setattr(xsection, "_symmetry_classes",
-                        lambda mask, closure: list(classes(mask, closure))[::-1])
+    order = (4, 3, 1, 2, 0)
+    monkeypatch.setattr(
+        xsection, "_symmetry_classes",
+        lambda mask, closure: [list(classes(mask, closure))[i] for i in order])
     reverse = solve(last, h)
     assert (reverse.classes_solved, reverse.classes_ruled_out) == \
         (DISK_CLASSES, 0)
-    assert (usual.classes_solved, usual.classes_ruled_out) == (1, 2)
+    assert (usual.classes_solved, usual.classes_ruled_out) == (1, 4)
     assert (reverse.value, reverse.achieved_quotient) == \
         (usual.value, usual.achieved_quotient)
     if solve is solve_nu_vector:
         # the kept minimizers, without a further solve
         assert np.array_equal(xsection._buckling_minimizer(first, h)[1],
                               xsection._buckling_minimizer(last, h)[1])
+
+
+def _eye_fold(mask, axes, signs):
+    """(rows, E) of the class with `signs` on the flips of `axes`, built as
+    an identity restricted to the quadrant columns plus its mirrored rows:
+    the reference for `xsection._fold`'s one COO pass."""
+    idx = xsection._node_index(mask)
+    middle = np.array(mask.shape)[list(axes)] - 1
+    node = 2 * np.argwhere(mask)[:, list(axes)]
+    quadrant = np.all(node <= middle, axis=1)
+    on_line = node == middle
+    rows = np.flatnonzero(
+        quadrant & ~np.any(on_line & (np.array(signs) < 0), axis=1))
+    E = sp.eye(int(mask.sum()), format="csr")[:, rows]
+    for axis, s in zip(axes, signs):
+        E = E + s * E[np.flip(idx, axis)[mask]]
+    return rows, E
+
+
+# the quarter classes of each section: (position among the classes, the
+# mirrored axes, their signs)
+_QUARTERS = {
+    "rect-3x1": [(k, (0, 1), signs) for k, signs in
+                 enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)])],
+    "lopsided-disk": [(0, (1,), (1,)), (1, (1,), (-1,))],
+    "disk-96": [(2, (0, 1), (1, -1))],
+}
+
+
+@pytest.mark.parametrize("name", list(_QUARTERS))
+def test_quarter_classes_are_the_identity_construction(name):
+    make, h, *_ = _FOLDS[name]
+    _, _, closure, _, mask = xsection._buckling_system(make(), h)
+    classes = list(xsection._symmetry_classes(mask, closure))
+    for k, axes, signs in _QUARTERS[name]:
+        rows, E = classes[k]
+        want_rows, want = _eye_fold(mask, axes, signs)
+        assert np.array_equal(rows, want_rows)
+        assert E.shape == want.shape and E.dtype == want.dtype
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(E, part), getattr(want, part))
+
+
+def _matched(got, want):
+    """Largest relative distance of the multiset `got` from `want` under
+    the pairing that minimizes the sum of those distances."""
+    rel = np.abs(got[:, None] - want[None, :]) / np.abs(want[None, :])
+    i, j = linear_sum_assignment(rel)
+    return rel[i, j].max()
+
+
+@pytest.mark.parametrize("cs, h", [(Disk(1.0), 2 / 48),
+                                   (Rect((1.0, 1.0)), 2 / 43)],
+                         ids=["disk-48", "square-43"])
+def test_eighth_classes_keep_every_eigenvalue_of_their_quarter(cs, h):
+    # the transpose splits the quarter classes (+, +) and (-, -) into two
+    # eighths each; together they hold the quarter's whole spectrum.  The
+    # square's 49 x 49 nodes put a node on every mirror line
+    A, B, closure, _, mask = xsection._buckling_system(cs, h)
+    classes = list(xsection._symmetry_classes(mask, closure))
+    assert len(classes) == 5
+    eighths = {(1, 1): classes[:2], (-1, -1): classes[3:]}
+    for signs, pair in eighths.items():
+        rows, E = _eye_fold(mask, (0, 1), signs)
+        want = eigvals(A[rows].dot(E).toarray(), B[rows].dot(E).toarray())
+        got = np.concatenate([
+            eigvals(A[r].dot(F).toarray(), B[r].dot(F).toarray())
+            for r, F in pair])
+        assert len(got) == len(want) == len(rows)
+        assert _matched(got, want) <= 1e-9
+
+
+@pytest.mark.parametrize("solve", [solve_nu_vector, solve_nu_scalar])
+def test_disk_constant_factors_one_eighth(solve, monkeypatch):
+    # one LU, on the eighth (+, +, +) of 921 unknowns at 2/96; the estimate
+    # states its fill
+    factor, lus = xsection._factor, []
+
+    def recorded(A, sigma, thresh):
+        lus.append((A.shape, factor(A, sigma, thresh)))
+        return lus[-1][1]
+
+    monkeypatch.setattr(xsection, "_factor", recorded)
+    est = solve(Disk(1.0), 2 / 96)
+    assert [shape for shape, _ in lus] == [(921, 921)]
+    assert est.lu_fill == lus[0][1].nnz > 0
 
 
 def test_a_wrong_fold_fails_the_full_residual(monkeypatch):
