@@ -9,7 +9,7 @@ finds in-gap defect modes, and quantifies their exponential confinement.
 
 from .errors import (GapguideError, ValidationError, ConfigError,
                      ResolutionError, GeometryError, UnsupportedGeometryError,
-                     IterationError, StructuralError)
+                     IterationError)
 from .grids import GridSpec
 from .cross_section import CrossSection, Interval, Disk, Rect, MaskSection
 from .media import (DiskInclusion, BoxInclusion, StripSpec, MediumSpec,
@@ -19,12 +19,10 @@ from .xsection import (NuEstimate, TestField, solve_nu_vector, solve_nu_scalar,
 from .existence import (GapInterval, Profile, TrialParams, ConditionReport,
                         ResidualReport, gap_samples, check_condition,
                         residual_closed_form, residual_quadrature,
-                        quadrature_grid, trial_norm_quadrature, minimal_n)
-from .discrete_op import (ScalarField2, maxwell_operator, scalar_matrix,
-                          check_identities, plane_wave_eigenvalue)
+                        quadrature_grid, minimal_n)
+from .discrete_op import maxwell_operator, scalar_matrix
 from .eigen import (BandTable, ModeResult, DefectSpectrum, band_structure,
-                    find_gaps, interior_eigs, bloch_modes, defect_spectrum,
-                    localization_fraction)
+                    find_gaps, interior_eigs, bloch_modes, defect_spectrum)
 from .decay import (DecayProfile, DecayFit, profile, fit_decay, ct_shape,
                     rank_correlation)
 

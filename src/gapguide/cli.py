@@ -3,7 +3,9 @@
 Commands dispatch to the library modules and leave deterministic artifacts
 (CSV/JSON/binary dumps) in the output directory; every artifact records the
 config hash and the BLAS the solves ran on; `--seed` and `--threads` are
-read by nothing, kept so that existing command lines parse.  Exit codes:
+read by nothing, kept so that existing command lines parse.  A config value
+that would be misread (a fractional count, an empty spacing list, a key
+beside the one read in its place) is refused, naming its key.  Exit codes:
 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -56,6 +58,14 @@ def _need(cfg: dict, *keys):
         raise ConfigError(f"config is missing required keys: {missing}")
 
 
+def _either(cfg: dict, key: str, *others):
+    """Refuse `key` together with any of `others`, of which the command
+    would read only `key`."""
+    both = [k for k in others if k in cfg]
+    if key in cfg and both:
+        raise ConfigError(f"config sets {key!r} and {both}; give only one")
+
+
 @contextmanager
 def _block(name: str):
     """Raise a malformed config value or block as a ConfigError naming it."""
@@ -65,15 +75,25 @@ def _block(name: str):
         raise ConfigError(f"bad {name!r} in config: {exc!r}") from exc
 
 
-def _number(cfg: dict, key: str, default=None, kind=float):
-    """cfg[key], else `default`, as a `kind`."""
+def _number(cfg: dict, key: str, default=None) -> float:
+    """cfg[key], else `default`, as a float."""
     with _block(key):
-        return kind(cfg.get(key, default))
+        return float(cfg.get(key, default))
+
+
+def _integer(cfg: dict, key: str, default: int) -> int:
+    """cfg[key], else `default`, as an int; a boolean or a number with a
+    fractional part is refused, not truncated."""
+    n = _number(cfg, key, default)
+    if isinstance(cfg.get(key), bool) or not n.is_integer():
+        raise ConfigError(f"bad {key!r} in config: {cfg[key]!r} is not an "
+                          f"integer")
+    return int(n)
 
 
 def _count(cfg: dict, key: str, default: int) -> int:
     """cfg[key], else `default`, as an int that is not negative."""
-    n = _number(cfg, key, default, int)
+    n = _integer(cfg, key, default)
     if n < 0:
         raise ConfigError(f"bad {key!r} in config: {n} is negative")
     return n
@@ -104,6 +124,7 @@ def _medium(cfg) -> MediumSpec:
 
 
 def _gap(cfg) -> GapInterval:
+    _either(cfg, "gap", "gap_width")
     with _block("gap"):
         if "gap" in cfg:
             a, b = cfg["gap"]
@@ -149,13 +170,17 @@ def cmd_nu(cfg, out: Path) -> int:
         solver = {"vector": solve_nu_vector,
                   "scalar": solve_nu_scalar}[cfg.get("kind", "vector")]
     cs = _section(cfg["cross_section"])
-    if cfg.get("h_values"):
+    _either(cfg, "h_values", "h")
+    if "h_values" in cfg:
         with _block("h_values"):
             hs = [float(h) for h in cfg["h_values"]]
+        if not hs:
+            raise ConfigError("bad 'h_values' in config: the list is empty")
     else:
         hs = [_number(cfg, "h", cs.diameter() / 96)]
     estimates = [solver(cs, h) for h in hs]
-    best = refine_extrapolate(estimates) if len(estimates) >= 3 else estimates[-1]
+    best = (refine_extrapolate(estimates) if len(estimates) >= 3
+            else min(estimates, key=lambda e: e.grid_h))
     doc = best.record()
     doc["per_grid"] = [e.record() for e in estimates]
     doc["provenance"] = _provenance(cfg, module="xsection",
@@ -168,6 +193,7 @@ def cmd_nu(cfg, out: Path) -> int:
 def cmd_check(cfg, out: Path) -> int:
     _need(cfg, "l", "eps")
     gap = _gap(cfg)
+    _either(cfg, "nu", "cross_section", "h")
     if "nu" in cfg:
         nu = _number(cfg, "nu")
         grid_h = None
@@ -193,7 +219,7 @@ def cmd_residual(cfg, out: Path) -> int:
     psi = Profile.bump(2)
     tp = TrialParams(l=_number(cfg, "l"), eps=_number(cfg, "eps"),
                      mu=_number(cfg, "mu"), delta=_number(cfg, "delta"),
-                     n=_number(cfg, "n", 1, int), psi=psi, g=tf)
+                     n=_integer(cfg, "n", 1), psi=psi, g=tf)
     if "n" not in cfg:
         n = minimal_n(tp)
         if n is None:
@@ -218,7 +244,7 @@ def cmd_bands(cfg, out: Path) -> int:
     _need(cfg, "medium", "grid", "k_samples")
     eps = build_medium(_medium(cfg["medium"]), _grid(cfg["grid"]))
     bt = band_structure(eps, _samples(cfg, "k_samples"),
-                        bands=_number(cfg, "bands", 8, int))
+                        bands=_integer(cfg, "bands", 8))
     gaps = find_gaps(bt, _number(cfg, "min_gap_width", 0.5))
     io.band_csv(bt, out / "bands.csv")
     io.write_json(out / "gaps.json", {
@@ -241,7 +267,7 @@ def _defect_run(cfg):
         eps, spec.defect, _gap(cfg),
         k1_samples=_k1_samples(cfg, spec),
         delta=_number(cfg, "delta", 0.15),
-        count=_number(cfg, "count", 30, int))
+        count=_integer(cfg, "count", 30))
     return spec, eps, ds
 
 
@@ -306,7 +332,7 @@ def cmd_sweep(cfg, out: Path) -> int:
     nu = _number(cfg, "nu")
     k1_samples = _k1_samples(cfg, base)
     delta = _number(cfg, "delta", 0.15)
-    count = _number(cfg, "count", 30, int)
+    count = _integer(cfg, "count", 30)
     with _block("l_values"):
         ls = [float(l) for l in cfg["l_values"]]
     with _block("eps_values"):

@@ -26,13 +26,13 @@ __all__ = ["DecayProfile", "DecayFit", "profile", "fit_decay", "ct_shape",
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Windowed norms versus distance to the strip along transverse rays."""
+    """Windowed norms versus distance to the strip along both transverse
+    rays."""
 
     distances: np.ndarray     # strictly increasing, nonnegative
-    norms: np.ndarray         # summed over rays at equal distance
+    norms: np.ndarray         # summed over both rays at equal distance
     strip_radius: float
     extent: float             # largest transverse distance the grid supports
-    truncated: bool = False   # some windows exited the grid
 
     def __post_init__(self):
         d = np.asarray(self.distances, dtype=float)
@@ -70,22 +70,22 @@ class DecayFit:
 
 
 _HALF_SIDE = 1.0      # half the side of a profile window
+_RAYS = (+1.0, -1.0)  # the transverse directions a profile marches along
 
 
 @functools.lru_cache(maxsize=8)
-def _windows(grid, radius: float, step: float, rays: tuple) -> tuple:
+def _windows(grid, radius: float, step: float) -> tuple:
     """The window geometry of `profile`, the same for every mode of a
-    supercell: the transverse extent, the distances, the truncation flag,
-    the axial window cells, the per-ray x2 window indicators and the mask
-    of kept distances (arrays read-only, shared by every caller)."""
+    supercell: the transverse extent, the distances, the axial window
+    cells, the per-ray x2 window indicators and the mask of kept distances
+    (arrays read-only, shared by every caller)."""
     lo, hi = grid.extent(1)
     axial_center = 0.5 * sum(grid.extent(0))
     extent = max(hi, -lo) - radius
     dists = np.arange(0.0, extent + 0.5 * step, step)
     # window centres, one row per ray; a window is the cells within
     # _HALF_SIDE of its centre on both axes
-    ys = np.multiply.outer(np.asarray(rays, dtype=float), radius + dists)
-    truncated = bool(np.any((ys + _HALF_SIDE > hi) | (ys - _HALF_SIDE < lo)))
+    ys = np.multiply.outer(np.asarray(_RAYS), radius + dists)
     outside = (ys - _HALF_SIDE > hi) | (ys + _HALF_SIDE < lo)
     axial = np.abs(grid.centers(0) - axial_center) <= _HALF_SIDE
     inside = np.abs(grid.centers(1) - ys[..., None]) <= _HALF_SIDE
@@ -93,21 +93,21 @@ def _windows(grid, radius: float, step: float, rays: tuple) -> tuple:
     kept = ~np.any(outside | empty, axis=0)
     for a in (dists, axial, inside, kept):
         a.flags.writeable = False
-    return extent, dists, truncated, axial, inside, kept
+    return extent, dists, axial, inside, kept
 
 
-def profile(mode, strip: StripSpec, step: float = 0.25,
-            rays=None) -> DecayProfile:
-    """Windowed norms marching outward from the strip along transverse rays.
+def profile(mode, strip: StripSpec, step: float = 0.25) -> DecayProfile:
+    """Windowed norms marching outward from the strip along both transverse
+    rays of a 2D supercell.
 
     `mode` carries a sampled field on `.field.grid`, of which only
     `.field.density()`, |values|^2 on the grid, is read: a `HarmonicField`
-    gives it without lifting its grid field, a ScalarField2 from its
-    values.  Rays default to both transverse directions of a 2D supercell.
-    The windows are unit cubes centred on the axial midpoint of the grid;
-    windows that stick out of the grid truncate the profile and set its
-    flag.  The window geometry is built once per grid, strip radius, step
-    and rays (`_windows`).  `step` must be positive.
+    gives it without lifting its grid field.  The windows are squares of
+    half side `_HALF_SIDE` centred on the axial midpoint of the grid, and
+    they run out to the walls: a distance whose window on some ray lies
+    wholly outside the grid or holds no cell is dropped.  The window
+    geometry is built once per grid, strip radius and step (`_windows`).
+    `step` must be positive.
     """
     if not step > 0:
         raise ValidationError(f"profile step must be positive, not {step!r}")
@@ -116,18 +116,14 @@ def profile(mode, strip: StripSpec, step: float = 0.25,
     if grid.ndim != 2:
         raise ValidationError("decay profiles expect a 2D supercell field")
     radius = strip.l * strip.cross_section.inradius()
-    if rays is None:
-        rays = (+1.0, -1.0)
-    extent, dists, truncated, axial, inside, kept = _windows(
-        grid, radius, float(step), tuple(map(float, rays)))
+    extent, dists, axial, inside, kept = _windows(grid, radius, float(step))
     # per x2 row, |v|^2 summed over the axial window; each window norm^2 is
     # then a sum of these nonnegative row sums (no differenced prefix sums)
     rows = np.sum(fld.density()[axial], axis=0)
     squares = (inside @ rows) * grid.cell_volume
     norms = np.sqrt(np.sum(squares, axis=0))
     return DecayProfile(distances=dists[kept], norms=norms[kept],
-                        strip_radius=radius, extent=extent,
-                        truncated=truncated)
+                        strip_radius=radius, extent=extent)
 
 
 def fit_decay(p: DecayProfile, d_min: float | None = None,

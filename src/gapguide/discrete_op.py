@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import IterationError, StructuralError, ValidationError
+from .errors import IterationError, ValidationError
 from .grids import GridSpec
 from .media import SampledEpsilon
 
@@ -58,30 +58,6 @@ def _axis_wraps(grid: GridSpec, momenta) -> list:
     spans = [hi - lo for lo, hi in map(grid.extent, range(grid.ndim))]
     return [walls if k is None else np.exp(1j * k * span)
             for k, span in zip(momenta, spans)]
-
-
-@dataclass(frozen=True)
-class ScalarField2:
-    """Scalar field in 2D; Bloch along x1, Dirichlet walls across x2.
-
-    Values sit at the cell centres origin + (i + 1/2) h of the grid, as
-    media, localization and decay sample them.  On a Dirichlet axis the
-    zero ghosts are the centres of the cells just outside the grid, half a
-    cell beyond its ends.
-    """
-
-    values: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if self.grid.ndim != 2 or v.shape != self.grid.shape:
-            raise ValidationError("values must match the 2D grid shape")
-        object.__setattr__(self, "values", v)
-
-    def density(self) -> np.ndarray:
-        """|values|^2 on the grid."""
-        return np.abs(self.values) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -453,60 +429,3 @@ def _blas_record() -> dict:
     return {"libraries": [{"config": lib.config, "threads": n} for lib, n
                           in zip(libs, _one_blas_thread.caller_threads())],
             "solve_threads": 1 if libs else None}
-
-
-# ---------------------------------------------------------------------------
-# structural identity checks
-# ---------------------------------------------------------------------------
-
-def check_identities(eps: SampledEpsilon) -> dict:
-    """Verify symmetry, nonnegativity and curl(grad)=0 on 20 random fields
-    at Bloch momentum k1 = 0.7.
-
-    Dispatches on the dielectric's dimensionality (3D Maxwell under PEC
-    truncation / scalar under Dirichlet truncation).  Raises StructuralError
-    carrying the worst violation if any identity fails the 1e-12 budget.
-    """
-    trials, momenta = 20, (0.7,) + (None,) * (eps.grid.ndim - 1)
-    rng = np.random.default_rng(0)
-    grid = eps.grid
-    if grid.ndim == 3:
-        wraps = _axis_wraps(grid, momenta)
-        C, G = curl(grid, wraps), gradient(grid, wraps)
-        A = _operator(eps, wraps, C)
-    else:
-        A = scalar_matrix(eps, momenta)
-
-    def rand(n):
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    sym = gradimg = 0.0
-    pos = np.inf
-    for _ in range(trials):
-        u, v = rand(A.shape[0]), rand(A.shape[0])
-        Au, Av = A @ u, A @ v
-        scale = max(np.linalg.norm(Au) * np.linalg.norm(v)
-                    + np.linalg.norm(u) * np.linalg.norm(Av), 1e-300)
-        sym = max(sym, abs(np.vdot(u, Av) - np.conj(np.vdot(v, Au))) / scale)
-        pos = min(pos, np.vdot(u, Au).real / np.linalg.norm(u) ** 2)
-        if grid.ndim == 3:
-            img = C @ (G @ rand(A.shape[0] // 3))
-            gradimg = max(gradimg, float(np.max(np.abs(img))))
-    report = {"max_symmetry_violation": float(sym),
-              "min_quadratic_form": float(pos),
-              "max_grad_image": gradimg,
-              "trials": trials}
-    if sym > 1e-12:
-        raise StructuralError("operator symmetry violated", max_violation=sym)
-    if pos < -1e-12:
-        raise StructuralError("operator form went negative", max_violation=-pos)
-    if gradimg > 1e-12:
-        raise StructuralError("curl(grad) != 0", max_violation=gradimg)
-    return report
-
-
-def plane_wave_eigenvalue(k: np.ndarray, spacing, eps_value: float) -> float:
-    """Discrete symbol of the staggered curl-curl for a homogeneous medium."""
-    k = np.asarray(k, dtype=float)
-    h = np.asarray(spacing, dtype=float)
-    return float(np.sum((2.0 / h) ** 2 * np.sin(k * h / 2.0) ** 2) / eps_value)

@@ -25,7 +25,6 @@ from .discrete_op import (HarmonicField, _axis_wraps, _factor,
 __all__ = [
     "BandTable", "ModeResult", "DefectSpectrum", "band_structure",
     "find_gaps", "interior_eigs", "bloch_modes", "defect_spectrum",
-    "localization_fraction",
 ]
 
 
@@ -470,13 +469,8 @@ def _near_strip(grid, strip: StripSpec) -> np.ndarray:
 
 
 def _fraction_near(dens: np.ndarray, near: np.ndarray) -> float:
+    """The share of the density `dens` on the cells `near`."""
     return float(np.sum(dens[near]) / np.sum(dens))
-
-
-def localization_fraction(values: np.ndarray, eps_grid,
-                          strip: StripSpec) -> float:
-    """Fraction of the squared norm within one period of the scaled section."""
-    return _fraction_near(np.abs(values) ** 2, _near_strip(eps_grid, strip))
 
 
 def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,

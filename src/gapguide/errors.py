@@ -32,10 +32,3 @@ class IterationError(GapguideError):
         super().__init__(message)
         self.residual = residual
 
-
-class StructuralError(GapguideError):
-    """A structural operator identity was violated."""
-
-    def __init__(self, message, max_violation=None):
-        super().__init__(message)
-        self.max_violation = max_violation

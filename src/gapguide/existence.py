@@ -39,8 +39,7 @@ from .xsection import NuEstimate, TestField, smoothstep_polynomial
 __all__ = [
     "GapInterval", "Profile", "TrialParams", "ConditionReport",
     "ResidualReport", "check_condition", "residual_closed_form",
-    "residual_quadrature", "trial_norm_quadrature", "minimal_n",
-    "quadrature_grid", "gap_samples",
+    "residual_quadrature", "minimal_n", "quadrature_grid", "gap_samples",
 ]
 
 
@@ -59,10 +58,6 @@ class GapInterval:
     @property
     def width(self) -> float:
         return self.beta - self.alpha
-
-    def contains(self, mu: float, delta: float = 0.0) -> bool:
-        """Is (mu - delta, mu + delta) inside the open gap?"""
-        return self.alpha < mu - delta and mu + delta < self.beta
 
 
 def gap_samples(gap: GapInterval, count: int = 9) -> np.ndarray:
@@ -84,11 +79,10 @@ class Profile:
         nrm2 = 2.0 * float((half_poly**2).integ()(1.0))
         p = half_poly / np.sqrt(nrm2)
         self._p = p
-        self._p1 = p.deriv(1)
-        p2 = p.deriv(2)
+        p1, p2 = p.deriv(1), p.deriv(2)
         # exact moments, integrated once
         self.norm_sq = 2.0 * float((p**2).integ()(1.0))
-        self.d1_norm_sq = 2.0 * float((self._p1**2).integ()(1.0))
+        self.d1_norm_sq = 2.0 * float((p1**2).integ()(1.0))
         self.d2_norm_sq = 2.0 * float((p2**2).integ()(1.0))
         # <psi'', psi>; equals -||psi'||^2 by parts, computed independently
         self.ip_d2 = 2.0 * float((p2 * p).integ()(1.0))
@@ -102,11 +96,6 @@ class Profile:
     def __call__(self, x):
         x = np.abs(np.asarray(x, dtype=float))
         return np.where(x < 1.0, self._p(np.minimum(x, 1.0)), 0.0)
-
-    def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        a = np.abs(x)
-        return np.where(a < 1.0, np.sign(x) * self._p1(np.minimum(a, 1.0)), 0.0)
 
     def scaled(self, n: float):
         """Callable for psi_n(x) = n^(-1/2) psi(x/n) (unit norm for every n)."""
@@ -208,16 +197,17 @@ def residual_closed_form(tp: TrialParams) -> ResidualReport:
                           threshold=float(thr), passes=bool(total < thr))
 
 
-def quadrature_grid(tp: TrialParams, axial_cells: int = 4096) -> GridSpec:
+def quadrature_grid(tp: TrialParams) -> GridSpec:
     """3D tensor grid resolving the trial field's support.
 
-    Axial box (-1.25 n, 1.25 n); transverse grid is the test field's own
-    grid scaled by l, so the stream samples carry over unchanged.
+    Axial box (-1.25 n, 1.25 n) in 4,096 cells; transverse grid is the test
+    field's own grid scaled by l, so the stream samples carry over
+    unchanged.
     """
-    half = 1.25 * tp.n
+    half, cells = 1.25 * tp.n, 4096
     tg = tp.g.grid
-    shape = (int(axial_cells), tg.shape[0], tg.shape[1])
-    spacing = (2 * half / axial_cells, tp.l * tg.spacing[0], tp.l * tg.spacing[1])
+    shape = (cells, tg.shape[0], tg.shape[1])
+    spacing = (2 * half / cells, tp.l * tg.spacing[0], tp.l * tg.spacing[1])
     origin = (-half, tp.l * tg.origin[0], tp.l * tg.origin[1])
     return GridSpec(shape=shape, spacing=spacing, origin=origin)
 
@@ -296,16 +286,6 @@ def residual_quadrature(tp: TrialParams, grid: GridSpec) -> float:
             f"quadrature residual {total:.6g} vs closed form {cf:.6g}: "
             "refine the quadrature grid", RuntimeWarning)
     return float(total)
-
-
-def trial_norm_quadrature(tp: TrialParams, grid: GridSpec) -> float:
-    """||w|| on the quadrature grid (should be 1 to quadrature accuracy)."""
-    _check_quadrature_grid(tp, grid)
-    a_hat, _, g2_hat, g3_hat, _, _ = _spectral_factors(tp, grid)
-    axial = np.sum(np.abs(a_hat) ** 2) / a_hat.size * grid.spacing[0]
-    trans = np.sum(np.abs(g2_hat) ** 2 + np.abs(g3_hat) ** 2) / g2_hat.size \
-        * grid.spacing[1] * grid.spacing[2]
-    return float(np.sqrt(axial * trans))
 
 
 def minimal_n(tp: TrialParams) -> int | None:

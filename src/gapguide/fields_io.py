@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .grids import GridSpec
 
 __all__ = ["config_hash", "write_json", "read_json", "write_csv",
-           "write_field", "read_field", "band_csv", "modes_csv",
+           "write_field", "band_csv", "modes_csv",
            "profile_csv", "emit_plot_script"]
 
 
@@ -89,19 +89,6 @@ def write_field(path_base, values: np.ndarray, grid: GridSpec,
     base.with_suffix(".bin").write_bytes(arr.tobytes())
     write_json(base.with_suffix(".json"), header)
     return base.with_suffix(".bin")
-
-
-def read_field(path_base):
-    """Inverse of write_field; returns (values, header dict)."""
-    base = Path(path_base)
-    header = read_json(base.with_suffix(".json"))
-    raw = base.with_suffix(".bin").read_bytes()
-    dtype = np.dtype(header["dtype"])
-    expect = int(np.prod(header["shape"])) * dtype.itemsize
-    if len(raw) != expect:
-        raise ValidationError(
-            f"field dump has {len(raw)} bytes, header says {expect}")
-    return np.frombuffer(raw, dtype=dtype).reshape(header["shape"]), header
 
 
 def band_csv(bt, path) -> Path:

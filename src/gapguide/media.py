@@ -66,9 +66,6 @@ class StripSpec:
     def section(self) -> CrossSection:
         return self.cross_section.scale(self.l)
 
-    def contains(self, transverse_points) -> np.ndarray:
-        return self.section().contains(transverse_points)
-
     def distance(self, transverse_points) -> np.ndarray:
         """Distance from transverse coordinates to the scaled cross-section."""
         d = self.section().boundary_distance(transverse_points)
@@ -101,25 +98,6 @@ class MediumSpec:
             vals.append(self.defect.eps_inside)
         return vals
 
-    # -- JSON round trip ---------------------------------------------------
-
-    def to_json(self) -> str:
-        def enc_inc(inc):
-            if isinstance(inc, DiskInclusion):
-                return {"kind": "disk", "center": list(inc.center),
-                        "radius": inc.radius, "eps": inc.eps}
-            return {"kind": "box", "lo": list(inc.lo), "hi": list(inc.hi),
-                    "eps": inc.eps}
-
-        doc = {"lattice": list(self.lattice), "background": self.background,
-               "inclusions": [enc_inc(i) for i in self.inclusions]}
-        if self.defect is not None:
-            doc["defect"] = {
-                "cross_section": _enc_section(self.defect.cross_section),
-                "l": self.defect.l, "eps": self.defect.eps_inside,
-            }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "MediumSpec":
         doc = json.loads(text)
@@ -143,22 +121,6 @@ def _inc_extent(inc):
     if isinstance(inc, DiskInclusion):
         return np.full(len(inc.center), 2.0 * inc.radius)
     return np.asarray(inc.hi) - np.asarray(inc.lo)
-
-
-def _enc_section(cs):
-    if isinstance(cs, Disk):
-        return {"kind": "disk", "radius": cs.radius, "center": list(cs.center)}
-    if isinstance(cs, Rect):
-        return {"kind": "rect", "half_widths": list(cs.half_widths),
-                "center": list(cs.center)}
-    if isinstance(cs, Interval):
-        return {"kind": "interval", "half_width": cs.half_width, "center": cs.center}
-    if isinstance(cs, MaskSection):
-        rows = ["".join("1" if v else "0" for v in col)
-                for col in cs.mask.T[::-1]]
-        return {"kind": "mask", "rows": rows, "spacing": cs.spacing,
-                "origin": list(cs.origin)}
-    raise ValidationError(f"cannot serialize cross-section {type(cs).__name__}")
 
 
 def _dec_section(d):

@@ -107,17 +107,15 @@ class TestField:
 
     g has unit discrete L2 norm and is the rotated gradient (d2, -d1) of the
     stream function, so its centered-difference divergence vanishes to
-    rounding.  The `spectral_` moments are those of the stream's spectral
-    interpolant, which the closed-form residual reads.
+    rounding.  `quotient` is ||Lap g|| with the 5-point Laplacian
+    (`_laplacian`).  The `spectral_` moments are those of the stream's
+    spectral interpolant, which the closed-form residual reads.
     """
 
     g: np.ndarray
     stream: np.ndarray
     grid: GridSpec
     quotient: float
-    lap_norm_sq: float
-    ip_lap: float
-    grad_norm_sq: float
     spectral_lap_norm_sq: float
     spectral_ip_lap: float
 
@@ -616,8 +614,7 @@ def make_test_field(cs: CrossSection, rho: float, h: float) -> TestField:
     stream = eta * psi
     if not np.any(stream):
         raise GeometryError("cutoff removed the whole field; rho too large")
-    fwd = differences(grid, ("pec",) * 2)
-    c1, c2 = _centered(fwd)
+    c1, c2 = _centered(differences(grid, ("pec",) * 2))
     g = np.stack([c2 @ stream.ravel(), -(c1 @ stream.ravel())])
     cell = h * h
     nrm = np.sqrt(np.sum(g * g) * cell)
@@ -625,25 +622,11 @@ def make_test_field(cs: CrossSection, rho: float, h: float) -> TestField:
     stream = stream / nrm
     lap = _laplacian(grid)
     lap_g = np.stack([lap @ gc for gc in g])
-    lap_norm_sq = float(np.sum(lap_g * lap_g) * cell)
-    ip_lap = float(np.sum(lap_g * g) * cell)
-    # forward differences are adjoint to the Laplacian: <g, Lap g> equals
-    # -||grad g||^2 for fields supported away from the array edges
-    grad_norm_sq = float(sum(np.sum((dk @ gc) ** 2) for gc in g
-                             for dk in fwd) * cell)
     spectral_lap, spectral_ip = _stream_spectral_moments(stream, grid)
     return TestField(g=g.reshape(2, *grid.shape), stream=stream, grid=grid,
-                     quotient=float(np.sqrt(lap_norm_sq)),
-                     lap_norm_sq=lap_norm_sq, ip_lap=ip_lap,
-                     grad_norm_sq=grad_norm_sq,
+                     quotient=float(np.sqrt(np.sum(lap_g * lap_g) * cell)),
                      spectral_lap_norm_sq=spectral_lap,
                      spectral_ip_lap=spectral_ip)
-
-
-def divergence(tf: TestField) -> np.ndarray:
-    """Discrete divergence of the test field (zero to rounding by build)."""
-    c1, c2 = _centered(differences(tf.grid, ("pec",) * 2))
-    return (c1 @ tf.g[0].ravel() + c2 @ tf.g[1].ravel()).reshape(tf.grid.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import pytest
 import oracles
 from conftest import record
 from gapguide.cross_section import Disk, Interval
-from gapguide.discrete_op import (_one_blas_thread, check_identities, curl,
-                                  gradient, harmonic_split, maxwell_operator,
-                                  plane_wave_eigenvalue, scalar_matrix)
+from gapguide.discrete_op import (HarmonicField, HarmonicSplit,
+                                  _one_blas_thread, curl, gradient,
+                                  harmonic_split, maxwell_operator,
+                                  scalar_matrix)
 from gapguide.decay import ct_shape, fit_decay, profile, rank_correlation
 from gapguide.eigen import (ModeResult, band_structure, bloch_modes,
                             defect_spectrum, find_gaps, interior_eigs)
@@ -23,7 +24,6 @@ from gapguide.existence import (GapInterval, Profile, TrialParams,
                                 check_condition, minimal_n, quadrature_grid,
                                 residual_closed_form, residual_quadrature)
 from gapguide import eigen
-from gapguide.discrete_op import ScalarField2
 from gapguide.errors import ValidationError
 from gapguide.grids import GridSpec
 from gapguide.media import (BoxInclusion, MediumSpec, SampledEpsilon,
@@ -131,7 +131,8 @@ def test_criterion_03_residual_algebra():
         cf = residual_closed_form(tp).closed_form
         worst = max(worst, abs(quad - cf) / cf)
         assert abs(psi_ibp := PSI.ip_d2 + PSI.d1_norm_sq) <= 1e-8 * PSI.d1_norm_sq
-        assert abs(tf.ip_lap + tf.grad_norm_sq) <= 1e-8 * tf.grad_norm_sq
+        ip_lap, grad_norm_sq = oracles.field_ibp_terms(tf)
+        assert abs(ip_lap + grad_norm_sq) <= 1e-8 * grad_norm_sq
     ok = worst <= 1e-6
     record(f"CRITERION 3: {'PASS' if ok else 'FAIL'} - closed form vs "
            f"quadrature agree to {worst:.2e} over 5 random configurations; "
@@ -182,7 +183,7 @@ def test_criterion_05_discrete_operator_identities():
     ]
     worst_sym = 0.0
     for eps in media:
-        rep = check_identities(eps)
+        rep = oracles.check_identities(eps)
         worst_sym = max(worst_sym, rep["max_symmetry_violation"])
         assert rep["min_quadratic_form"] >= -1e-12
 
@@ -200,7 +201,7 @@ def test_criterion_05_discrete_operator_identities():
         u = np.stack([v[c] * phase for c in range(3)]).ravel()
         out = maxwell_operator(eps32, (k[0], 0.0, 0.0)) @ u
         lam = np.vdot(u, out).real / np.vdot(u, u).real
-        pred = plane_wave_eigenvalue(k, eps32.grid.spacing, 1.0)
+        pred = oracles.plane_wave_eigenvalue(k, eps32.grid.spacing, 1.0)
         worst_symbol = max(worst_symbol, abs(lam - pred) / pred)
     ok = grad_img == 0.0 and worst_sym <= 1e-12 and worst_symbol <= 5e-3
     record(f"CRITERION 5: {'PASS' if ok else 'FAIL'} - curl(grad) = "
@@ -274,7 +275,8 @@ def test_criterion_08_confinement(experiment, confinement_fits, bulk2d):
     target = float(band1[len(band1) // 2])
     found = interior_eigs([A], (target - 0.01, target + 0.01), count=4)
     m = found[0]
-    fld = ScalarField2(np.asarray(m.field).reshape(GRID2.shape), GRID2)
+    # the unsplit medium's one block: its density is |v|^2 on the grid
+    fld = HarmonicField(HarmonicSplit(slab=bulk2d, grid=GRID2), 1.0, m.field)
     bulk_mode = ModeResult(lam=m.lam, field=fld, residual=m.residual, k1=1.0)
     bulk_fit = fit_decay(profile(bulk_mode, STRIP, step=0.125))
     ok = min_rate > 0 and min_r2 > 0.95 and abs(bulk_fit.rate) < 0.1 * min_rate
@@ -327,7 +329,7 @@ def test_criterion_10_three_dimensional_smoke(monkeypatch):
     for mk, multiplicity in (((1, 0, 0), 12), ((1, 1, 0), 24),
                              ((1, 1, 1), 16)):
         k = 2 * np.pi * np.asarray(mk, dtype=float)
-        pred = plane_wave_eigenvalue(k, eps.grid.spacing, 1.0)
+        pred = oracles.plane_wave_eigenvalue(k, eps.grid.spacing, 1.0)
         blocks = [maxwell_operator(split.slab, (kappa, 0.0, 0.0))
                   for kappa in split.kappas(k[0])]
         with _one_blas_thread:

@@ -75,6 +75,22 @@ def test_nu_command_scalar_interval(tmp_path, capsys):
     assert grid["lu_fill"] > 0
 
 
+def test_nu_command_reports_the_finest_of_two_spacings(tmp_path, capsys):
+    # two spacings are too few to extrapolate: the finest grid's estimate is
+    # reported, however the spacings are listed
+    cfg = _cfg(tmp_path, "nu.json",
+               {"schema": 1, "kind": "scalar",
+                "cross_section": {"kind": "interval", "half_width": 1.0},
+                "h_values": [2 / 64, 2 / 32]})
+    assert cli.main(["nu", "--config", cfg, "--out", str(tmp_path)]) == 0
+    doc = read_json(tmp_path / "nu.json")
+    fine, coarse = doc["per_grid"]
+    assert (fine["h"], coarse["h"]) == (2 / 64, 2 / 32)
+    assert doc["h"] == doc["provenance"]["grid_h"] == 2 / 64
+    assert doc["value"] == fine["value"] != coarse["value"]
+    assert json.loads(capsys.readouterr().out)["nu"] == fine["value"]
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["check", "--config", missing, "--out", str(tmp_path)]) == 2
@@ -160,6 +176,33 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert f"bad '{key}' in config: {n} is negative" \
             in capsys.readouterr().err
     assert not (tmp_path / "d").exists() or not any((tmp_path / "d").iterdir())
+    # a value the command would misread is refused, naming its key: a count
+    # that is not an integer, an empty list of spacings, or a key beside
+    # the one the command reads in its place
+    disk = {"kind": "disk", "radius": 1.0}
+    check = {"schema": 1, "l": 2.0, "eps": 12.0, "gap": GAP}
+    residual = {"schema": 1, "l": 1.0, "eps": 12.0, "mu": 2.5, "delta": 6.5,
+                "cross_section": disk, "h": 2 / 48, "rho": 0.15}
+    for cmd, cfg, key in (
+            ("bands", dict(bulk, bands=3.7), "bands"),
+            ("bands", dict(bulk, bands=True), "bands"),
+            ("defect", dict(count=16.5), "count"),
+            ("defect", dict(dump_fields=1.5), "dump_fields"),
+            ("decay", dict(dump_profiles=True), "dump_profiles"),
+            ("residual", dict(residual, n=2.5), "n"),
+            ("nu", {"schema": 1, "cross_section": disk, "h_values": []},
+             "h_values"),
+            ("nu", {"schema": 1, "cross_section": disk, "h": 2 / 32,
+                    "h_values": [2 / 32]}, "h_values"),
+            ("check", dict(check, nu=14.682, cross_section=disk), "nu"),
+            ("check", dict(check, nu=14.682, h=5.0), "nu"),
+            ("check", dict(check, nu=14.682, gap_width=3.0), "gap")):
+        path = (_defect_cfg(tmp_path, **cfg) if "schema" not in cfg
+                else _cfg(tmp_path, f"{cmd}.json", cfg))
+        assert cli.main([cmd, "--config", path, "--out",
+                         str(tmp_path / "m")]) == 2, (cmd, cfg)
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err, err
 
 
 def test_unknown_command_and_missing_config_exit_2(tmp_path, capsys):

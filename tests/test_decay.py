@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ import gapguide
 from gapguide.cross_section import Interval
 from gapguide.decay import (DecayFit, DecayProfile, ct_shape, fit_decay,
                             profile, rank_correlation)
-from gapguide.discrete_op import ScalarField2
-from gapguide.eigen import ModeResult, defect_spectrum, localization_fraction
+from gapguide.eigen import (ModeResult, _fraction_near, _near_strip,
+                            defect_spectrum)
 from gapguide.errors import IterationError, ValidationError
 from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
@@ -99,9 +100,22 @@ def test_profile_validation():
                      strip_radius=0.5, extent=2.0)
 
 
+@dataclass(frozen=True)
+class _Field:
+    """A sampled 2D field and its density |values|^2 on the grid, the one
+    read that profiles and localization make: an independent reference for
+    a mode's `density()`."""
+
+    values: np.ndarray
+    grid: GridSpec
+
+    def density(self):
+        return np.abs(self.values) ** 2
+
+
 def _mode(grid, values, lam=2.0, k1=5.0):
-    fld = ScalarField2(values, grid)
-    return ModeResult(lam=lam, field=fld, residual=0.0, k1=k1)
+    return ModeResult(lam=lam, field=_Field(values, grid), residual=0.0,
+                      k1=k1)
 
 
 def test_profile_of_sampled_exponential_field():
@@ -111,7 +125,8 @@ def test_profile_of_sampled_exponential_field():
     strip = StripSpec(Interval(1.0), l=0.5, eps_inside=12.0)
     prof = profile(mode, strip, step=0.25)
     assert prof.strip_radius == pytest.approx(0.5)
-    assert prof.truncated                      # outermost windows exit the grid
+    # the windows run out to the wall: the outermost one sticks out
+    assert prof.strip_radius + prof.distances[-1] + 1.0 > grid.extent(1)[1]
     fit = fit_decay(prof, d_min=0.5, d_max=2.4)
     assert fit.rate == pytest.approx(2.0, rel=1e-3)
     assert fit.r2 > 0.999999
@@ -129,14 +144,16 @@ def test_profile_rejects_a_step_that_is_not_positive(step):
 
 
 def test_profile_mirror_symmetry():
+    # on a grid symmetric about x2 = 0, a lopsided field and its mirror
+    # x2 -> -x2 have one profile: the two rays sample mirrored windows
     grid = GridSpec((4, 256), (1 / 16, 1 / 32), (0.0, -4.0))
     y = grid.centers(1)
-    mode = _mode(grid, np.tile(np.exp(-np.abs(y)), (4, 1)))
+    values = np.tile(np.exp(-np.abs(y)) * (1.5 + np.tanh(y)), (4, 1))
     strip = StripSpec(Interval(1.0), l=0.5, eps_inside=12.0)
-    up = profile(mode, strip, step=0.5, rays=(+1.0,))
-    dn = profile(mode, strip, step=0.5, rays=(-1.0,))
-    n = min(len(up.norms), len(dn.norms))
-    assert np.allclose(up.norms[:n], dn.norms[:n], rtol=1e-12)
+    prof = profile(_mode(grid, values), strip, step=0.5)
+    mirror = profile(_mode(grid, values[:, ::-1]), strip, step=0.5)
+    assert np.array_equal(prof.distances, mirror.distances)
+    assert np.allclose(prof.norms, mirror.norms, rtol=1e-12)
 
 
 def _window_norm(values, grid, centre):
@@ -150,32 +167,30 @@ def _window_norm(values, grid, centre):
     return float(np.sqrt(total * grid.cell_volume)), not sel.any()
 
 
-def _window_loop(mode, strip, step, rays=(+1.0, -1.0)):
-    """The profile by one _window_norm call per window: (distances, norms,
-    truncated), dropping a distance whose window on some ray lies outside
-    the grid or holds no cell."""
+def _window_loop(mode, strip, step):
+    """The profile by one _window_norm call per window on each of the two
+    rays: (distances, norms), dropping a distance whose window on some ray
+    lies outside the grid or holds no cell."""
     grid = mode.field.grid
     radius = strip.l * strip.cross_section.inradius()
     lo, hi = grid.extent(1)
     centre = 0.5 * sum(grid.extent(0))
     dists = np.arange(0.0, max(hi, -lo) - radius + 0.5 * step, step)
-    kept, norms, truncated = [], [], False
+    kept, norms = [], []
     for d in dists:
         total, keep = 0.0, True
-        for s in rays:
+        for s in (+1.0, -1.0):
             y = s * (radius + d)
-            if y + 1.0 > hi or y - 1.0 < lo:
-                truncated = True
-                if y - 1.0 > hi or y + 1.0 < lo:
-                    keep = False
-                    continue
+            if y - 1.0 > hi or y + 1.0 < lo:
+                keep = False
+                continue
             n, empty = _window_norm(mode.field.values, grid, (centre, y))
             keep &= not empty
             total += n ** 2
         if keep:
             kept.append(d)
             norms.append(np.sqrt(total))
-    return np.array(kept), np.array(norms), truncated
+    return np.array(kept), np.array(norms)
 
 
 @pytest.mark.parametrize("shape, spacing, origin", [
@@ -190,14 +205,10 @@ def test_profile_matches_a_window_norm_loop(shape, spacing, origin):
     values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
         * np.exp(-3.0 * np.abs(y))          # down to the fit's noise floor
     strip = StripSpec(Interval(1.0), l=0.5, eps_inside=12.0)
-    for rays in ((+1.0, -1.0), (-1.0,)):
-        prof = profile(_mode(grid, values), strip, step=0.125, rays=rays)
-        dists, norms, truncated = _window_loop(_mode(grid, values), strip,
-                                               0.125, rays)
-        assert prof.truncated == truncated
-        assert np.array_equal(prof.distances, dists)
-        assert np.allclose(prof.norms, norms, rtol=1e-14, atol=0)
-    assert truncated
+    prof = profile(_mode(grid, values), strip, step=0.125)
+    dists, norms = _window_loop(_mode(grid, values), strip, 0.125)
+    assert np.array_equal(prof.distances, dists)
+    assert np.allclose(prof.norms, norms, rtol=1e-14, atol=0)
     if shape == (4, 100):       # the window at x2 = -4 is inside but empty
         assert 3.375 in dists and 3.5 not in dists
     if shape == (2, 40):
@@ -207,7 +218,7 @@ def test_profile_matches_a_window_norm_loop(shape, spacing, origin):
 @pytest.mark.parametrize("varies", [False, True])
 def test_density_reads_match_the_lifted_field(varies):
     # localization, profiles and wall amplitudes read a mode's density();
-    # from its lifted values as a ScalarField2 they agree to 1e-14
+    # from its lifted values as a _Field they agree to 1e-14
     grid = GridSpec((4, 255), (1 / 16, 1 / 32), (0.0, -4.0))
     strip = StripSpec(Interval(1.0), l=1.5, eps_inside=12.0)
     eps = with_defect(build_medium(MediumSpec(lattice=(0.25, 1.0), inclusions=(
@@ -221,9 +232,9 @@ def test_density_reads_match_the_lifted_field(varies):
     assert len(ds.modes) >= 2
     walls = []
     for m in ds.modes:
-        lifted = ScalarField2(m.field.values, grid)
+        lifted = _Field(m.field.values, grid)
         assert m.localization == pytest.approx(
-            localization_fraction(lifted.values, grid, strip),
+            _fraction_near(lifted.density(), _near_strip(grid, strip)),
             rel=1e-14, abs=0)
         got = profile(m, strip, step=0.125)
         want = profile(ModeResult(lam=m.lam, field=lifted,

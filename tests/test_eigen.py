@@ -7,11 +7,10 @@ import oracles
 from gapguide.cross_section import Disk, Interval
 from gapguide import discrete_op, eigen
 from gapguide.discrete_op import (HarmonicSplit, harmonic_split,
-                                  maxwell_operator, plane_wave_eigenvalue,
-                                  scalar_matrix)
-from gapguide.eigen import (BandTable, _window_count, band_structure,
-                            bloch_modes, defect_spectrum, find_gaps,
-                            interior_eigs, localization_fraction)
+                                  maxwell_operator, scalar_matrix)
+from gapguide.eigen import (BandTable, _fraction_near, _near_strip,
+                            _window_count, band_structure, bloch_modes,
+                            defect_spectrum, find_gaps, interior_eigs)
 from gapguide.errors import IterationError, ValidationError
 from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
@@ -260,8 +259,8 @@ def test_interior_eigs_raises_when_the_window_holds_more_than_count():
     n, h = 12, 1 / 12
     eps = SampledEpsilon(GridSpec((n,) * 3, (h,) * 3), np.ones((n,) * 3))
     M = maxwell_operator(eps, (0.0, 0.0, 0.0))
-    sym = plane_wave_eigenvalue(np.array([2 * np.pi, 0.0, 0.0]), (h,) * 3,
-                                1.0)
+    sym = oracles.plane_wave_eigenvalue(np.array([2 * np.pi, 0.0, 0.0]),
+                                        (h,) * 3, 1.0)
     window = (sym - 4.0, sym + 4.0)
     # half the shell is no answer: the degenerate copies have no order (the
     # whole shell at count = 12 is the (1, 0, 0) case of the next test)
@@ -279,8 +278,8 @@ def test_interior_eigs_returns_every_copy_of_a_shell(mk, multiplicity):
     n, h = 12, 1 / 12
     eps = SampledEpsilon(GridSpec((n,) * 3, (h,) * 3), np.ones((n,) * 3))
     M = maxwell_operator(eps, (0.0, 0.0, 0.0))
-    sym = plane_wave_eigenvalue(2 * np.pi * np.asarray(mk, dtype=float),
-                                (h,) * 3, 1.0)
+    sym = oracles.plane_wave_eigenvalue(
+        2 * np.pi * np.asarray(mk, dtype=float), (h,) * 3, 1.0)
     found = interior_eigs([M], (sym - 4.0, sym + 4.0), count=multiplicity)
     assert len(found) == multiplicity
     assert all(abs(m.lam - sym) <= 1e-8 * sym for m in found)
@@ -294,7 +293,7 @@ def test_defect_eigenvalues_decrease_with_eps(supercell, tm_gap):
         A = scalar_matrix(with_defect(supercell, strip), (5.0, None))
         found = interior_eigs([A], window, count=16)
         loc = [m.lam for m in found
-               if localization_fraction(np.asarray(m.field).reshape(
+               if _localization(np.asarray(m.field).reshape(
                    supercell.grid.shape), supercell.grid, strip) > 0.5]
         assert loc
         return min(loc)
@@ -302,13 +301,19 @@ def test_defect_eigenvalues_decrease_with_eps(supercell, tm_gap):
     assert lowest(16.0) < lowest(12.0)
 
 
+def _localization(values, grid, strip):
+    """The share of |values|^2 within one period of the strip's section,
+    as defect_spectrum reads it from a mode's density."""
+    return _fraction_near(np.abs(values) ** 2, _near_strip(grid, strip))
+
+
 def test_localization_fraction_extremes(supercell):
     grid = supercell.grid
     y = grid.centers(1)
     inside = np.exp(-((y / 0.5) ** 2))
     outside = np.exp(-(((np.abs(y) - 3.5) / 0.3) ** 2))
-    assert localization_fraction(np.tile(inside, (4, 1)), grid, STRIP) > 0.95
-    assert localization_fraction(np.tile(outside, (4, 1)), grid, STRIP) < 0.05
+    assert _localization(np.tile(inside, (4, 1)), grid, STRIP) > 0.95
+    assert _localization(np.tile(outside, (4, 1)), grid, STRIP) < 0.05
 
 
 def test_defect_spectrum_finds_localized_modes(defected, tm_gap):

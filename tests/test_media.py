@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gapguide.cross_section import Disk, Interval
+from gapguide.cross_section import Disk, Interval, MaskSection, Rect
 from gapguide.errors import GeometryError, ResolutionError, ValidationError
 from gapguide.grids import GridSpec
 from gapguide.media import (BoxInclusion, DiskInclusion, MediumSpec,
@@ -55,17 +55,39 @@ def test_with_defect_rejects_oversized_strip():
         with_defect(eps0, StripSpec(Interval(1.0), l=2.0, eps_inside=12.0))
 
 
-def test_medium_json_round_trip():
-    spec = MediumSpec(lattice=(0.5, 1.0), background=2.0,
-                      inclusions=(BoxInclusion((-0.1, -0.2), (0.1, 0.2), 9.0),),
-                      defect=StripSpec(Disk(0.8), l=1.25, eps_inside=12.0))
-    back = MediumSpec.from_json(spec.to_json())
-    assert back.lattice == spec.lattice
-    assert back.background == spec.background
-    assert back.inclusions == spec.inclusions
-    assert back.defect.l == spec.defect.l
-    assert back.defect.eps_inside == spec.defect.eps_inside
-    assert json.loads(back.to_json()) == json.loads(spec.to_json())
+def test_medium_from_json_reads_every_kind():
+    # both inclusion kinds, and a defect strip of each cross-section kind;
+    # a mask keeps its rows (first row on top), spacing and origin
+    sections = [
+        ({"kind": "disk", "radius": 0.8, "center": [0.1, -0.2]},
+         Disk(0.8, (0.1, -0.2))),
+        ({"kind": "rect", "half_widths": [0.5, 0.25], "center": [0.0, 0.1]},
+         Rect((0.5, 0.25), (0.0, 0.1))),
+        ({"kind": "interval", "half_width": 0.75, "center": 0.5},
+         Interval(0.75, 0.5)),
+    ]
+    for section, want in sections:
+        spec = MediumSpec.from_json(json.dumps({
+            "lattice": [0.5, 1.0], "background": 2.0, "inclusions": [
+                {"kind": "disk", "center": [0.0, 0.0], "radius": 0.2,
+                 "eps": 4.0},
+                {"kind": "box", "lo": [-0.1, -0.2], "hi": [0.1, 0.2],
+                 "eps": 9.0}],
+            "defect": {"cross_section": section, "l": 1.25, "eps": 12.0}}))
+        assert spec.lattice == (0.5, 1.0) and spec.background == 2.0
+        assert spec.inclusions == (
+            DiskInclusion((0.0, 0.0), 0.2, 4.0),
+            BoxInclusion((-0.1, -0.2), (0.1, 0.2), 9.0))
+        assert spec.defect == StripSpec(want, l=1.25, eps_inside=12.0)
+    mask = MediumSpec.from_json(json.dumps({
+        "lattice": [1.0, 1.0],
+        "defect": {"cross_section": {"kind": "mask", "rows": ["010", "111"],
+                                     "spacing": 0.25, "origin": [-1.0, 0.5]},
+                   "l": 2.0, "eps": 12.0}})).defect.cross_section
+    assert isinstance(mask, MaskSection)
+    assert np.array_equal(mask.mask, [[True, False], [True, True],
+                                      [True, False]])
+    assert (mask.spacing, mask.origin) == (0.25, (-1.0, 0.5))
 
 
 def test_medium_validation():

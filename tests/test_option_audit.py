@@ -1,16 +1,21 @@
-"""Every defaulted parameter of the package takes another value somewhere,
-every parameter and every field of its dataclasses is read, and every
-command-line flag is read.
+"""The package holds what its pipeline calls: every public function and
+class has a caller, every defaulted parameter takes another value
+somewhere, every parameter and every field of its dataclasses is read,
+and every command-line flag is read.
 
-A default that no call in src/, tests/, demos/ or bench/ ever overrides,
-or that every call overriding it sets to the default literal again, is a
-constant dressed up as an option: it doubles the configurations to cover
-and is exercised at one value only.  Constructors are left out; their
-defaults are the fields of value objects.  A dataclass field that no code
-there loads as an attribute is written and carried for nothing.  A flag
-of `gapguide` that `cli.py` never reads as `args.<dest>` does nothing; the
-two kept only so that old command lines parse must say so in their help.
-A parameter its function's body never loads is passed for nothing.
+Callers are the package itself, the demos and the benchmark (src/, demos/
+and bench/); a test is not one.  A public top-level function or class that
+only tests name is a test helper and belongs in tests/.  A default that no
+call ever overrides, or that every call overriding it sets to the default
+literal again, is a constant dressed up as an option: it doubles the
+configurations to cover and is exercised at one value only.  A call that
+spreads a mapping (`f(**kwargs)`) counts as setting every defaulted
+keyword of `f`.  Constructors are left out; their defaults are the fields
+of value objects.  A dataclass field that no caller loads as an attribute
+is written and carried for nothing.  A flag of `gapguide` that `cli.py`
+never reads as `args.<dest>` does nothing; the two kept only so that old
+command lines parse must say so in their help.  A parameter its
+function's body never loads is passed for nothing.
 """
 
 import argparse
@@ -20,7 +25,7 @@ from pathlib import Path
 from gapguide.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
-CALLER_DIRS = ("src", "tests", "demos", "bench")
+CALLER_DIRS = ("src", "demos", "bench")
 CONSTRUCTORS = {"__init__", "__post_init__", "__new__"}
 
 
@@ -54,27 +59,35 @@ def _defaulted_parameters():
                         yield qual, fn.name, arg.arg, None, default
 
 
+def _caller_trees():
+    """(path, syntax tree) of every Python file of src/, demos/ and bench/."""
+    for d in CALLER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+
 def _calls():
-    """name -> [(positional arguments, {keyword: argument})] over every call
-    site, positional arguments cut at the first starred one.
+    """name -> [(positional arguments, {keyword: argument}, spread)] over
+    every call site, positional arguments cut at the first starred one;
+    `spread` is whether the call passes a `**mapping`.
 
     `op(fn, *args, **kwargs)` wrappers, as the benchmark uses, also count as
     a call of `fn` with the remaining arguments.
     """
     calls = {}
-    for d in CALLER_DIRS:
-        for path in (ROOT / d).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                kws = {k.arg: k.value for k in node.keywords if k.arg}
-                sites = [(_name(node.func), node.args)]
-                if node.args:
-                    sites.append((_name(node.args[0]), node.args[1:]))
-                for name, args in sites:
-                    npos = next((i for i, x in enumerate(args)
-                                 if isinstance(x, ast.Starred)), len(args))
-                    calls.setdefault(name, []).append((args[:npos], kws))
+    for _, tree in _caller_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            kws = {k.arg: k.value for k in node.keywords if k.arg}
+            spread = any(k.arg is None for k in node.keywords)
+            sites = [(_name(node.func), node.args)]
+            if node.args:
+                sites.append((_name(node.args[0]), node.args[1:]))
+            for name, args in sites:
+                npos = next((i for i, x in enumerate(args)
+                             if isinstance(x, ast.Starred)), len(args))
+                calls.setdefault(name, []).append((args[:npos], kws, spread))
     return calls
 
 
@@ -93,10 +106,15 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
             value = ast.literal_eval(default)
         except ValueError:
             value = object()            # no call can repeat it as a literal
-        passed = [kws[param] if param in kws else args[index]
-                  for args, kws in calls.get(fn, [])
-                  if param in kws or (index is not None and len(args) > index)]
-        if all(_is_literal(node, value) for node in passed):
+        passed, spread = [], False
+        for args, kws, spreads in calls.get(fn, []):
+            if param in kws:
+                passed.append(kws[param])
+            elif index is not None and len(args) > index:
+                passed.append(args[index])
+            else:
+                spread |= spreads
+        if not spread and all(_is_literal(node, value) for node in passed):
             unset.append(f"{qual}({param})")
     assert not unset, ("defaulted parameters no caller sets to another value; "
                        "make them constants: " + ", ".join(unset))
@@ -119,19 +137,18 @@ def _dataclass_fields():
 
 def _loaded_attributes():
     """Every attribute name loaded as `x.name` or `getattr(x, "name")` in
-    src/, tests/, demos/ or bench/."""
+    src/, demos/ or bench/."""
     names = set()
-    for d in CALLER_DIRS:
-        for path in (ROOT / d).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if (isinstance(node, ast.Attribute)
-                        and isinstance(node.ctx, ast.Load)):
-                    names.add(node.attr)
-                elif (isinstance(node, ast.Call)
-                      and _name(node.func) == "getattr"
-                      and len(node.args) > 1
-                      and isinstance(node.args[1], ast.Constant)):
-                    names.add(node.args[1].value)
+    for _, tree in _caller_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and _name(node.func) == "getattr"
+                  and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                names.add(node.args[1].value)
     return names
 
 
@@ -143,6 +160,71 @@ def test_every_dataclass_field_is_read():
               if field not in loaded]
     assert not unread, ("dataclass fields nothing reads; delete them: "
                         + ", ".join(unread))
+
+
+def _loaded(nodes):
+    """(bare names, attribute names) loaded under `nodes`."""
+    names, attrs = set(), set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                attrs.add(n.attr)
+    return names, attrs
+
+
+def _units(tree, module):
+    """(qualified name, name or None, is a method, loaded names) for each
+    top-level statement of a package module, a class split into its own
+    statements and one unit per method.  Dunder methods, called by Python
+    itself, have no name to look for."""
+    for stmt in tree.body:
+        qual = f"{module}.{getattr(stmt, 'name', '')}"
+        if isinstance(stmt, ast.ClassDef):
+            methods = [m for m in stmt.body if isinstance(m, ast.FunctionDef)]
+            rest = [m for m in stmt.body if m not in methods]
+            yield qual, stmt.name, False, _loaded(
+                rest + stmt.decorator_list + stmt.bases)
+            for m in methods:
+                name = None if m.name.startswith("__") else m.name
+                yield f"{qual}.{m.name}", name, True, _loaded([m])
+        elif isinstance(stmt, ast.FunctionDef):
+            yield qual, stmt.name, False, _loaded([stmt])
+        else:
+            yield module, None, False, _loaded([stmt])
+
+
+def _refers(loaded, name, method):
+    """Whether `loaded` names `name`: a method only as an attribute."""
+    names, attrs = loaded
+    return name in attrs or (not method and name in names)
+
+
+def test_every_public_name_has_a_caller():
+    # Every function, class and public method of the package must be named
+    # by the demos, the benchmark or a package unit that is itself reached;
+    # re-exports in __init__ and __all__ strings do not count.  By name
+    # only, like the field check; a method counts only as `x.name`.
+    outside, units = (set(), set()), []
+    for path, tree in _caller_trees():
+        if path.parent.name != "gapguide":
+            for seen, new in zip(outside, _loaded([tree])):
+                seen |= new
+        elif path.name != "__init__.py":
+            units += _units(tree, path.stem)
+    alive, uncalled = units, []
+    while True:
+        dead = [u for u in alive if u[1] is not None
+                and not _refers(outside, u[1], u[2])
+                and not any(_refers(o[3], u[1], u[2])
+                            for o in alive if o is not u)]
+        if not dead:
+            break
+        uncalled += [u[0] for u in dead]
+        alive = [u for u in alive if u not in dead]
+    assert not uncalled, ("names only tests use; move them into tests/ or "
+                          "delete them: " + ", ".join(uncalled))
 
 
 UNREAD_FLAGS = {"seed", "threads"}
