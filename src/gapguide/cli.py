@@ -3,10 +3,12 @@
 Commands dispatch to the library modules and leave deterministic artifacts
 (CSV/JSON/binary dumps) in the output directory; every artifact records the
 config hash and the BLAS the solves ran on; `--seed` and `--threads` are
-read by nothing, kept so that existing command lines parse.  A config value
-that would be misread (a fractional count, an empty spacing list, a key
-beside the one read in its place) is refused, naming its key.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+read by nothing, kept so that existing command lines parse.  READERS gives
+each key a command reads its reader, and every value is parsed before the
+command solves anything: a malformed or misread value (a fractional count,
+an empty spacing list, a key beside the one read in its place) is refused,
+naming its key.  Exit codes: 0 success, 2 configuration error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,128 +38,129 @@ from .decay import ct_shape, fit_decay, profile, rank_correlation
 SCHEMA_VERSION = 1
 
 
+class _Key(NamedTuple):
+    """One config key of a command: `read` parses its value; `excludes` are
+    keys read in its place, and a required key is missing without them."""
+    read: Callable
+    required: bool = False
+    excludes: tuple = ()
+
+
 def _load_config(path, command: str) -> dict:
+    """The config's values, each parsed by its key's reader in READERS, and
+    "config_hash", the hash of its JSON.  A null value reads as absent; an
+    unread, missing or excluded key or a malformed value is a ConfigError
+    naming the key, raised before the command solves anything."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text())
+        raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}")
-    unread = sorted(set(cfg) - CONFIG_KEYS[command] - {"schema"})
+    given = {k: v for k, v in raw.items() if v is not None}
+    schema = given.pop("schema", SCHEMA_VERSION)
+    if schema != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config schema {schema!r}")
+    keys = READERS[command]
+    unread = sorted(set(given) - set(keys))
     if unread:
         raise ConfigError(f"{command} does not read config keys {unread}")
+    missing = [k for k, key in keys.items()
+               if key.required and not given.keys() & {k, *key.excludes}]
+    if missing:
+        raise ConfigError(f"config is missing required keys: {missing}")
+    cfg = {"config_hash": io.config_hash(raw)}
+    for k, value in given.items():
+        both = [x for x in keys[k].excludes if x in given]
+        if both:
+            raise ConfigError(f"config sets {k!r} and {both}; give only one")
+        try:
+            cfg[k] = keys[k].read(value)
+        except (ConfigError, KeyError, TypeError, ValueError,
+                ValidationError) as exc:
+            detail = exc if isinstance(exc, ConfigError) else repr(exc)
+            raise ConfigError(f"bad {k!r} in config: {detail}") from exc
     return cfg
 
 
-def _need(cfg: dict, *keys):
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ConfigError(f"config is missing required keys: {missing}")
-
-
-def _either(cfg: dict, key: str, *others):
-    """Refuse `key` together with any of `others`, of which the command
-    would read only `key`."""
-    both = [k for k in others if k in cfg]
-    if key in cfg and both:
-        raise ConfigError(f"config sets {key!r} and {both}; give only one")
-
-
-@contextmanager
-def _block(name: str):
-    """Raise a malformed config value or block as a ConfigError naming it."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise ConfigError(f"bad {name!r} in config: {exc!r}") from exc
-
-
-def _number(cfg: dict, key: str, default=None) -> float:
-    """cfg[key], else `default`, as a float."""
-    with _block(key):
-        return float(cfg.get(key, default))
-
-
-def _integer(cfg: dict, key: str, default: int) -> int:
-    """cfg[key], else `default`, as an int; a boolean or a number with a
-    fractional part is refused, not truncated."""
-    n = _number(cfg, key, default)
-    if isinstance(cfg.get(key), bool) or not n.is_integer():
-        raise ConfigError(f"bad {key!r} in config: {cfg[key]!r} is not an "
-                          f"integer")
+# readers: each parses one JSON value, refusing one it would misread
+def _integer(value) -> int:
+    """An integral number as an int: a boolean or 3.7 is refused."""
+    n = float(value)
+    if isinstance(value, bool) or not n.is_integer():
+        raise ConfigError(f"{value!r} is not an integer")
     return int(n)
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
-    """cfg[key], else `default`, as an int that is not negative."""
-    n = _integer(cfg, key, default)
+def _count(value) -> int:
+    n = _integer(value)
     if n < 0:
-        raise ConfigError(f"bad {key!r} in config: {n} is negative")
+        raise ConfigError(f"{n} is negative")
     return n
 
 
-def _section(cfg):
-    with _block("cross_section"):
-        return _dec_section(cfg)
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{value!r} is not true or false")
+    return value
 
 
-def _grid(cfg) -> GridSpec:
-    with _block("grid"):
-        _need(cfg, "shape", "spacing")
-        return GridSpec(tuple(cfg["shape"]), tuple(cfg["spacing"]),
-                        tuple(cfg.get("origin", [0.0] * len(cfg["shape"]))))
+def _numbers(value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{value!r} is not a list of numbers")
+    return [float(x) for x in value]
 
 
-def _medium(cfg) -> MediumSpec:
-    if isinstance(cfg, str):
-        p = Path(cfg)
+def _values(value) -> list:
+    values = _numbers(value)
+    if not values:
+        raise ConfigError("the list needs at least one value")
+    return values
+
+
+def _samples(value) -> np.ndarray:
+    """A list of numbers, or `{"start", "stop", "num"}` for a linspace."""
+    if isinstance(value, dict):
+        return np.linspace(value["start"], value["stop"], value["num"])
+    return np.array(_numbers(value))
+
+
+def _grid(value) -> GridSpec:
+    return GridSpec(tuple(value["shape"]), tuple(value["spacing"]),
+                    tuple(value.get("origin", [0.0] * len(value["shape"]))))
+
+
+def _medium(value) -> MediumSpec:
+    """A medium spec, or the path of a file holding one."""
+    if isinstance(value, str):
+        p = Path(value)
         if not p.is_file():
             raise ConfigError(f"medium spec file not found: {p}")
-        text = p.read_text()
-    else:
-        text = json.dumps(cfg)
-    with _block("medium"):
-        return MediumSpec.from_json(text)
+        return MediumSpec.from_json(p.read_text())
+    return MediumSpec.from_json(json.dumps(value))
 
 
-def _gap(cfg) -> GapInterval:
-    _either(cfg, "gap", "gap_width")
-    with _block("gap"):
-        if "gap" in cfg:
-            a, b = cfg["gap"]
-            return GapInterval(float(a), float(b))
-        if "gap_width" in cfg:
-            return GapInterval(1.0, 1.0 + float(cfg["gap_width"]))
-    raise ConfigError("config needs 'gap': [alpha, beta] or 'gap_width'")
+def _guide(value) -> MediumSpec:
+    spec = _medium(value)
+    if spec.defect is None:
+        raise ConfigError("the medium has no defect strip")
+    return spec
 
 
-def _samples(cfg: dict, key: str):
-    block = cfg.get(key)
-    if block is None:
-        return None
-    with _block(key):
-        if isinstance(block, dict):
-            return np.linspace(block["start"], block["stop"], block["num"])
-        samples = np.asarray(block, dtype=float)
-        if samples.ndim != 1:
-            raise ValueError(f"not a list of numbers: {block!r}")
-        return samples
+def _gap(value) -> GapInterval:
+    a, b = value
+    return GapInterval(float(a), float(b))
 
 
-def _k1_samples(cfg: dict, spec: MediumSpec):
-    """cfg's "k1_samples", else 8 samples over [0, pi / a], a the medium's
-    axial lattice period."""
-    k1 = _samples(cfg, "k1_samples")
-    return np.linspace(0.0, np.pi / spec.lattice[0], 8) if k1 is None else k1
+def _k1_samples(cfg: dict):
+    """cfg's "k1_samples", else 8 over [0, pi / the medium's axial period]."""
+    return cfg.get("k1_samples", np.linspace(
+        0.0, np.pi / cfg["medium"].lattice[0], 8))
 
 
 def _provenance(cfg, **extra) -> dict:
-    d = {"config_hash": io.config_hash(cfg), "blas": _blas_record()}
-    d.update(extra)
-    return d
+    return {"config_hash": cfg["config_hash"], "blas": _blas_record(), **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +168,9 @@ def _provenance(cfg, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_nu(cfg, out: Path) -> int:
-    _need(cfg, "cross_section")
-    with _block("kind"):
-        solver = {"vector": solve_nu_vector,
-                  "scalar": solve_nu_scalar}[cfg.get("kind", "vector")]
-    cs = _section(cfg["cross_section"])
-    _either(cfg, "h_values", "h")
-    if "h_values" in cfg:
-        with _block("h_values"):
-            hs = [float(h) for h in cfg["h_values"]]
-        if not hs:
-            raise ConfigError("bad 'h_values' in config: the list is empty")
-    else:
-        hs = [_number(cfg, "h", cs.diameter() / 96)]
+    cs = cfg["cross_section"]
+    solver = cfg.get("kind", solve_nu_vector)
+    hs = cfg.get("h_values", [cfg.get("h", cs.diameter() / 96)])
     estimates = [solver(cs, h) for h in hs]
     best = (refine_extrapolate(estimates) if len(estimates) >= 3
             else min(estimates, key=lambda e: e.grid_h))
@@ -191,18 +184,14 @@ def cmd_nu(cfg, out: Path) -> int:
 
 
 def cmd_check(cfg, out: Path) -> int:
-    _need(cfg, "l", "eps")
-    gap = _gap(cfg)
-    _either(cfg, "nu", "cross_section", "h")
+    gap = cfg["gap"] if "gap" in cfg else cfg["gap_width"]
     if "nu" in cfg:
-        nu = _number(cfg, "nu")
-        grid_h = None
+        nu, grid_h = cfg["nu"], None
     else:
-        _need(cfg, "cross_section")
-        cs = _section(cfg["cross_section"])
-        grid_h = _number(cfg, "h", cs.diameter() / 96)
+        cs = cfg["cross_section"]
+        grid_h = cfg.get("h", cs.diameter() / 96)
         nu = solve_nu_vector(cs, grid_h)
-    rep = check_condition(_number(cfg, "l"), _number(cfg, "eps"), gap, nu)
+    rep = check_condition(cfg["l"], cfg["eps"], gap, nu)
     doc = rep.record()
     doc["provenance"] = _provenance(cfg, module="existence", grid_h=grid_h)
     io.write_json(out / "check.json", doc)
@@ -212,14 +201,12 @@ def cmd_check(cfg, out: Path) -> int:
 
 
 def cmd_residual(cfg, out: Path) -> int:
-    _need(cfg, "l", "eps", "mu", "delta", "cross_section")
-    cs = _section(cfg["cross_section"])
-    h = _number(cfg, "h", cs.diameter() / 96)
-    tf = make_test_field(cs, _number(cfg, "rho", 0.1 * cs.inradius()), h)
-    psi = Profile.bump(2)
-    tp = TrialParams(l=_number(cfg, "l"), eps=_number(cfg, "eps"),
-                     mu=_number(cfg, "mu"), delta=_number(cfg, "delta"),
-                     n=_integer(cfg, "n", 1), psi=psi, g=tf)
+    cs = cfg["cross_section"]
+    h = cfg.get("h", cs.diameter() / 96)
+    tf = make_test_field(cs, cfg.get("rho", 0.1 * cs.inradius()), h)
+    tp = TrialParams(l=cfg["l"], eps=cfg["eps"], mu=cfg["mu"],
+                     delta=cfg["delta"], n=cfg.get("n", 1),
+                     psi=Profile.bump(2), g=tf)
     if "n" not in cfg:
         n = minimal_n(tp)
         if n is None:
@@ -231,8 +218,7 @@ def cmd_residual(cfg, out: Path) -> int:
     doc = rep.record()
     doc["n"] = tp.n
     if cfg.get("quadrature", False):
-        grid = quadrature_grid(tp)
-        doc["quadrature"] = residual_quadrature(tp, grid)
+        doc["quadrature"] = residual_quadrature(tp, quadrature_grid(tp))
     doc["provenance"] = _provenance(cfg, module="existence", grid_h=h)
     io.write_json(out / "residual.json", doc)
     print(json.dumps({"n": tp.n, "residual_sq": rep.closed_form,
@@ -241,11 +227,9 @@ def cmd_residual(cfg, out: Path) -> int:
 
 
 def cmd_bands(cfg, out: Path) -> int:
-    _need(cfg, "medium", "grid", "k_samples")
-    eps = build_medium(_medium(cfg["medium"]), _grid(cfg["grid"]))
-    bt = band_structure(eps, _samples(cfg, "k_samples"),
-                        bands=_integer(cfg, "bands", 8))
-    gaps = find_gaps(bt, _number(cfg, "min_gap_width", 0.5))
+    eps = build_medium(cfg["medium"], cfg["grid"])
+    bt = band_structure(eps, cfg["k_samples"], bands=cfg.get("bands", 8))
+    gaps = find_gaps(bt, cfg.get("min_gap_width", 0.5))
     io.band_csv(bt, out / "bands.csv")
     io.write_json(out / "gaps.json", {
         "gaps": [[g.alpha, g.beta] for g in gaps],
@@ -258,21 +242,16 @@ def cmd_bands(cfg, out: Path) -> int:
 
 
 def _defect_run(cfg):
-    _need(cfg, "medium", "grid", "gap")
-    spec = _medium(cfg["medium"])
-    if spec.defect is None:
-        raise ConfigError("defect command needs a medium with a defect strip")
-    eps = with_defect(build_medium(spec, _grid(cfg["grid"])), spec.defect)
-    ds = defect_spectrum(
-        eps, spec.defect, _gap(cfg),
-        k1_samples=_k1_samples(cfg, spec),
-        delta=_number(cfg, "delta", 0.15),
-        count=_integer(cfg, "count", 30))
+    spec = cfg["medium"]
+    eps = with_defect(build_medium(spec, cfg["grid"]), spec.defect)
+    ds = defect_spectrum(eps, spec.defect, cfg["gap"],
+                         k1_samples=_k1_samples(cfg),
+                         delta=cfg.get("delta", 0.15),
+                         count=cfg.get("count", 30))
     return spec, eps, ds
 
 
 def cmd_defect(cfg, out: Path) -> int:
-    dumps = _count(cfg, "dump_fields", 0)
     spec, eps, ds = _defect_run(cfg)
     io.modes_csv(ds.modes, out / "modes.csv")
     io.write_json(out / "coverage.json", {
@@ -281,7 +260,7 @@ def cmd_defect(cfg, out: Path) -> int:
         "k1_samples": list(ds.k1_samples),
         "provenance": _provenance(cfg, module="eigen",
                                   grid_h=float(max(eps.grid.spacing)))})
-    for i, m in enumerate(ds.modes[:dumps]):
+    for i, m in enumerate(ds.modes[:cfg.get("dump_fields", 0)]):
         io.write_field(out / f"mode_{i:03d}", m.field.values, m.field.grid,
                        meta={"lambda": m.lam, "bloch_k1": m.k1,
                              "staggering": "cell-centred"})
@@ -290,20 +269,16 @@ def cmd_defect(cfg, out: Path) -> int:
 
 
 def cmd_decay(cfg, out: Path) -> int:
-    dumps = _count(cfg, "dump_profiles", 3)
     spec, eps, ds = _defect_run(cfg)
-    gap = _gap(cfg)
-    dumped = min(len(ds.modes), dumps)
-    step = _number(cfg, "step", 0.125)
-    window = {k: _number(cfg, k) for k in ("d_min", "d_max")
-              if cfg.get(k) is not None}
+    dumped = min(len(ds.modes), cfg.get("dump_profiles", 3))
+    window = {k: cfg[k] for k in ("d_min", "d_max") if k in cfg}
     fits = []
     for i, m in enumerate(ds.modes):
-        prof = profile(m, spec.defect, step=step)
+        prof = profile(m, spec.defect, step=cfg.get("step", 0.125))
         fit = fit_decay(prof, **window)
         rec = fit.record()
         rec.update({"lambda": m.lam, "k1": m.k1,
-                    "ct_shape": ct_shape(m.lam, gap)})
+                    "ct_shape": ct_shape(m.lam, cfg["gap"])})
         fits.append(rec)
         if i < dumped:
             io.profile_csv(prof, out / f"profile_{i:03d}.csv",
@@ -323,23 +298,9 @@ def cmd_decay(cfg, out: Path) -> int:
 
 
 def cmd_sweep(cfg, out: Path) -> int:
-    _need(cfg, "medium", "grid", "gap", "l_values", "eps_values", "nu")
-    base = _medium(cfg["medium"])
-    if base.defect is None:
-        raise ConfigError("sweep needs a template defect strip in the medium")
-    grid = _grid(cfg["grid"])
-    gap = _gap(cfg)
-    nu = _number(cfg, "nu")
-    k1_samples = _k1_samples(cfg, base)
-    delta = _number(cfg, "delta", 0.15)
-    count = _integer(cfg, "count", 30)
-    with _block("l_values"):
-        ls = [float(l) for l in cfg["l_values"]]
-    with _block("eps_values"):
-        es = [float(e) for e in cfg["eps_values"]]
-    if not (ls and es):
-        raise ConfigError("sweep needs at least one value in 'l_values' "
-                          "and in 'eps_values'")
+    base, grid, gap, nu = cfg["medium"], cfg["grid"], cfg["gap"], cfg["nu"]
+    k1_samples = _k1_samples(cfg)
+    delta, count = cfg.get("delta", 0.15), cfg.get("count", 30)
     eps0 = build_medium(base, grid)
 
     # a cell's strip may miss or under-resolve the grid, or its solve fail:
@@ -357,7 +318,7 @@ def cmd_sweep(cfg, out: Path) -> int:
         except (GeometryError, ResolutionError, IterationError) as exc:
             return (l, e, rep.margin, int(rep.passed), -1, 0, str(exc))
 
-    rows = [cell(l, e) for l in ls for e in es]
+    rows = [cell(l, e) for l in cfg["l_values"] for e in cfg["eps_values"]]
     io.write_csv(out / "existence_map.csv",
                  ["l", "eps", "margin", "condition", "modes", "delta_net",
                   "error"], rows)
@@ -370,75 +331,72 @@ def cmd_sweep(cfg, out: Path) -> int:
     return 0
 
 
+# (artifact, heading, its summary lines) in the order `report` writes them
+SUMMARY = (
+    ("nu.json", "Cross-section constant", lambda d: [
+        f"- nu = {d['value']:.6g} (order {d['order']}, h = {d['h']:.4g})"]),
+    ("check.json", "Existence condition", lambda d: [
+        f"- {'satisfied' if d['passed'] else 'not satisfied'}: lhs"
+        f" {d['lhs']:.6g} vs rhs {d['rhs']:.6g} (margin {d['margin']:.6g},"
+        f" delta* {d['delta_star']:.6g})"]),
+    ("gaps.json", "Spectral gaps", lambda d: [
+        f"- ({a:.6g}, {b:.6g})" for a, b in d["gaps"]]),
+    ("residual.json", "Trial residual", lambda d: [
+        f"- n = {d['n']}, residual^2 {d['closed_form']:.6g} vs budget"
+        f" {d['threshold']:.6g} ({'passes' if d['passes'] else 'fails'})"]),
+    ("coverage.json", "Gap coverage (delta-net)", lambda d: [
+        f"- {sum(1 for _, f in d['points'] if f)}/{len(d['points'])} sampled"
+        f" points covered at delta = {d['delta']:.4g}"]),
+    ("decay_fits.json", "Confinement", lambda d: [
+        f"- {len(d['fits'])} modes fitted; rank correlation with the in-gap"
+        f" rate shape: {d['rank_correlation']}"]),
+)
+
+
 def cmd_report(_cfg, out: Path) -> int:
     lines = ["# Run summary", ""]
-    found = False
-    nu_doc = _maybe(out / "nu.json")
-    if nu_doc:
-        found = True
-        lines += ["## Cross-section constant", "",
-                  f"- nu = {nu_doc['value']:.6g} (order {nu_doc['order']},"
-                  f" h = {nu_doc['h']:.4g})", ""]
-    chk = _maybe(out / "check.json")
-    if chk:
-        found = True
-        verdict = "satisfied" if chk["passed"] else "not satisfied"
-        lines += ["## Existence condition", "",
-                  f"- {verdict}: lhs {chk['lhs']:.6g} vs rhs {chk['rhs']:.6g}"
-                  f" (margin {chk['margin']:.6g}, delta* {chk['delta_star']:.6g})",
-                  ""]
-    gaps = _maybe(out / "gaps.json")
-    if gaps:
-        found = True
-        lines += ["## Spectral gaps", ""]
-        lines += [f"- ({a:.6g}, {b:.6g})" for a, b in gaps["gaps"]] + [""]
-    res = _maybe(out / "residual.json")
-    if res:
-        found = True
-        lines += ["## Trial residual", "",
-                  f"- n = {res['n']}, residual^2 {res['closed_form']:.6g} vs"
-                  f" budget {res['threshold']:.6g}"
-                  f" ({'passes' if res['passes'] else 'fails'})", ""]
-    cov = _maybe(out / "coverage.json")
-    if cov:
-        found = True
-        ok = sum(1 for _, f in cov["points"] if f)
-        lines += ["## Gap coverage (delta-net)", "",
-                  f"- {ok}/{len(cov['points'])} sampled points covered at"
-                  f" delta = {cov['delta']:.4g}", ""]
-    dec = _maybe(out / "decay_fits.json")
-    if dec:
-        found = True
-        lines += ["## Confinement", "",
-                  f"- {len(dec['fits'])} modes fitted; rank correlation with"
-                  f" the in-gap rate shape: {dec['rank_correlation']}", ""]
-    if not found:
+    for name, heading, summary in SUMMARY:
+        if (out / name).is_file():
+            lines += [f"## {heading}", "", *summary(io.read_json(out / name)),
+                      ""]
+    if len(lines) == 2:
         lines += ["no artifacts found in " + str(out), ""]
     (out / "summary.md").write_text("\n".join(lines))
     print(f"report written to {out / 'summary.md'}")
     return 0
 
 
-def _maybe(path: Path):
-    try:
-        return io.read_json(path)
-    except FileNotFoundError:
-        return None
-
-
-# top-level config keys each command reads; any other key is a ConfigError,
-# so a misspelt or retired key cannot run silently with its default
-_DEFECT_KEYS = {"medium", "grid", "gap", "k1_samples", "delta", "count"}
-CONFIG_KEYS = {
-    "nu": {"cross_section", "kind", "h", "h_values"},
-    "check": {"l", "eps", "gap", "gap_width", "nu", "cross_section", "h"},
-    "residual": {"l", "eps", "mu", "delta", "n", "cross_section", "h", "rho",
-                 "quadrature"},
-    "bands": {"medium", "grid", "k_samples", "bands", "min_gap_width"},
-    "defect": _DEFECT_KEYS | {"dump_fields"},
-    "decay": _DEFECT_KEYS | {"step", "d_min", "d_max", "dump_profiles"},
-    "sweep": _DEFECT_KEYS | {"l_values", "eps_values", "nu"},
-    "report": set(),
+# the key each command reads, each with its reader; `_load_config` refuses
+# any other, so a misspelt or retired key cannot run silently
+_NUMBER, _REQUIRED = _Key(float), _Key(float, True)
+_SECTION = _Key(_dec_section, True)
+_GUIDE_KEYS = {"medium": _Key(_guide, True), "grid": _Key(_grid, True),
+               "gap": _Key(_gap, True), "k1_samples": _Key(_samples),
+               "delta": _NUMBER, "count": _Key(_integer)}
+READERS = {
+    "nu": {"cross_section": _SECTION,
+           "kind": _Key(lambda kind: {"vector": solve_nu_vector,
+                                      "scalar": solve_nu_scalar}[kind]),
+           "h": _NUMBER, "h_values": _Key(_values, excludes=("h",))},
+    "check": {"l": _REQUIRED, "eps": _REQUIRED,
+              "gap": _Key(_gap, True, ("gap_width",)),
+              "gap_width": _Key(lambda w: GapInterval(1.0, 1.0 + float(w))),
+              "nu": _Key(float, excludes=("h",)),
+              "cross_section": _Key(_dec_section, True, ("nu",)),
+              "h": _NUMBER},
+    "residual": {"l": _REQUIRED, "eps": _REQUIRED, "mu": _REQUIRED,
+                 "delta": _REQUIRED, "cross_section": _SECTION,
+                 "n": _Key(_integer), "h": _NUMBER, "rho": _NUMBER,
+                 "quadrature": _Key(_flag)},
+    "bands": {"medium": _Key(_medium, True), "grid": _Key(_grid, True),
+              "k_samples": _Key(_samples, True), "bands": _Key(_integer),
+              "min_gap_width": _NUMBER},
+    "defect": {**_GUIDE_KEYS, "dump_fields": _Key(_count)},
+    "decay": {**_GUIDE_KEYS, "step": _NUMBER, "d_min": _NUMBER,
+              "d_max": _NUMBER, "dump_profiles": _Key(_count)},
+    "sweep": {**_GUIDE_KEYS, "l_values": _Key(_values, True),
+              "eps_values": _Key(_values, True), "nu": _REQUIRED},
+    "report": {},
 }
 COMMANDS = {"nu": cmd_nu, "check": cmd_check, "residual": cmd_residual,
             "bands": cmd_bands, "defect": cmd_defect, "decay": cmd_decay,

@@ -161,6 +161,8 @@ def _domain_grid(cs: CrossSection, h: float):
 
 
 def _check_resolution(cs: CrossSection, h: float):
+    if not h > 0:
+        raise ValidationError(f"spacing {h!r} is not positive")
     if cs.diameter() / h < 32:
         raise GeometryError(
             f"spacing {h:g} under-resolves the domain (need >= 32 cells across)")
@@ -636,18 +638,16 @@ def make_test_field(cs: CrossSection, rho: float, h: float) -> TestField:
 def refine_extrapolate(estimates) -> NuEstimate:
     """Richardson-extrapolate estimates assuming order-2 convergence.
 
-    Accepts NuEstimate objects or bare (h, value) pairs.  Needs >= 3
-    estimates at decreasing h.  The reported order, log|d1/d2| / log(r)
-    from the last three grids, takes one refinement ratio r, that of the
-    coarser pair, and is the observed order only when both ratios are r:
-    the 2/96, 2/128, 2/192 ladder (ratios 4/3 and 3/2) reads 2.08, where
-    solving for the order with both ratios gives 2.79.  A non-monotone
-    difference sequence is unsafe to extrapolate: it warns and returns the
-    finest-grid value.
+    Needs >= 3 NuEstimates at decreasing h.  The reported order,
+    log|d1/d2| / log(r) from the last three grids, takes one refinement
+    ratio r, that of the coarser pair, and is the observed order only when
+    both ratios are r: the 2/96, 2/128, 2/192 ladder (ratios 4/3 and 3/2)
+    reads 2.08, where solving for the order with both ratios gives 2.79.
+    A non-monotone difference sequence is unsafe to extrapolate: it warns
+    and returns the finest-grid value.
     """
-    pairs = sorted(((float(e.grid_h), float(e.value))
-                    if isinstance(e, NuEstimate) else (float(e[0]), float(e[1]))
-                    for e in estimates), reverse=True)
+    pairs = sorted(((float(e.grid_h), float(e.value)) for e in estimates),
+                   reverse=True)
     if len(pairs) < 3:
         raise ValidationError("need at least 3 estimates to extrapolate")
     hs = np.array([p[0] for p in pairs])

@@ -46,6 +46,40 @@ def _defect_cfg(tmp_path, **extra):
     return _cfg(tmp_path, "defect.json", base)
 
 
+DISK = {"kind": "disk", "radius": 1.0}
+BULK = {"medium": {"lattice": [1.0], "inclusions": [
+    {"kind": "box", "lo": [-0.1875], "hi": [0.1875], "eps": 9.0}]},
+    "grid": {"shape": [64], "spacing": [1 / 64], "origin": [-0.5]},
+    "k_samples": {"start": 0.0, "stop": np.pi, "num": 9}}
+GUIDE = {"medium": MEDIUM, "grid": GRID, "gap": GAP, "k1_samples": [5.0],
+         "count": 16, "delta": 0.25}
+# per command, a config that would run to its solve and every key it reads
+RUNS = {
+    "nu": ({"cross_section": DISK, "h": 2 / 48},
+           ("cross_section", "kind", "h", "h_values")),
+    "check": ({"l": 2.0, "eps": 12.0, "gap": GAP, "cross_section": DISK,
+               "h": 2 / 48},
+              ("l", "eps", "gap", "gap_width", "nu", "cross_section", "h")),
+    "residual": ({"l": 1.0, "eps": 12.0, "mu": 2.5, "delta": 6.5, "n": 2,
+                  "cross_section": DISK, "h": 2 / 48, "rho": 0.15,
+                  "quadrature": True},
+                 ("l", "eps", "mu", "delta", "n", "cross_section", "h", "rho",
+                  "quadrature")),
+    "bands": (BULK, ("medium", "grid", "k_samples", "bands", "min_gap_width")),
+    "defect": (GUIDE, ("medium", "grid", "gap", "k1_samples", "delta",
+                       "count", "dump_fields")),
+    "decay": (dict(GUIDE, step=0.25), ("medium", "grid", "gap", "k1_samples",
+                                       "delta", "count", "step", "d_min",
+                                       "d_max", "dump_profiles")),
+    "sweep": (dict(GUIDE, nu=14.682, l_values=[1.5], eps_values=[12.0]),
+              ("medium", "grid", "gap", "k1_samples", "delta", "count", "nu",
+               "l_values", "eps_values")),
+}
+# keys a config holds in place of another: dropped while that one is tested
+IN_PLACE = {"gap_width": ("gap",), "nu": ("cross_section", "h"),
+            "h_values": ("h",)}
+
+
 def test_check_command(tmp_path, capsys):
     cfg = _cfg(tmp_path, "check.json",
                {"schema": 1, "l": 1.0, "eps": 12.0, "gap_width": 3.0,
@@ -145,7 +179,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert not (tmp_path / "e").exists() or not any((tmp_path / "e").iterdir())
     # nu solves the vector or the scalar constant; a misspelt kind is no
     # silent default, whatever the cross-section
-    for section in ({"kind": "disk", "radius": 1.0},
+    for section in (DISK,
                     {"kind": "interval", "half_width": 1.0}):
         scaler = _cfg(tmp_path, "kind.json", {"schema": 1, "kind": "scaler",
                                               "cross_section": section,
@@ -155,10 +189,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
             in capsys.readouterr().err
     # a band count below 1 or an empty k-path is refused, not sliced into
     # gaps or left to fail in find_gaps
-    bulk = {"schema": 1, "medium": {"lattice": [1.0], "inclusions": [
-        {"kind": "box", "lo": [-0.1875], "hi": [0.1875], "eps": 9.0}]},
-        "grid": {"shape": [64], "spacing": [1 / 64], "origin": [-0.5]},
-        "k_samples": {"start": 0.0, "stop": np.pi, "num": 9}}
+    bulk = dict(BULK, schema=1)
     for extra, message in ((dict(bands=-3), "bands must be at least 1"),
                            (dict(k_samples={"start": 0.0, "stop": np.pi,
                                             "num": 0}), "holds no sample")):
@@ -179,10 +210,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # a value the command would misread is refused, naming its key: a count
     # that is not an integer, an empty list of spacings, or a key beside
     # the one the command reads in its place
-    disk = {"kind": "disk", "radius": 1.0}
     check = {"schema": 1, "l": 2.0, "eps": 12.0, "gap": GAP}
     residual = {"schema": 1, "l": 1.0, "eps": 12.0, "mu": 2.5, "delta": 6.5,
-                "cross_section": disk, "h": 2 / 48, "rho": 0.15}
+                "cross_section": DISK, "h": 2 / 48, "rho": 0.15}
     for cmd, cfg, key in (
             ("bands", dict(bulk, bands=3.7), "bands"),
             ("bands", dict(bulk, bands=True), "bands"),
@@ -190,11 +220,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
             ("defect", dict(dump_fields=1.5), "dump_fields"),
             ("decay", dict(dump_profiles=True), "dump_profiles"),
             ("residual", dict(residual, n=2.5), "n"),
-            ("nu", {"schema": 1, "cross_section": disk, "h_values": []},
+            ("residual", dict(residual, quadrature="no"), "quadrature"),
+            ("nu", {"schema": 1, "cross_section": DISK, "h_values": []},
              "h_values"),
-            ("nu", {"schema": 1, "cross_section": disk, "h": 2 / 32,
+            ("nu", {"schema": 1, "cross_section": DISK, "h": 2 / 32,
                     "h_values": [2 / 32]}, "h_values"),
-            ("check", dict(check, nu=14.682, cross_section=disk), "nu"),
+            ("check", dict(check, nu=14.682, cross_section=DISK), "nu"),
             ("check", dict(check, nu=14.682, h=5.0), "nu"),
             ("check", dict(check, nu=14.682, gap_width=3.0), "gap")):
         path = (_defect_cfg(tmp_path, **cfg) if "schema" not in cfg
@@ -203,6 +234,55 @@ def test_config_errors_exit_2(tmp_path, capsys):
                          str(tmp_path / "m")]) == 2, (cmd, cfg)
         err = capsys.readouterr().err
         assert "config error" in err and repr(key) in err, err
+    # a key set to null reads as absent: a required one is missing, and one
+    # read in place of another is not set beside it
+    for cfg, rc in ((dict(check, nu=14.682, eps=None), 2),
+                    (dict(check, nu=14.682, h=None), 0)):
+        path = _cfg(tmp_path, "null.json", cfg)
+        assert cli.main(["check", "--config", path, "--out",
+                         str(tmp_path / "m")]) == rc, cfg
+    assert "missing required keys: ['eps']" in capsys.readouterr().err
+    # a spacing that is not positive is refused before any solve
+    for h in (0, -0.02):
+        for cmd, cfg in (("nu", {"schema": 1, "cross_section": DISK}),
+                         ("check", dict(check, cross_section=DISK)),
+                         ("residual", residual)):
+            path = _cfg(tmp_path, f"{cmd}.json", dict(cfg, h=h))
+            assert cli.main([cmd, "--config", path, "--out",
+                             str(tmp_path / "m")]) == 2, (cmd, h)
+            err = capsys.readouterr().err
+            assert "config error" in err and "is not positive" in err, err
+
+
+def _solves_fail(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    for name in ("solve_nu_vector", "solve_nu_scalar", "make_test_field",
+                 "band_structure", "defect_spectrum"):
+        monkeypatch.setattr(cli, name, solve)
+
+
+def test_runs_reach_a_solve_and_name_every_key(tmp_path, monkeypatch):
+    assert {cmd: set(keys) for cmd, (_, keys) in RUNS.items()} == {
+        cmd: set(keys) for cmd, keys in cli.READERS.items() if keys}
+    _solves_fail(monkeypatch)
+    for cmd, (cfg, _) in RUNS.items():
+        path = _cfg(tmp_path, "cfg.json", dict(cfg, schema=1))
+        with pytest.raises(AssertionError, match="solved"):
+            cli.main([cmd, "--config", path, "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("cmd, key", [(cmd, key) for cmd, (_, keys)
+                                      in RUNS.items() for key in keys])
+def test_a_malformed_value_is_refused_before_any_solve(
+        cmd, key, tmp_path, capsys, monkeypatch):
+    _solves_fail(monkeypatch)
+    cfg = {k: v for k, v in RUNS[cmd][0].items()
+           if k not in IN_PLACE.get(key, ())}
+    path = _cfg(tmp_path, "cfg.json", dict(cfg, schema=1, **{key: "x"}))
+    assert cli.main([cmd, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_unknown_command_and_missing_config_exit_2(tmp_path, capsys):

@@ -14,15 +14,17 @@ keyword of `f`.  Constructors are left out; their defaults are the fields
 of value objects.  A dataclass field that no caller loads as an attribute
 is written and carried for nothing.  A flag of `gapguide` that `cli.py`
 never reads as `args.<dest>` does nothing; the two kept only so that old
-command lines parse must say so in their help.  A parameter its
-function's body never loads is passed for nothing.
+command lines parse must say so in their help.  A config key in a
+command's reader table that neither the command nor a helper it calls
+names is accepted and read by nothing.  A parameter its function's body
+never loads is passed for nothing.
 """
 
 import argparse
 import ast
 from pathlib import Path
 
-from gapguide.cli import build_parser
+from gapguide.cli import COMMANDS, READERS, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "demos", "bench")
@@ -252,6 +254,29 @@ def test_every_cli_flag_is_read():
     assert not unread, "flags that cli.py never reads: " + ", ".join(unread)
     assert not silent, ("unread flags whose help does not say so: "
                         + ", ".join(silent))
+
+
+def test_every_config_key_is_read():
+    # by name only: a key counts as read where the command, or a cli.py
+    # function it calls however deeply, holds it as a string constant
+    tree = ast.parse((ROOT / "src" / "gapguide" / "cli.py").read_text())
+    functions = {fn.name: fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)}
+    unread = []
+    for command, keys in READERS.items():
+        todo, seen, named = [COMMANDS[command].__name__], set(), set()
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            for node in ast.walk(functions[name]):
+                if isinstance(node, ast.Constant):
+                    named.add(node.value)
+                elif (isinstance(node, ast.Name) and node.id in functions
+                      and node.id not in seen):
+                    todo.append(node.id)
+        unread += [f"{command}: {key}" for key in keys if key not in named]
+    assert not unread, ("config keys their command accepts and never "
+                        "reads: " + ", ".join(unread))
 
 
 def _is_interface(fn):

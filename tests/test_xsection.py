@@ -171,6 +171,13 @@ def test_kept_minimizer_is_read_only():
 def test_resolution_guard():
     with pytest.raises(GeometryError):
         solve_nu_vector(Disk(1.0), h=0.2)
+    # a spacing that is not positive is refused, not divided by or solved at
+    for h in (0.0, -0.02, float("nan")):
+        for solve in (solve_nu_vector, solve_nu_scalar):
+            with pytest.raises(ValidationError, match="not positive"):
+                solve(Disk(1.0), h=h)
+        with pytest.raises(ValidationError, match="not positive"):
+            make_test_field(Disk(1.0), rho=0.15, h=h)
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (6,)])
@@ -227,7 +234,7 @@ def test_test_field_margin_validation():
 def test_refine_extrapolate_exact_second_order():
     hs = [0.2, 0.1, 0.05]
     exact, c = 14.0, 3.0
-    ests = [(h, exact + c * h**2) for h in hs]
+    ests = [NuEstimate(exact + c * h**2, h) for h in hs]
     out = refine_extrapolate(ests)
     assert out.value == pytest.approx(exact, abs=1e-10)
     assert out.order == pytest.approx(2.0, abs=1e-8)
@@ -243,7 +250,8 @@ def test_refine_extrapolate_accepts_estimates_and_needs_three():
 
 
 def test_refine_extrapolate_warns_on_non_monotone():
-    ests = [(0.2, 14.2), (0.1, 13.9), (0.05, 14.05)]
+    ests = [NuEstimate(v, h) for h, v in ((0.2, 14.2), (0.1, 13.9),
+                                          (0.05, 14.05))]
     with pytest.warns(RuntimeWarning):
         out = refine_extrapolate(ests)
     assert out.value == pytest.approx(14.05)
