@@ -10,7 +10,7 @@ known closed form, and shows how it scales with the section.
 
 import numpy as np
 
-from gapguide import (Disk, Interval, refine_extrapolate, solve_nu_scalar,
+from gapguide import (Box, Disk, refine_extrapolate, solve_nu_scalar,
                       solve_nu_vector)
 
 J11_SQ = 3.8317059702075123**2       # first zero of J1, squared
@@ -34,7 +34,7 @@ for l in (0.5, 2.0):
           f"nu * l^2 = {scaled.value * l**2:.4f}")
 
 print("\n== scalar analog (Dirichlet Laplacian) for intuition ==")
-iv = solve_nu_scalar(Interval(1.0), h=2 / 96)
+iv = solve_nu_scalar(Box((1.0,)), h=2 / 96)
 dk = solve_nu_scalar(Disk(1.0), h=2 / 96)
 print(f"  interval (-1, 1): {iv.value:.5f}   (pi^2/4 = {np.pi**2 / 4:.5f})")
 print(f"  unit disk:        {dk.value:.5f}   (j01^2  = {2.404825557695773**2:.5f})")

@@ -8,14 +8,14 @@ while the bare bulk supercell, as a negative control, has none.
 
 import numpy as np
 
-from gapguide import (BoxInclusion, GapInterval, GridSpec, Interval,
-                      MediumSpec, StripSpec, band_structure, build_medium,
-                      defect_spectrum, find_gaps, with_defect)
+from gapguide import (Box, GapInterval, GridSpec, MediumSpec, StripSpec,
+                      band_structure, build_medium, defect_spectrum, find_gaps,
+                      with_defect)
 
 print("== bulk band structure (1D reduction at axial momentum 0) ==")
 grid1 = GridSpec((512,), (1 / 512,), (-0.5,))
 layered = MediumSpec(lattice=(1.0,), inclusions=(
-    BoxInclusion((-0.1875,), (0.1875,), 9.0),))
+    (Box((0.1875,)), 9.0),))
 bt = band_structure(build_medium(layered, grid1), np.linspace(0, np.pi, 25),
                     bands=6)
 gap = find_gaps(bt, min_width=0.5)[0]
@@ -24,8 +24,8 @@ print(f"  first gap: ({gap.alpha:.4f}, {gap.beta:.4f}), "
 
 print("\n== supercell with a defect strip ==")
 bulk = MediumSpec(lattice=(0.25, 1.0), inclusions=(
-    BoxInclusion((-0.125, -0.1875), (0.125, 0.1875), 9.0),))
-strip = StripSpec(Interval(1.0), l=2.0, eps_inside=12.0)
+    (Box((0.125, 0.1875)), 9.0),))
+strip = StripSpec(Box((1.0,)), l=2.0, eps_inside=12.0)
 grid2 = GridSpec((4, 511), (1 / 16, 1 / 32), (0.0, -8.0))
 eps0 = build_medium(bulk, grid2)
 eps_d = with_defect(eps0, strip)

@@ -9,13 +9,12 @@ mid-gap are the best confined, modes near the edges leak the furthest.
 
 import numpy as np
 
-from gapguide import (BoxInclusion, GapInterval, GridSpec, Interval,
-                      MediumSpec, StripSpec, build_medium, ct_shape,
-                      defect_spectrum, fit_decay, profile, rank_correlation,
-                      with_defect)
+from gapguide import (Box, GapInterval, GridSpec, MediumSpec, StripSpec,
+                      build_medium, ct_shape, defect_spectrum, fit_decay,
+                      profile, rank_correlation, with_defect)
 
 bulk = MediumSpec(lattice=(0.25, 1.0), inclusions=(
-    BoxInclusion((-0.125, -0.1875), (0.125, 0.1875), 9.0),))
+    (Box((0.125, 0.1875)), 9.0),))
 grid2 = GridSpec((4, 511), (1 / 16, 1 / 32), (0.0, -8.0))
 eps0 = build_medium(bulk, grid2)
 
@@ -23,7 +22,7 @@ eps0 = build_medium(bulk, grid2)
 # mode is set by its distance to the spectrum at its own momentum
 k1 = 1.0
 fgap = GapInterval(2.36, 5.42)
-strip = StripSpec(Interval(1.0), l=2.0, eps_inside=40.0)
+strip = StripSpec(Box((1.0,)), l=2.0, eps_inside=40.0)
 ds = defect_spectrum(with_defect(eps0, strip), strip, fgap,
                      k1_samples=[k1], delta=0.15, count=40)
 print(f"{len(ds.modes)} localized modes in the fibered gap "

@@ -11,9 +11,9 @@ from .errors import (GapguideError, ValidationError, ConfigError,
                      ResolutionError, GeometryError, UnsupportedGeometryError,
                      IterationError)
 from .grids import GridSpec
-from .cross_section import CrossSection, Interval, Disk, Rect, MaskSection
-from .media import (DiskInclusion, BoxInclusion, StripSpec, MediumSpec,
-                    SampledEpsilon, build_medium, with_defect)
+from .cross_section import CrossSection, Box, Disk, MaskSection
+from .media import (StripSpec, MediumSpec, SampledEpsilon, build_medium,
+                    with_defect)
 from .xsection import (NuEstimate, TestField, solve_nu_vector, solve_nu_scalar,
                        make_test_field, refine_extrapolate, smoothstep)
 from .existence import (GapInterval, Profile, TrialParams, ConditionReport,

@@ -6,9 +6,9 @@ config hash and the BLAS the solves ran on; `--seed` and `--threads` are
 read by nothing, kept so that existing command lines parse.  READERS gives
 each key a command reads its reader, and every value is parsed before the
 command solves anything: a malformed or misread value (a fractional count,
-an empty spacing list, a key beside the one read in its place) is refused,
-naming its key.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+an empty spacing list, a length that is not positive, a key beside the one
+read in its place) is refused, naming its key.  Exit codes: 0 success,
+2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ def _load_config(path, command: str) -> dict:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config is a {type(raw).__name__}, not a JSON object")
     given = {k: v for k, v in raw.items() if v is not None}
     schema = given.pop("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
@@ -100,6 +102,14 @@ def _count(value) -> int:
     return n
 
 
+def _positive(value, read=float):
+    """A number above zero, parsed by `read`: -1, 0 or NaN is refused."""
+    x = read(value)
+    if not x > 0:
+        raise ConfigError(f"{value!r} is not positive")
+    return x
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{value!r} is not true or false")
@@ -117,6 +127,10 @@ def _values(value) -> list:
     if not values:
         raise ConfigError("the list needs at least one value")
     return values
+
+
+def _positives(value) -> list:
+    return [_positive(x) for x in _values(value)]
 
 
 def _samples(value) -> np.ndarray:
@@ -368,34 +382,35 @@ def cmd_report(_cfg, out: Path) -> int:
 
 # the key each command reads, each with its reader; `_load_config` refuses
 # any other, so a misspelt or retired key cannot run silently
-_NUMBER, _REQUIRED = _Key(float), _Key(float, True)
+_NUMBER, _POSITIVE = _Key(float), _Key(_positive)
+_REQUIRED = _Key(_positive, True)
 _SECTION = _Key(_dec_section, True)
 _GUIDE_KEYS = {"medium": _Key(_guide, True), "grid": _Key(_grid, True),
                "gap": _Key(_gap, True), "k1_samples": _Key(_samples),
-               "delta": _NUMBER, "count": _Key(_integer)}
+               "delta": _POSITIVE, "count": _Key(_integer)}
 READERS = {
     "nu": {"cross_section": _SECTION,
            "kind": _Key(lambda kind: {"vector": solve_nu_vector,
                                       "scalar": solve_nu_scalar}[kind]),
-           "h": _NUMBER, "h_values": _Key(_values, excludes=("h",))},
+           "h": _POSITIVE, "h_values": _Key(_positives, excludes=("h",))},
     "check": {"l": _REQUIRED, "eps": _REQUIRED,
               "gap": _Key(_gap, True, ("gap_width",)),
               "gap_width": _Key(lambda w: GapInterval(1.0, 1.0 + float(w))),
               "nu": _Key(float, excludes=("h",)),
               "cross_section": _Key(_dec_section, True, ("nu",)),
-              "h": _NUMBER},
+              "h": _POSITIVE},
     "residual": {"l": _REQUIRED, "eps": _REQUIRED, "mu": _REQUIRED,
                  "delta": _REQUIRED, "cross_section": _SECTION,
-                 "n": _Key(_integer), "h": _NUMBER, "rho": _NUMBER,
-                 "quadrature": _Key(_flag)},
+                 "n": _Key(lambda n: _positive(n, _integer)), "h": _POSITIVE,
+                 "rho": _NUMBER, "quadrature": _Key(_flag)},
     "bands": {"medium": _Key(_medium, True), "grid": _Key(_grid, True),
               "k_samples": _Key(_samples, True), "bands": _Key(_integer),
               "min_gap_width": _NUMBER},
     "defect": {**_GUIDE_KEYS, "dump_fields": _Key(_count)},
-    "decay": {**_GUIDE_KEYS, "step": _NUMBER, "d_min": _NUMBER,
+    "decay": {**_GUIDE_KEYS, "step": _POSITIVE, "d_min": _NUMBER,
               "d_max": _NUMBER, "dump_profiles": _Key(_count)},
-    "sweep": {**_GUIDE_KEYS, "l_values": _Key(_values, True),
-              "eps_values": _Key(_values, True), "nu": _REQUIRED},
+    "sweep": {**_GUIDE_KEYS, "l_values": _Key(_positives, True),
+              "eps_values": _Key(_positives, True), "nu": _Key(float, True)},
     "report": {},
 }
 COMMANDS = {"nu": cmd_nu, "check": cmd_check, "residual": cmd_residual,

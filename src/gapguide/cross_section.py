@@ -1,9 +1,12 @@
-"""Waveguide cross-sections: the transverse domain of the defect strip.
+"""Shapes: the inclusions of the periodic medium and the strip's Omega.
 
-A cross-section is a bounded domain in 1D (interval, scalar-analog path) or
-2D.  It provides membership tests, boundary distances, and boundary-crossing
-fractions along segments, which the finite-difference solvers in
-:mod:`gapguide.xsection` use for curved-boundary stencil corrections.
+One set of bounded shapes serves both roles: `Box` (an interval, rectangle
+or block), `Disk` and `MaskSection`.  Each gives membership in the open set
+(`contains`), the signed boundary distance (positive inside), its bounding
+box and inradius, and boundary-crossing fractions along segments, which the
+finite-difference solvers in :mod:`gapguide.xsection` use for curved-boundary
+stencil corrections.  :mod:`gapguide.media` samples an inclusion as a closed
+set (`boundary_distance >= 0`) and a strip cross-section as an open one.
 """
 
 from __future__ import annotations
@@ -71,41 +74,6 @@ class CrossSection:
 
 
 @dataclass(frozen=True)
-class Interval(CrossSection):
-    """1D cross-section (-half_width, half_width), for the scalar path."""
-
-    half_width: float = 1.0
-    center: float = 0.0
-    ndim = 1
-
-    def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValidationError("interval half_width must be positive")
-
-    def contains(self, points):
-        x = np.asarray(points, dtype=float)
-        if x.ndim and x.shape[-1] == 1:
-            x = x[..., 0]
-        return np.abs(x - self.center) < self.half_width
-
-    def bbox(self):
-        c, w = self.center, self.half_width
-        return np.array([c - w]), np.array([c + w])
-
-    def inradius(self):
-        return self.half_width
-
-    def scale(self, l):
-        return Interval(self.half_width * l, self.center * l)
-
-    def boundary_distance(self, points):
-        x = np.asarray(points, dtype=float)
-        if x.ndim and x.shape[-1] == 1:
-            x = x[..., 0]
-        return self.half_width - np.abs(x - self.center)
-
-
-@dataclass(frozen=True)
 class Disk(CrossSection):
     radius: float = 1.0
     center: tuple[float, float] = (0.0, 0.0)
@@ -148,16 +116,27 @@ class Disk(CrossSection):
 
 
 @dataclass(frozen=True)
-class Rect(CrossSection):
-    """Axis-aligned rectangle with given half-widths."""
+class Box(CrossSection):
+    """Axis-aligned box |x - center| < half_widths, one half-width per axis:
+    an interval in 1D, a rectangle in 2D, a block in 3D.  The center
+    defaults to the origin."""
 
-    half_widths: tuple[float, float] = (1.0, 1.0)
-    center: tuple[float, float] = (0.0, 0.0)
-    ndim = 2
+    half_widths: tuple
+    center: tuple = None
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.half_widths):
-            raise ValidationError("rectangle half_widths must be positive")
+        w = tuple(map(float, self.half_widths))
+        c = (0.0,) * len(w) if self.center is None else tuple(
+            map(float, self.center))
+        if not w or min(w) <= 0 or len(c) != len(w):
+            raise ValidationError(
+                "box half_widths must be positive, one per center axis")
+        object.__setattr__(self, "half_widths", w)
+        object.__setattr__(self, "center", c)
+
+    @property
+    def ndim(self):
+        return len(self.half_widths)
 
     def contains(self, points):
         d = np.abs(np.asarray(points, dtype=float) - np.asarray(self.center))
@@ -169,16 +148,15 @@ class Rect(CrossSection):
         return c - w, c + w
 
     def inradius(self):
-        return float(min(self.half_widths))
+        return min(self.half_widths)
 
     def scale(self, l):
-        w = tuple(np.asarray(self.half_widths) * l)
-        return Rect(w, tuple(np.asarray(self.center) * l))
+        return Box(tuple(np.asarray(self.half_widths) * l),
+                   tuple(np.asarray(self.center) * l))
 
     def boundary_distance(self, points):
         d = np.abs(np.asarray(points, dtype=float) - np.asarray(self.center))
-        m = np.asarray(self.half_widths) - d
-        return np.min(m, axis=-1)
+        return np.min(np.asarray(self.half_widths) - d, axis=-1)
 
 
 class MaskSection(CrossSection):

@@ -140,9 +140,6 @@ class ConditionReport:
     margin: float       # lhs - rhs
     delta_star: float   # nu / (l^2 eps): delta-net half-widths below this work
 
-    def __bool__(self):
-        return self.passed
-
     def record(self) -> dict:
         return {"passed": self.passed, "lhs": self.lhs, "rhs": self.rhs,
                 "margin": self.margin, "delta_star": self.delta_star}

@@ -1,8 +1,12 @@
 """Dielectric landscapes: periodic bulk, defect strip, sampled grids.
 
-Lengths are in units of the lattice period.  Sampling is piecewise constant
-at cell centers; samples inside the defect strip equal its dielectric value
-exactly.
+Lengths are in units of the lattice period.  An inclusion is a
+`(shape, eps)` pair: the shape, any `CrossSection`, spans the first
+`shape.ndim` lattice axes and is extruded along the others.  Sampling is
+piecewise constant at cell centers.  An inclusion is a closed set: a sample
+with `boundary_distance >= 0` takes its eps.  The defect strip is open
+(`contains`): a sample on its boundary keeps the bulk value, and samples
+inside equal its dielectric value exactly.
 """
 
 from __future__ import annotations
@@ -12,48 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cross_section import CrossSection, Disk, Interval, MaskSection, Rect
+from .cross_section import Box, CrossSection, Disk, MaskSection
 from .errors import GeometryError, ResolutionError, ValidationError
 from .grids import GridSpec
 
 
 @dataclass(frozen=True)
-class DiskInclusion:
-    """Cylindrical rod (2D disk in the unit cell), dielectric eps inside."""
-
-    center: tuple
-    radius: float
-    eps: float
-
-    def contains(self, points):
-        d = np.asarray(points)[..., : len(self.center)] - np.asarray(self.center)
-        return np.sum(d * d, axis=-1) <= self.radius**2
-
-    def min_feature(self):
-        return 2.0 * self.radius
-
-
-@dataclass(frozen=True)
-class BoxInclusion:
-    """Axis-aligned box [lo, hi] per axis; use degenerate axes for slabs."""
-
-    lo: tuple
-    hi: tuple
-    eps: float
-
-    def contains(self, points):
-        pts = np.asarray(points)[..., : len(self.lo)]
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
-
-    def min_feature(self):
-        return float(np.min(np.asarray(self.hi) - np.asarray(self.lo)))
-
-
-@dataclass(frozen=True)
 class StripSpec:
-    """Infinite defect strip along x1 with transverse cross-section l * Omega."""
+    """Infinite defect strip along x1 with open cross-section l * Omega."""
 
     cross_section: CrossSection
     l: float
@@ -74,7 +44,7 @@ class StripSpec:
 
 @dataclass(frozen=True)
 class MediumSpec:
-    """Periodic bulk dielectric: background value plus inclusions in one cell."""
+    """Periodic bulk dielectric: background plus `(shape, eps)` inclusions."""
 
     lattice: tuple
     background: float = 1.0
@@ -87,13 +57,14 @@ class MediumSpec:
         vals = self.dielectric_values()
         if any(not np.isfinite(v) or v <= 0 for v in vals):
             raise ValidationError("dielectric values must lie in (0, inf)")
-        for inc in self.inclusions:
-            cell = np.asarray(self.lattice[: len(_inc_extent(inc))])
-            if np.any(_inc_extent(inc) > cell):
+        for shape, _ in self.inclusions:
+            lo, hi = shape.bbox()
+            cell = np.asarray(self.lattice[: shape.ndim])
+            if len(cell) < shape.ndim or np.any(hi - lo > cell):
                 raise ValidationError("inclusion exceeds one unit cell")
 
     def dielectric_values(self):
-        vals = [self.background] + [inc.eps for inc in self.inclusions]
+        vals = [self.background] + [eps for _, eps in self.inclusions]
         if self.defect is not None:
             vals.append(self.defect.eps_inside)
         return vals
@@ -101,42 +72,34 @@ class MediumSpec:
     @classmethod
     def from_json(cls, text: str) -> "MediumSpec":
         doc = json.loads(text)
-        incs = []
-        for d in doc.get("inclusions", []):
-            if d["kind"] == "disk":
-                incs.append(DiskInclusion(tuple(d["center"]), d["radius"], d["eps"]))
-            elif d["kind"] == "box":
-                incs.append(BoxInclusion(tuple(d["lo"]), tuple(d["hi"]), d["eps"]))
-            else:
-                raise ValidationError(f"unknown inclusion kind {d['kind']!r}")
+        incs = tuple((_dec_section(d), d["eps"])
+                     for d in doc.get("inclusions", []))
         defect = None
         if "defect" in doc:
             dd = doc["defect"]
             defect = StripSpec(_dec_section(dd["cross_section"]), dd["l"], dd["eps"])
         return cls(tuple(doc["lattice"]), doc.get("background", 1.0),
-                   tuple(incs), defect)
-
-
-def _inc_extent(inc):
-    if isinstance(inc, DiskInclusion):
-        return np.full(len(inc.center), 2.0 * inc.radius)
-    return np.asarray(inc.hi) - np.asarray(inc.lo)
+                   incs, defect)
 
 
 def _dec_section(d):
+    """The shape a JSON object describes, an inclusion's or a strip's."""
     kind = d["kind"]
     if kind == "disk":
         return Disk(d.get("radius", 1.0), tuple(d.get("center", (0.0, 0.0))))
     if kind == "rect":
-        return Rect(tuple(d["half_widths"]), tuple(d.get("center", (0.0, 0.0))))
+        return Box(d["half_widths"], d.get("center"))
     if kind == "interval":
-        return Interval(d.get("half_width", 1.0), d.get("center", 0.0))
+        return Box((d.get("half_width", 1.0),), (d.get("center", 0.0),))
+    if kind == "box":
+        lo, hi = (np.asarray(d[k], dtype=float) for k in ("lo", "hi"))
+        return Box((hi - lo) / 2, (lo + hi) / 2)
     if kind == "mask":
         ms = MaskSection.from_ascii("\n".join(d["rows"]), d.get("spacing"))
         if "origin" in d:
             ms.origin = tuple(d["origin"])
         return ms
-    raise ValidationError(f"unknown cross-section kind {kind!r}")
+    raise ValidationError(f"unknown shape kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +129,7 @@ class SampledEpsilon:
 
 def build_medium(spec: MediumSpec, grid: GridSpec) -> SampledEpsilon:
     """Sample the periodic bulk dielectric eps0 on the grid (no defect)."""
-    feats = [inc.min_feature() for inc in spec.inclusions]
+    feats = [2.0 * shape.inradius() for shape, _ in spec.inclusions]
     if feats:
         hmax = max(grid.spacing[: len(spec.lattice)])
         if min(feats) < 4.0 * hmax:
@@ -185,13 +148,14 @@ def build_medium(spec: MediumSpec, grid: GridSpec) -> SampledEpsilon:
             wrapped.append(m)
     pts = np.stack(wrapped, axis=-1)
     values = np.full(grid.shape, spec.background, dtype=float)
-    for inc in spec.inclusions:
-        values[inc.contains(pts)] = inc.eps
+    for shape, eps in spec.inclusions:
+        values[shape.boundary_distance(pts[..., : shape.ndim]) >= 0] = eps
     return SampledEpsilon(grid=grid, values=values)
 
 
 def with_defect(eps0: SampledEpsilon, strip: StripSpec) -> SampledEpsilon:
-    """Replace samples with transverse coordinate in l * Omega by eps_inside."""
+    """Replace samples with transverse coordinate in the open set l * Omega
+    by eps_inside; a sample on its boundary keeps eps0."""
     grid = eps0.grid
     section = strip.section()
     lo, hi = section.bbox()

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from conftest import record
-from gapguide.cross_section import Disk, Interval
+from gapguide.cross_section import Box, Disk
 from gapguide.discrete_op import (HarmonicField, HarmonicSplit,
                                   _one_blas_thread, curl, gradient,
                                   harmonic_split, maxwell_operator,
@@ -26,8 +26,8 @@ from gapguide.existence import (GapInterval, Profile, TrialParams,
 from gapguide import eigen
 from gapguide.errors import ValidationError
 from gapguide.grids import GridSpec
-from gapguide.media import (BoxInclusion, MediumSpec, SampledEpsilon,
-                            StripSpec, build_medium, with_defect)
+from gapguide.media import (MediumSpec, SampledEpsilon, StripSpec,
+                            build_medium, with_defect)
 from gapguide.xsection import make_test_field, refine_extrapolate, solve_nu_vector
 
 DISK = Disk(1.0)
@@ -36,8 +36,8 @@ PSI = Profile.bump(2)
 # layered bulk: eps=9 slab of thickness 0.375 per unit period in x2,
 # uniform along the guide axis x1 (supercell axial period 0.25)
 BULK = MediumSpec(lattice=(0.25, 1.0), inclusions=(
-    BoxInclusion((-0.125, -0.1875), (0.125, 0.1875), 9.0),))
-STRIP = StripSpec(Interval(1.0), l=2.0, eps_inside=12.0)
+    (Box((0.125, 0.1875)), 9.0),))
+STRIP = StripSpec(Box((1.0,)), l=2.0, eps_inside=12.0)
 GRID2 = GridSpec((4, 511), (1 / 16, 1 / 32), (0.0, -8.0))
 K1_SWEEP = np.linspace(4.3, 6.3, 25)
 DELTA = 0.15
@@ -178,7 +178,7 @@ def test_criterion_05_discrete_operator_identities():
     media = [
         SampledEpsilon(g3, np.ones((8, 8, 8))),
         build_medium(MediumSpec(lattice=(1.0, 1.0, 1.0), inclusions=(
-            BoxInclusion((-0.25, -0.25, -0.25), (0.25, 0.25, 0.25), 4.0),)), g3),
+            (Box((0.25, 0.25, 0.25)), 4.0),)), g3),
         build_medium(BULK, GridSpec((4, 64), (1 / 16, 1 / 32), (0.0, -1.0))),
     ]
     worst_sym = 0.0
@@ -234,7 +234,7 @@ def test_criterion_07_gap_and_defect_experiment(nu_ladder, tm_gap, bulk2d,
     # transfer-matrix verification of the gap through an independent 1D solve
     grid1 = GridSpec((512,), (1 / 512,), (-0.5,))
     eps1 = build_medium(MediumSpec(lattice=(1.0,), inclusions=(
-        BoxInclusion((-0.1875,), (0.1875,), 9.0),)), grid1)
+        (Box((0.1875,)), 9.0),)), grid1)
     bt = band_structure(eps1, np.linspace(0, np.pi, 25), bands=6)
     gaps = find_gaps(bt, min_width=0.5)
     assert len(gaps) >= 1
@@ -296,7 +296,7 @@ def test_criterion_09_rate_shape(bulk2d):
     keff = (2.0 / h1) * np.sin(k1 * h1 / 2.0)
     bands = oracles.tm_bands(keff)
     fgap = GapInterval(bands[0][1], bands[1][0])
-    strip = StripSpec(Interval(1.0), l=2.0, eps_inside=40.0)
+    strip = StripSpec(Box((1.0,)), l=2.0, eps_inside=40.0)
     eps_d = with_defect(bulk2d, strip)
     ds = defect_spectrum(eps_d, strip, fgap, k1_samples=[k1], delta=DELTA,
                          count=40)

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gapguide import cli
-from gapguide.cross_section import Interval
+from gapguide.cross_section import Box
 from gapguide.eigen import band_structure, interior_eigs
 from gapguide.errors import IterationError, ValidationError
 from gapguide.fields_io import read_json
@@ -78,6 +78,12 @@ RUNS = {
 # keys a config holds in place of another: dropped while that one is tested
 IN_PLACE = {"gap_width": ("gap",), "nu": ("cross_section", "h"),
             "h_values": ("h",)}
+# per key that must be positive, a value that is not: a list's bad entry
+# comes after a good one, so a command that reads the list as it runs
+# would solve before it met it
+NONPOSITIVE = {"l": -1, "eps": 0, "mu": -2.5, "delta": -8, "n": 0,
+               "h": -0.02, "h_values": [0.03125, -0.02], "step": 0,
+               "l_values": [1.5, -1.5], "eps_values": [12.0, 0]}
 
 
 def test_check_command(tmp_path, capsys):
@@ -138,6 +144,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["check", "--config", wrong_schema,
                      "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+    # a config that is not a JSON object is refused, naming its type
+    not_object = _cfg(tmp_path, "list.json", [1, 2])
+    assert cli.main(["check", "--config", not_object,
+                     "--out", str(tmp_path)]) == 2
+    assert "config is a list, not a JSON object" in capsys.readouterr().err
     # a key the command does not read is rejected, not silently defaulted
     typo = _defect_cfg(tmp_path, k1_sample=[5.0], loc_fraction=0.6)
     assert cli.main(["defect", "--config", typo, "--out", str(tmp_path)]) == 2
@@ -280,9 +291,10 @@ def test_a_malformed_value_is_refused_before_any_solve(
     _solves_fail(monkeypatch)
     cfg = {k: v for k, v in RUNS[cmd][0].items()
            if k not in IN_PLACE.get(key, ())}
-    path = _cfg(tmp_path, "cfg.json", dict(cfg, schema=1, **{key: "x"}))
-    assert cli.main([cmd, "--config", path, "--out", str(tmp_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    for value in ("x", NONPOSITIVE.get(key, "x")):
+        path = _cfg(tmp_path, "cfg.json", dict(cfg, schema=1, **{key: value}))
+        assert cli.main([cmd, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_unknown_command_and_missing_config_exit_2(tmp_path, capsys):
@@ -395,7 +407,8 @@ def test_decay_command_and_numerical_failure(tmp_path, capsys):
     # a configuration error, exit 2
     flat = _defect_cfg(tmp_path, step=0)
     assert cli.main(["decay", "--config", flat, "--out", str(tmp_path / "o2")]) == 2
-    assert "step must be positive" in capsys.readouterr().err
+    assert "bad 'step' in config: 0 is not positive" \
+        in capsys.readouterr().err
     word = _defect_cfg(tmp_path, step=0.25, d_min="x")
     assert cli.main(["decay", "--config", word, "--out", str(tmp_path / "o2")]) == 2
     assert "bad 'd_min' in config" in capsys.readouterr().err
@@ -418,7 +431,7 @@ def test_arpack_errors_exit_3(tmp_path, capsys, monkeypatch):
     with pytest.raises(IterationError, match="Lanczos at shift"):
         band_structure(SampledEpsilon(grid, np.ones((8, 8))), [0.0], bands=6)
     with pytest.raises(IterationError):
-        solve_nu_scalar(Interval(1.0), h=2 / 64)
+        solve_nu_scalar(Box((1.0,)), h=2 / 64)
     # a box shorter than the axial period: the medium varies along x1, so
     # defect solves the full operator by Lanczos
     varied = dict(MEDIUM, inclusions=[dict(MEDIUM["inclusions"][0],

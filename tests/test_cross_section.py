@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapguide.cross_section import Disk, Interval, MaskSection, Rect
-from gapguide.errors import UnsupportedGeometryError
+from gapguide.cross_section import Box, Disk, MaskSection
+from gapguide.errors import UnsupportedGeometryError, ValidationError
 
 
 def test_interval_basics():
-    iv = Interval(half_width=1.5, center=0.5)
+    iv = Box((1.5,), (0.5,))
     assert iv.contains(np.array([0.5]))
     assert iv.contains(np.array([[-0.9], [1.9]])).all()
     assert not iv.contains(np.array([2.1]))
@@ -16,6 +16,20 @@ def test_interval_basics():
     assert iv.diameter() == pytest.approx(3.0)
     s = iv.scale(2.0)
     assert s.inradius() == pytest.approx(3.0)
+
+
+def test_box_is_an_interval_a_rectangle_or_a_block():
+    assert [Box((1.0,) * n).ndim for n in (1, 2, 3)] == [1, 2, 3]
+    assert Box((2.0, 0.5)).center == (0.0, 0.0)
+    block = Box((1.0, 2.0, 0.5), center=(0.0, 1.0, 0.0))
+    assert block.contains(np.array([0.9, 2.9, -0.4]))
+    assert not block.contains(np.array([0.9, 3.1, 0.0]))
+    assert block.boundary_distance(np.array([0.0, 1.0, 0.25])) == 0.25
+    assert block.inradius() == 0.5
+    for bad in (dict(half_widths=(1.0, 0.0)), dict(half_widths=()),
+                dict(half_widths=(1.0, 1.0), center=(0.0,))):
+        with pytest.raises(ValidationError):
+            Box(**bad)
 
 
 def test_disk_boundary_distance_is_signed():
@@ -37,7 +51,7 @@ def test_disk_crossing_hits_the_circle_exactly():
 
 
 def test_rect_inradius_and_bbox():
-    r = Rect(half_widths=(2.0, 0.5), center=(1.0, 0.0))
+    r = Box(half_widths=(2.0, 0.5), center=(1.0, 0.0))
     assert r.inradius() == pytest.approx(0.5)
     lo, hi = r.bbox()
     assert np.allclose(lo, (-1.0, -0.5)) and np.allclose(hi, (3.0, 0.5))
@@ -109,7 +123,7 @@ def test_disk_contains_agrees_with_distance_sign(x, y):
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.1, 4.0))
 def test_interval_scaling_scales_distance(l):
-    iv = Interval(half_width=1.0)
+    iv = Box((1.0,))
     pts = np.array([[0.0], [0.5], [2.0]])
     base = iv.boundary_distance(pts / l)
     assert np.allclose(iv.scale(l).boundary_distance(pts), l * base, atol=1e-12)
@@ -129,9 +143,9 @@ def _segments(cs, rng, n=200):
 
 @pytest.mark.parametrize("cs", [
     Disk(radius=1.0, center=(0.25, -0.5)),
-    Rect(half_widths=(2.0, 0.5), center=(1.0, 0.0)),
+    Box(half_widths=(2.0, 0.5), center=(1.0, 0.0)),
     MaskSection.from_ascii(_disk_ascii(), spacing=1.0 / 41),
-    Interval(half_width=1.5, center=0.5),
+    Box((1.5,), (0.5,)),
 ], ids=["disk", "rect", "mask", "interval"])
 def test_batched_crossing_matches_single_segments(cs):
     q, p = _segments(cs, np.random.default_rng(3))

@@ -11,7 +11,7 @@ from scipy import stats
 from hypothesis import strategies as st
 
 import gapguide
-from gapguide.cross_section import Interval
+from gapguide.cross_section import Box
 from gapguide.decay import (DecayFit, DecayProfile, ct_shape, fit_decay,
                             profile, rank_correlation)
 from gapguide.eigen import (ModeResult, _fraction_near, _near_strip,
@@ -19,8 +19,8 @@ from gapguide.eigen import (ModeResult, _fraction_near, _near_strip,
 from gapguide.errors import IterationError, ValidationError
 from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
-from gapguide.media import (BoxInclusion, MediumSpec, SampledEpsilon,
-                            StripSpec, build_medium, with_defect)
+from gapguide.media import (MediumSpec, SampledEpsilon, StripSpec,
+                            build_medium, with_defect)
 
 
 def _synthetic(rate=2.0, pref=3.0, dmax=5.0, step=0.25):
@@ -122,7 +122,7 @@ def test_profile_of_sampled_exponential_field():
     grid = GridSpec((4, 256), (1 / 16, 1 / 32), (0.0, -4.0))
     y = grid.centers(1)
     mode = _mode(grid, np.tile(np.exp(-2.0 * np.abs(y)), (4, 1)))
-    strip = StripSpec(Interval(1.0), l=0.5, eps_inside=12.0)
+    strip = StripSpec(Box((1.0,)), l=0.5, eps_inside=12.0)
     prof = profile(mode, strip, step=0.25)
     assert prof.strip_radius == pytest.approx(0.5)
     # the windows run out to the wall: the outermost one sticks out
@@ -138,7 +138,7 @@ def test_profile_rejects_a_step_that_is_not_positive(step):
     # sample and surfaced as a fit-window failure
     grid = GridSpec((4, 256), (1 / 16, 1 / 32), (0.0, -4.0))
     mode = _mode(grid, np.ones(grid.shape))
-    strip = StripSpec(Interval(1.0), l=0.5, eps_inside=12.0)
+    strip = StripSpec(Box((1.0,)), l=0.5, eps_inside=12.0)
     with pytest.raises(ValidationError, match="step must be positive"):
         profile(mode, strip, step=step)
 
@@ -149,7 +149,7 @@ def test_profile_mirror_symmetry():
     grid = GridSpec((4, 256), (1 / 16, 1 / 32), (0.0, -4.0))
     y = grid.centers(1)
     values = np.tile(np.exp(-np.abs(y)) * (1.5 + np.tanh(y)), (4, 1))
-    strip = StripSpec(Interval(1.0), l=0.5, eps_inside=12.0)
+    strip = StripSpec(Box((1.0,)), l=0.5, eps_inside=12.0)
     prof = profile(_mode(grid, values), strip, step=0.5)
     mirror = profile(_mode(grid, values[:, ::-1]), strip, step=0.5)
     assert np.array_equal(prof.distances, mirror.distances)
@@ -204,7 +204,7 @@ def test_profile_matches_a_window_norm_loop(shape, spacing, origin):
     y = grid.centers(1)
     values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
         * np.exp(-3.0 * np.abs(y))          # down to the fit's noise floor
-    strip = StripSpec(Interval(1.0), l=0.5, eps_inside=12.0)
+    strip = StripSpec(Box((1.0,)), l=0.5, eps_inside=12.0)
     prof = profile(_mode(grid, values), strip, step=0.125)
     dists, norms = _window_loop(_mode(grid, values), strip, 0.125)
     assert np.array_equal(prof.distances, dists)
@@ -220,9 +220,9 @@ def test_density_reads_match_the_lifted_field(varies):
     # localization, profiles and wall amplitudes read a mode's density();
     # from its lifted values as a _Field they agree to 1e-14
     grid = GridSpec((4, 255), (1 / 16, 1 / 32), (0.0, -4.0))
-    strip = StripSpec(Interval(1.0), l=1.5, eps_inside=12.0)
+    strip = StripSpec(Box((1.0,)), l=1.5, eps_inside=12.0)
     eps = with_defect(build_medium(MediumSpec(lattice=(0.25, 1.0), inclusions=(
-        BoxInclusion((-0.125, -0.1875), (0.125, 0.1875), 9.0),)), grid), strip)
+        (Box((0.125, 0.1875)), 9.0),)), grid), strip)
     if varies:          # one sample changed: solved as the whole operator
         values = eps.values.copy()
         values[0, 0] = 2.0
@@ -252,7 +252,7 @@ def test_profile_needs_2d_field():
     grid = GridSpec((8,), (0.5,))
     bad_field = type("F", (), {"values": np.zeros(8), "grid": grid})()
     bad = ModeResult(lam=1.0, field=bad_field, residual=0.0, k1=0.0)
-    strip = StripSpec(Interval(1.0), l=0.5, eps_inside=12.0)
+    strip = StripSpec(Box((1.0,)), l=0.5, eps_inside=12.0)
     with pytest.raises(ValidationError):
         profile(bad, strip)
 

@@ -10,10 +10,9 @@ from gapguide.discrete_op import (_axis_wraps, _difference, _operator, curl,
                                   maxwell_operator, scalar_matrix)
 from gapguide.errors import ValidationError
 from gapguide.grids import GridSpec
-from gapguide.cross_section import Disk
-from gapguide.media import (BoxInclusion, DiskInclusion, MediumSpec,
-                            SampledEpsilon, StripSpec, build_medium,
-                            with_defect)
+from gapguide.cross_section import Box, Disk
+from gapguide.media import (MediumSpec, SampledEpsilon, StripSpec,
+                            build_medium, with_defect)
 
 
 def _homog3(n=8, h=1 / 8):
@@ -24,13 +23,13 @@ def _homog3(n=8, h=1 / 8):
 def _media_trio():
     g3 = GridSpec((8, 8, 8), (1 / 8, 1 / 8, 1 / 8), (-0.5, -0.5, -0.5))
     m3 = build_medium(MediumSpec(lattice=(1.0, 1.0, 1.0), inclusions=(
-        BoxInclusion((-0.25, -0.25, -0.25), (0.25, 0.25, 0.25), 4.0),)), g3)
+        (Box((0.25, 0.25, 0.25)), 4.0),)), g3)
     g2 = GridSpec((16, 16), (1 / 16, 1 / 16), (-0.5, -0.5))
     m2 = build_medium(MediumSpec(lattice=(1.0, 1.0), inclusions=(
-        DiskInclusion((0.0, 0.0), 0.2, 9.0),)), g2)
+        (Disk(0.2), 9.0),)), g2)
     gl = GridSpec((4, 64), (1 / 16, 1 / 32), (0.0, -1.0))
     ml = build_medium(MediumSpec(lattice=(0.25, 1.0), inclusions=(
-        BoxInclusion((-0.125, -0.1875), (0.125, 0.1875), 9.0),)), gl)
+        (Box((0.125, 0.1875)), 9.0),)), gl)
     return m3, m2, ml
 
 

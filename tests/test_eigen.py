@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from gapguide.cross_section import Disk, Interval
+from gapguide.cross_section import Box, Disk
 from gapguide import discrete_op, eigen
 from gapguide.discrete_op import (HarmonicSplit, harmonic_split,
                                   maxwell_operator, scalar_matrix)
@@ -14,12 +14,12 @@ from gapguide.eigen import (BandTable, _fraction_near, _near_strip,
 from gapguide.errors import IterationError, ValidationError
 from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
-from gapguide.media import (BoxInclusion, MediumSpec, SampledEpsilon,
-                            StripSpec, build_medium, with_defect)
+from gapguide.media import (MediumSpec, SampledEpsilon, StripSpec,
+                            build_medium, with_defect)
 
 BULK = MediumSpec(lattice=(0.25, 1.0), inclusions=(
-    BoxInclusion((-0.125, -0.1875), (0.125, 0.1875), 9.0),))
-STRIP = StripSpec(Interval(1.0), l=1.5, eps_inside=12.0)
+    (Box((0.125, 0.1875)), 9.0),))
+STRIP = StripSpec(Box((1.0,)), l=1.5, eps_inside=12.0)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def test_layered_1d_gap_matches_transfer_matrix():
     n = 256
     grid = GridSpec((n,), (1 / n,), (-0.5,))
     eps = build_medium(MediumSpec(lattice=(1.0,), inclusions=(
-        BoxInclusion((-0.1875,), (0.1875,), 9.0),)), grid)
+        (Box((0.1875,)), 9.0),)), grid)
     bt = band_structure(eps, np.linspace(0, np.pi, 17), bands=6)
     gaps = find_gaps(bt, min_width=0.5)
     assert len(gaps) >= 1
@@ -70,7 +70,7 @@ def test_band_structure_is_deterministic():
     n = 512
     grid = GridSpec((n,), (1 / n,), (-0.5,))
     eps = build_medium(MediumSpec(lattice=(1.0,), inclusions=(
-        BoxInclusion((-0.1875,), (0.1875,), 9.0),)), grid)
+        (Box((0.1875,)), 9.0),)), grid)
     ks = np.linspace(0, np.pi, 25)
     first = band_structure(eps, ks, bands=6)
     second = band_structure(eps, ks, bands=6)
@@ -102,7 +102,7 @@ def test_band_structure_rejects_a_3d_medium():
 def _layered_1d(n, origin):
     grid = GridSpec((n,), (1 / n,), (origin,))
     return build_medium(MediumSpec(lattice=(1.0,), inclusions=(
-        BoxInclusion((-0.1875,), (0.1875,), 9.0),)), grid)
+        (Box((0.1875,)), 9.0),)), grid)
 
 
 @pytest.mark.parametrize("n, tol", [(64, 1e-11), (512, 1e-9)])
@@ -289,7 +289,7 @@ def test_defect_eigenvalues_decrease_with_eps(supercell, tm_gap):
     window = (tm_gap.alpha + 0.01, tm_gap.beta - 0.01)
 
     def lowest(eps_inside):
-        strip = StripSpec(Interval(1.0), l=1.5, eps_inside=eps_inside)
+        strip = StripSpec(Box((1.0,)), l=1.5, eps_inside=eps_inside)
         A = scalar_matrix(with_defect(supercell, strip), (5.0, None))
         found = interior_eigs([A], window, count=16)
         loc = [m.lam for m in found

@@ -69,7 +69,6 @@ def test_check_condition_reference_case():
     assert rep.rhs == pytest.approx(29.364)
     assert rep.margin == pytest.approx(6.636)
     assert rep.delta_star == pytest.approx(14.682 / 12.0)
-    assert bool(rep)
 
 
 def test_check_condition_fails_on_equality_and_tiny_eps():

@@ -5,16 +5,15 @@ import tracemalloc
 
 import numpy as np
 
-from gapguide.cross_section import Disk, Interval
+from gapguide.cross_section import Box, Disk
 from gapguide.eigen import bloch_modes, defect_spectrum
 from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
-from gapguide.media import (BoxInclusion, MediumSpec, StripSpec, build_medium,
-                            with_defect)
+from gapguide.media import (MediumSpec, StripSpec, build_medium, with_defect)
 
 NUMPY = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
 GUIDE = MediumSpec(lattice=(0.25, 1.0), inclusions=(
-    BoxInclusion((-0.125, -0.1875), (0.125, 0.1875), 9.0),))
+    (Box((0.125, 0.1875)), 9.0),))
 
 
 def _kept(call):
@@ -36,7 +35,7 @@ def test_a_defect_sweep_keeps_one_block_vector_per_mode():
     # 16 n1 n2 of its complex grid field, plus the split's diagonal,
     # off-diagonal and axial face weights (4 n2 floats), shared by all
     grid = GridSpec((4, 511), (1 / 16, 1 / 32), (0.0, -8.0))
-    strip = StripSpec(Interval(1.0), l=2.0, eps_inside=12.0)
+    strip = StripSpec(Box((1.0,)), l=2.0, eps_inside=12.0)
     eps = with_defect(build_medium(GUIDE, grid), strip)
     n2 = grid.shape[1]
     ds, kept = _kept(lambda: defect_spectrum(

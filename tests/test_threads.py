@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gapguide import discrete_op, eigen, xsection
-from gapguide.cross_section import Disk, Interval
+from gapguide.cross_section import Box, Disk
 from gapguide.discrete_op import (_blas_record, _one_blas_thread, _openblas,
                                   maxwell_operator, scalar_matrix)
 from gapguide.eigen import (band_structure, bloch_modes, defect_spectrum,
@@ -19,8 +19,8 @@ from gapguide.eigen import (band_structure, bloch_modes, defect_spectrum,
 from gapguide.errors import IterationError
 from gapguide.existence import GapInterval
 from gapguide.grids import GridSpec
-from gapguide.media import (BoxInclusion, MediumSpec, SampledEpsilon,
-                            StripSpec, build_medium, with_defect)
+from gapguide.media import (MediumSpec, SampledEpsilon, StripSpec,
+                            build_medium, with_defect)
 from gapguide.xsection import (make_test_field, solve_nu_scalar,
                                solve_nu_vector)
 
@@ -29,9 +29,9 @@ needs_openblas = pytest.mark.skipif(not _openblas(),
                                            "scipy_openblas")
 
 LAYERED = MediumSpec(lattice=(1.0,), inclusions=(
-    BoxInclusion((-0.1875,), (0.1875,), 9.0),))
+    (Box((0.1875,)), 9.0),))
 GUIDE = MediumSpec(lattice=(0.25, 1.0), inclusions=(
-    BoxInclusion((-0.125, -0.1875), (0.125, 0.1875), 9.0),))
+    (Box((0.125, 0.1875)), 9.0),))
 GUIDE_GRID = GridSpec((4, 511), (1 / 16, 1 / 32), (0.0, -8.0))
 GAP_WINDOW = (1.507, 5.247)       # the k1 = 0 gap of the layered bulk
 # the mirror-symmetry classes of the unit disk's constant: the eighths
@@ -61,7 +61,7 @@ def _counts():
 
 
 def _guide():
-    strip = StripSpec(Interval(1.0), l=2.0, eps_inside=12.0)
+    strip = StripSpec(Box((1.0,)), l=2.0, eps_inside=12.0)
     return with_defect(build_medium(GUIDE, GUIDE_GRID), strip)
 
 
@@ -185,7 +185,7 @@ def test_every_medium_solve_runs_on_one_thread(monkeypatch, caller_threads):
         StripSpec(Disk(1.0), l=0.25, eps_inside=12.0))
     varied = _varied_3d()
     guide = _guide()
-    strip = StripSpec(Interval(1.0), l=2.0, eps_inside=12.0)
+    strip = StripSpec(Box((1.0,)), l=2.0, eps_inside=12.0)
     assert threads_in(lambda: bloch_modes(layered, [0.5], (1.0, 60.0), 4)) \
         == one
     assert threads_in(lambda: _modes(guide, [5.0])) == one

@@ -11,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 import oracles
 from gapguide import discrete_op, xsection
-from gapguide.cross_section import Disk, Interval, MaskSection, Rect
+from gapguide.cross_section import Box, Disk, MaskSection
 from gapguide.errors import GeometryError, IterationError, ValidationError
 from gapguide.grids import GridSpec
 from gapguide.xsection import (NuEstimate, _centered, _laplacian,
@@ -27,7 +27,7 @@ DISK_CLASSES = 5
 
 def test_scalar_constant_interval():
     # 1D Dirichlet Laplacian on (-1, 1): pi^2 / 4
-    est = solve_nu_scalar(Interval(1.0), h=2 / 64)
+    est = solve_nu_scalar(Box((1.0,)), h=2 / 64)
     assert est.value == pytest.approx(np.pi**2 / 4, rel=5e-3)
 
 
@@ -50,9 +50,9 @@ def test_vector_constant_scaling_covariance():
 
 
 def test_vector_constant_square_converges_to_the_plate_oracle():
-    # Rect((1, 1)) has side 2; its boundary crossings come from bisection
+    # Box((1, 1)) has side 2; its boundary crossings come from bisection
     want = oracles.SQUARE_BUCKLING / 4.0
-    ests = [solve_nu_vector(Rect((1.0, 1.0)), h=2 / n) for n in (64, 96, 128)]
+    ests = [solve_nu_vector(Box((1.0, 1.0)), h=2 / n) for n in (64, 96, 128)]
     errs = [e.value / want - 1.0 for e in ests]
     assert -3e-3 < errs[0] < errs[1] < errs[2] < 0      # from below, refining
     best = refine_extrapolate(ests)
@@ -297,9 +297,9 @@ def _mask_disk():
 
 
 _SECTIONS = {"disk": Disk(1.0, (0.13, -0.07)),
-             "rect": Rect((1.0, 0.7), (0.05, 0.1)),
+             "rect": Box((1.0, 0.7), (0.05, 0.1)),
              "mask": _mask_disk(),
-             "interval": Interval(1.0, 0.01)}
+             "interval": Box((1.0,), (0.01,))}
 
 
 def _buckling_loop(cs, h):
@@ -453,12 +453,12 @@ _FOLDS = {
     # the lowest mode is odd in x1 (class (-, +) at 9.48707), where the even
     # class (+, +), solved first, gives 9.57122; the mask is not square, so
     # (+, -) is a class too
-    "rect-3x1": (lambda: Rect((3.0, 1.0)), 2 / 48, 4, 2),
+    "rect-3x1": (lambda: Box((3.0, 1.0)), 2 / 48, 4, 2),
     # 71 x 71 nodes: both mirror lines pass through nodes
-    "square-65": (lambda: Rect((1.0, 1.0)), 2 / 65, DISK_CLASSES, 1),
+    "square-65": (lambda: Box((1.0, 1.0)), 2 / 65, DISK_CLASSES, 1),
     # 70 x 70 nodes whose centre lies half a cell off the square's: the
     # mask is not symmetric
-    "square-63": (lambda: Rect((1.0, 1.0)), 2 / 63, 1, 1),
+    "square-63": (lambda: Box((1.0, 1.0)), 2 / 63, 1, 1),
     "notched-mask": (_notched_square, 2 / 48, 1, 1),
     "lopsided-disk": (lambda: _Lopsided(1.0), 2 / 48, 2, 1),
 }
@@ -632,7 +632,7 @@ def _matched(got, want):
 
 
 @pytest.mark.parametrize("cs, h", [(Disk(1.0), 2 / 48),
-                                   (Rect((1.0, 1.0)), 2 / 43)],
+                                   (Box((1.0, 1.0)), 2 / 43)],
                          ids=["disk-48", "square-43"])
 def test_eighth_classes_keep_every_eigenvalue_of_their_quarter(cs, h):
     # the transpose splits the quarter classes (+, +) and (-, -) into two
