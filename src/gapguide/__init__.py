@@ -7,9 +7,8 @@ spectral gap, assembles discrete curl-curl / scalar operators on supercells,
 finds in-gap defect modes, and quantifies their exponential confinement.
 """
 
-from .errors import (GapguideError, ValidationError, ConfigError,
-                     ResolutionError, GeometryError, UnsupportedGeometryError,
-                     IterationError)
+from .errors import (GapguideError, ValidationError, ResolutionError,
+                     GeometryError, UnsupportedGeometryError, IterationError)
 from .grids import GridSpec
 from .cross_section import CrossSection, Box, Disk, MaskSection
 from .media import (StripSpec, MediumSpec, SampledEpsilon, build_medium,

@@ -7,8 +7,9 @@ read by nothing, kept so that existing command lines parse.  READERS gives
 each key a command reads its reader, and every value is parsed before the
 command solves anything: a malformed or misread value (a fractional count,
 an empty spacing list, a length that is not positive, a key beside the one
-read in its place) is refused, naming its key.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+read in its place) is refused, naming its key.  Config defaults (`bands`
+8, `delta` 0.15, `count` 30, `step` 0.125) live here alone.  Exit codes:
+0 success, 2 bad input (a `ValidationError`), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import fields_io as io
 from .discrete_op import _blas_record
-from .errors import (ConfigError, GapguideError, GeometryError, IterationError,
+from .errors import (GapguideError, GeometryError, IterationError,
                      ResolutionError, ValidationError)
 from .existence import (GapInterval, Profile, TrialParams, check_condition,
                         minimal_n, quadrature_grid, residual_closed_form,
@@ -49,40 +50,39 @@ class _Key(NamedTuple):
 def _load_config(path, command: str) -> dict:
     """The config's values, each parsed by its key's reader in READERS, and
     "config_hash", the hash of its JSON.  A null value reads as absent; an
-    unread, missing or excluded key or a malformed value is a ConfigError
-    naming the key, raised before the command solves anything."""
+    unread, missing or excluded key or a malformed value is refused before
+    the command solves anything, naming the key."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
+        raise ValidationError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"config is a {type(raw).__name__}, not a JSON object")
+        raise ValidationError(f"config is a {type(raw).__name__}, not a JSON object")
     given = {k: v for k, v in raw.items() if v is not None}
     schema = given.pop("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema {schema!r}")
+        raise ValidationError(f"unsupported config schema {schema!r}")
     keys = READERS[command]
     unread = sorted(set(given) - set(keys))
     if unread:
-        raise ConfigError(f"{command} does not read config keys {unread}")
+        raise ValidationError(f"{command} does not read config keys {unread}")
     missing = [k for k, key in keys.items()
                if key.required and not given.keys() & {k, *key.excludes}]
     if missing:
-        raise ConfigError(f"config is missing required keys: {missing}")
+        raise ValidationError(f"config is missing required keys: {missing}")
     cfg = {"config_hash": io.config_hash(raw)}
     for k, value in given.items():
         both = [x for x in keys[k].excludes if x in given]
         if both:
-            raise ConfigError(f"config sets {k!r} and {both}; give only one")
+            raise ValidationError(f"config sets {k!r} and {both}; give only one")
         try:
             cfg[k] = keys[k].read(value)
-        except (ConfigError, KeyError, TypeError, ValueError,
-                ValidationError) as exc:
-            detail = exc if isinstance(exc, ConfigError) else repr(exc)
-            raise ConfigError(f"bad {k!r} in config: {detail}") from exc
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            detail = exc if isinstance(exc, ValidationError) else repr(exc)
+            raise ValidationError(f"bad {k!r} in config: {detail}") from exc
     return cfg
 
 
@@ -91,14 +91,14 @@ def _integer(value) -> int:
     """An integral number as an int: a boolean or 3.7 is refused."""
     n = float(value)
     if isinstance(value, bool) or not n.is_integer():
-        raise ConfigError(f"{value!r} is not an integer")
+        raise ValidationError(f"{value!r} is not an integer")
     return int(n)
 
 
 def _count(value) -> int:
     n = _integer(value)
     if n < 0:
-        raise ConfigError(f"{n} is negative")
+        raise ValidationError(f"{n} is negative")
     return n
 
 
@@ -106,26 +106,26 @@ def _positive(value, read=float):
     """A number above zero, parsed by `read`: -1, 0 or NaN is refused."""
     x = read(value)
     if not x > 0:
-        raise ConfigError(f"{value!r} is not positive")
+        raise ValidationError(f"{value!r} is not positive")
     return x
 
 
 def _flag(value) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{value!r} is not true or false")
+        raise ValidationError(f"{value!r} is not true or false")
     return value
 
 
 def _numbers(value) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"{value!r} is not a list of numbers")
+        raise ValidationError(f"{value!r} is not a list of numbers")
     return [float(x) for x in value]
 
 
 def _values(value) -> list:
     values = _numbers(value)
     if not values:
-        raise ConfigError("the list needs at least one value")
+        raise ValidationError("the list needs at least one value")
     return values
 
 
@@ -150,7 +150,7 @@ def _medium(value) -> MediumSpec:
     if isinstance(value, str):
         p = Path(value)
         if not p.is_file():
-            raise ConfigError(f"medium spec file not found: {p}")
+            raise ValidationError(f"medium spec file not found: {p}")
         return MediumSpec.from_json(p.read_text())
     return MediumSpec.from_json(json.dumps(value))
 
@@ -158,7 +158,7 @@ def _medium(value) -> MediumSpec:
 def _guide(value) -> MediumSpec:
     spec = _medium(value)
     if spec.defect is None:
-        raise ConfigError("the medium has no defect strip")
+        raise ValidationError("the medium has no defect strip")
     return spec
 
 
@@ -283,9 +283,11 @@ def cmd_defect(cfg, out: Path) -> int:
 
 
 def cmd_decay(cfg, out: Path) -> int:
+    window = {k: cfg[k] for k in ("d_min", "d_max") if k in cfg}
+    if window.get("d_max", np.inf) <= window.get("d_min", -np.inf):
+        raise ValidationError(f"d_max <= d_min: empty fit window {window}")
     spec, eps, ds = _defect_run(cfg)
     dumped = min(len(ds.modes), cfg.get("dump_profiles", 3))
-    window = {k: cfg[k] for k in ("d_min", "d_max") if k in cfg}
     fits = []
     for i, m in enumerate(ds.modes):
         prof = profile(m, spec.defect, step=cfg.get("step", 0.125))
@@ -387,7 +389,7 @@ _REQUIRED = _Key(_positive, True)
 _SECTION = _Key(_dec_section, True)
 _GUIDE_KEYS = {"medium": _Key(_guide, True), "grid": _Key(_grid, True),
                "gap": _Key(_gap, True), "k1_samples": _Key(_samples),
-               "delta": _POSITIVE, "count": _Key(_integer)}
+               "delta": _POSITIVE, "count": _Key(_count)}
 READERS = {
     "nu": {"cross_section": _SECTION,
            "kind": _Key(lambda kind: {"vector": solve_nu_vector,
@@ -448,7 +450,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config, args.command) if args.config else {}
         return COMMANDS[args.command](cfg, out)
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GapguideError as exc:

@@ -18,10 +18,6 @@ import numpy as np
 from .errors import UnsupportedGeometryError, ValidationError
 
 
-def _scalar_if_single(t: np.ndarray):
-    return float(t) if t.ndim == 0 else t
-
-
 class CrossSection:
     """Base class.  Subclasses are immutable value objects."""
 
@@ -52,12 +48,12 @@ class CrossSection:
         """Raise UnsupportedGeometryError if the domain has holes or pieces."""
         # analytic shapes are convex; masks override
 
-    def crossing(self, q: np.ndarray, p: np.ndarray) -> float | np.ndarray:
+    def crossing(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Fraction t in (0, 1] where segment q -> p first leaves the domain.
 
         q (inside) and p (outside) have shape (..., ndim); t has shape (...),
-        and a single segment gives a float.  The default bisects every
-        segment at once on `contains` until its bracket is below 1e-13.
+        0-d for a single segment.  The default bisects every segment at
+        once on `contains` until its bracket is below 1e-13.
         """
         q, p = np.broadcast_arrays(np.asarray(q, dtype=float),
                                    np.asarray(p, dtype=float))
@@ -70,7 +66,7 @@ class CrossSection:
             b = np.where(inside, b, m)
             if np.all(b - a < 1e-13):
                 break
-        return _scalar_if_single(0.5 * (a + b))
+        return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ class Disk(CrossSection):
         disc = b * b - 4 * a * cc
         if np.any(disc < 0):
             raise ValidationError("segment does not cross the circle")
-        return _scalar_if_single((-b + np.sqrt(disc)) / (2 * a))
+        return (-b + np.sqrt(disc)) / (2 * a)
 
 
 @dataclass(frozen=True)
@@ -170,26 +166,32 @@ class MaskSection(CrossSection):
         mask = np.array(mask, dtype=bool)
         if mask.ndim != 2 or not mask.any():
             raise ValidationError("mask must be a non-empty 2D boolean array")
+        origin = tuple(float(o) for o in origin)
+        if len(origin) != 2:
+            raise ValidationError(
+                f"mask origin needs 2 coordinates, not {len(origin)}")
         mask.flags.writeable = False
         self.mask = mask
         self.spacing = float(spacing)
-        self.origin = tuple(float(o) for o in origin)
+        self.origin = origin
         # imported on use, so that `import gapguide` leaves scipy.ndimage out
         from scipy import ndimage
         # distance (in cells) from each inside cell to the nearest outside cell
         self._edt = ndimage.distance_transform_edt(mask)
 
     @classmethod
-    def from_ascii(cls, text: str, spacing: float = None) -> "MaskSection":
-        """Parse an ASCII 0/1 grid; rows are lines, first line is the top row."""
+    def from_ascii(cls, text: str, spacing, origin) -> "MaskSection":
+        """Parse an ASCII 0/1 grid (rows are lines, the first the top row);
+        None `spacing` fits the longer side in 2, None `origin` centres it."""
         rows = [line for line in text.splitlines() if line.strip()]
         arr = np.array([[c == "1" for c in row.strip()] for row in rows])
         # file rows top-to-bottom -> grid axis 1 descending; transpose to (x, y)
         mask = arr[::-1].T
         if spacing is None:
             spacing = 2.0 / max(mask.shape)
-        lo = -0.5 * spacing * np.asarray(mask.shape)
-        return cls(mask, spacing, origin=tuple(lo))
+        if origin is None:
+            origin = -0.5 * spacing * np.asarray(mask.shape)
+        return cls(mask, spacing, origin)
 
     def _indices(self, points):
         pts = np.asarray(points, dtype=float)
@@ -199,10 +201,7 @@ class MaskSection(CrossSection):
         idx = self._indices(points)
         ok = np.all((idx >= 0) & (idx < np.asarray(self.mask.shape)), axis=-1)
         out = np.zeros(ok.shape, dtype=bool)
-        sel = idx[ok] if ok.ndim else (idx if ok else None)
-        if ok.ndim == 0:
-            return bool(ok) and bool(self.mask[idx[0], idx[1]])
-        out[ok] = self.mask[sel[..., 0], sel[..., 1]]
+        out[ok] = self.mask[tuple(idx[ok].T)]
         return out
 
     def bbox(self):

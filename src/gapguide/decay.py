@@ -41,11 +41,11 @@ class DecayProfile:
         if np.any(np.asarray(self.norms) < 0):
             raise ValidationError("windowed norms are nonnegative")
 
-    def rows(self, d_lo=None, d_hi=None):
-        """(dist, norm, log norm, in-window flag) rows for tabular output."""
+    def rows(self, d_lo: float, d_hi: float):
+        """(dist, norm, log norm, in-window flag) rows for tabular output,
+        the window being [d_lo, d_hi]."""
         for d, n in zip(self.distances, self.norms):
-            ok = ((d_lo is None or d >= d_lo) and (d_hi is None or d <= d_hi)
-                  and n > 0)
+            ok = d_lo <= d <= d_hi and n > 0
             yield float(d), float(n), float(np.log(n)) if n > 0 else np.nan, ok
 
 
@@ -96,7 +96,7 @@ def _windows(grid, radius: float, step: float) -> tuple:
     return extent, dists, axial, inside, kept
 
 
-def profile(mode, strip: StripSpec, step: float = 0.25) -> DecayProfile:
+def profile(mode, strip: StripSpec, step: float) -> DecayProfile:
     """Windowed norms marching outward from the strip along both transverse
     rays of a 2D supercell.
 

@@ -112,7 +112,7 @@ def _ring_bands(eps: SampledEpsilon, ks, bands: int) -> np.ndarray:
 
 
 @_one_blas_thread
-def band_structure(eps: SampledEpsilon, k_path, bands: int = 8) -> BandTable:
+def band_structure(eps: SampledEpsilon, k_path, bands: int) -> BandTable:
     """Lowest `bands` eigenvalues of the periodic bulk at each k-sample.
 
     1D media take scalar Bloch momenta (a (k1, k2) pair uses k1); 2D media
@@ -352,7 +352,7 @@ def _is_pair(block) -> bool:
                           "with len(e) == len(d) - 1")
 
 
-def interior_eigs(blocks, window, count: int = 10) -> list:
+def interior_eigs(blocks, window, count: int) -> list:
     """Every eigenpair of the block-diagonal Hermitian diag(blocks) strictly
     inside the open window, 0 <= lo < hi, or ValidationError.
 
@@ -474,8 +474,8 @@ def _fraction_near(dens: np.ndarray, near: np.ndarray) -> float:
 
 
 def defect_spectrum(eps_defect: SampledEpsilon, strip: StripSpec,
-                    gap: GapInterval, k1_samples, delta: float = 0.15,
-                    count: int = 30) -> DefectSpectrum:
+                    gap: GapInterval, k1_samples, delta: float,
+                    count: int) -> DefectSpectrum:
     """Localized eigenvalues inside the gap over the k1 sweep `k1_samples`,
     with coverage.  The sweep has no default: the medium carries no lattice
     period to place one.

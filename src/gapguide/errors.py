@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A `ValidationError`, or any subclass, is bad input (CLI exit code 2); any
+other `GapguideError` is a numerical failure (exit code 3).
+"""
 
 
 class GapguideError(Exception):
@@ -6,22 +10,18 @@ class GapguideError(Exception):
 
 
 class ValidationError(GapguideError):
-    """Invalid input data (bad dielectric values, mismatched shapes, ...)."""
+    """Invalid input (a config value, dielectric values, shapes, ...)."""
 
 
-class ConfigError(GapguideError):
-    """Invalid run configuration.  CLI exit code 2."""
-
-
-class ResolutionError(GapguideError):
+class ResolutionError(ValidationError):
     """Grid too coarse to resolve a geometric feature."""
 
 
-class GeometryError(GapguideError):
+class GeometryError(ValidationError):
     """Geometrically impossible request (strip outside grid, margin too big)."""
 
 
-class UnsupportedGeometryError(GapguideError):
+class UnsupportedGeometryError(ValidationError):
     """Geometry outside the supported class (e.g. multiply connected mask)."""
 
 
@@ -31,4 +31,3 @@ class IterationError(GapguideError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-

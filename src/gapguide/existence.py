@@ -165,12 +165,11 @@ class ResidualReport:
     terms: tuple
     threshold: float
     passes: bool
-    quadrature: float | None = None
 
     def record(self) -> dict:
         t1, t2, t3, t4 = self.terms
         return {"closed_form": self.closed_form, "threshold": self.threshold,
-                "passes": self.passes, "quadrature": self.quadrature,
+                "passes": self.passes, "quadrature": None,
                 "terms": {"axial_d2": t1, "axial_d1": t2,
                           "transverse_floor": t3, "cross": t4}}
 

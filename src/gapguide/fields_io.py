@@ -74,7 +74,7 @@ def _fmt(x):
 
 
 def write_field(path_base, values: np.ndarray, grid: GridSpec,
-                meta: dict | None = None) -> Path:
+                meta: dict) -> Path:
     """Flat binary dump plus JSON header: shape, dtype, the grid's shape,
     spacing and origin, and `meta` (the CLI's mode dumps add lambda,
     bloch_k1 and staggering "cell-centred": value i sits at the cell
@@ -85,7 +85,7 @@ def write_field(path_base, values: np.ndarray, grid: GridSpec,
     header = {"shape": list(arr.shape), "dtype": str(arr.dtype),
               "grid_shape": list(grid.shape),
               "spacing": list(grid.spacing), "origin": list(grid.origin)}
-    header.update(meta or {})
+    header.update(meta)
     base.with_suffix(".bin").write_bytes(arr.tobytes())
     write_json(base.with_suffix(".json"), header)
     return base.with_suffix(".bin")
@@ -103,7 +103,7 @@ def modes_csv(modes, path) -> Path:
                       for m in modes))
 
 
-def profile_csv(prof, path, d_lo=None, d_hi=None) -> Path:
+def profile_csv(prof, path, d_lo: float, d_hi: float) -> Path:
     return write_csv(path, ["dist", "norm", "log_norm", "in_window"],
                      ((d, n, ln, int(ok))
                       for d, n, ln, ok in prof.rows(d_lo, d_hi)))

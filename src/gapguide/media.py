@@ -72,6 +72,9 @@ class MediumSpec:
     @classmethod
     def from_json(cls, text: str) -> "MediumSpec":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValidationError(
+                f"medium is a {type(doc).__name__}, not a JSON object")
         incs = tuple((_dec_section(d), d["eps"])
                      for d in doc.get("inclusions", []))
         defect = None
@@ -95,10 +98,8 @@ def _dec_section(d):
         lo, hi = (np.asarray(d[k], dtype=float) for k in ("lo", "hi"))
         return Box((hi - lo) / 2, (lo + hi) / 2)
     if kind == "mask":
-        ms = MaskSection.from_ascii("\n".join(d["rows"]), d.get("spacing"))
-        if "origin" in d:
-            ms.origin = tuple(d["origin"])
-        return ms
+        return MaskSection.from_ascii("\n".join(d["rows"]), d.get("spacing"),
+                                      d.get("origin"))
     raise ValidationError(f"unknown shape kind {kind!r}")
 
 

@@ -76,12 +76,12 @@ class NuEstimate:
     A solved estimate states how many mirror-symmetry classes its
     eigensolve solved and how many it ruled out (`_smallest_eig`), and
     `lu_fill`, the entries of the LUs of the classes it solved; an
-    extrapolated one states none of them.
+    extrapolated one states none of them but its `order`, which only it
+    has (so `record` reads "extrapolated" off it).
     """
 
     value: float
     grid_h: float
-    extrapolated: bool = False
     achieved_quotient: float | None = None
     order: float | None = None
     classes_solved: int | None = None
@@ -95,7 +95,7 @@ class NuEstimate:
     def record(self) -> dict:
         return {"value": self.value, "h": self.grid_h, "order": self.order,
                 "quotient": self.achieved_quotient,
-                "extrapolated": self.extrapolated,
+                "extrapolated": self.order is not None,
                 "classes_solved": self.classes_solved,
                 "classes_ruled_out": self.classes_ruled_out,
                 "lu_fill": self.lu_fill}
@@ -656,10 +656,9 @@ def refine_extrapolate(estimates) -> NuEstimate:
     if np.any(diffs[:-1] * diffs[1:] <= 0):
         warnings.warn("non-monotone refinement sequence; extrapolation unsafe",
                       RuntimeWarning)
-        return NuEstimate(value=vs[-1], grid_h=hs[-1], extrapolated=False)
+        return NuEstimate(value=vs[-1], grid_h=hs[-1])
     r = hs[-3] / hs[-2]
     order = float(np.log(abs(diffs[-2] / diffs[-1])) / np.log(r))
     r_fine = hs[-2] / hs[-1]
     value = vs[-1] + (vs[-1] - vs[-2]) / (r_fine**2 - 1.0)
-    return NuEstimate(value=float(value), grid_h=float(hs[-1]),
-                      extrapolated=True, order=order)
+    return NuEstimate(value=float(value), grid_h=float(hs[-1]), order=order)

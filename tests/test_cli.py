@@ -9,7 +9,7 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from gapguide import cli
+from gapguide import cli, xsection
 from gapguide.cross_section import Box
 from gapguide.eigen import band_structure, interior_eigs
 from gapguide.errors import IterationError, ValidationError
@@ -68,9 +68,9 @@ RUNS = {
     "bands": (BULK, ("medium", "grid", "k_samples", "bands", "min_gap_width")),
     "defect": (GUIDE, ("medium", "grid", "gap", "k1_samples", "delta",
                        "count", "dump_fields")),
-    "decay": (dict(GUIDE, step=0.25), ("medium", "grid", "gap", "k1_samples",
-                                       "delta", "count", "step", "d_min",
-                                       "d_max", "dump_profiles")),
+    "decay": (dict(GUIDE, step=0.25, d_min=1.0),
+              ("medium", "grid", "gap", "k1_samples", "delta", "count",
+               "step", "d_min", "d_max", "dump_profiles")),
     "sweep": (dict(GUIDE, nu=14.682, l_values=[1.5], eps_values=[12.0]),
               ("medium", "grid", "gap", "k1_samples", "delta", "count", "nu",
                "l_values", "eps_values")),
@@ -78,12 +78,14 @@ RUNS = {
 # keys a config holds in place of another: dropped while that one is tested
 IN_PLACE = {"gap_width": ("gap",), "nu": ("cross_section", "h"),
             "h_values": ("h",)}
-# per key that must be positive, a value that is not: a list's bad entry
-# comes after a good one, so a command that reads the list as it runs
-# would solve before it met it
-NONPOSITIVE = {"l": -1, "eps": 0, "mu": -2.5, "delta": -8, "n": 0,
-               "h": -0.02, "h_values": [0.03125, -0.02], "step": 0,
-               "l_values": [1.5, -1.5], "eps_values": [12.0, 0]}
+# per key with a range, a value outside it: a length that is not
+# positive, a negative count, a d_max not above the run's d_min; a list's
+# bad entry comes after a good one, so a command that reads the list as
+# it runs would solve before it met it
+OUT_OF_RANGE = {"l": -1, "eps": 0, "mu": -2.5, "delta": -8, "n": 0,
+                "h": -0.02, "h_values": [0.03125, -0.02], "step": 0,
+                "l_values": [1.5, -1.5], "eps_values": [12.0, 0],
+                "count": -1, "d_max": 0.5}
 
 
 def test_check_command(tmp_path, capsys):
@@ -149,6 +151,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["check", "--config", not_object,
                      "--out", str(tmp_path)]) == 2
     assert "config is a list, not a JSON object" in capsys.readouterr().err
+    # so is a medium, given inline or as the path of a file
+    listed = tmp_path / "medium.json"
+    listed.write_text("[1, 2]")
+    for medium, kind in (([1, 2], "list"), (5, "int"), (str(listed), "list")):
+        cfg = _cfg(tmp_path, "bands.json", dict(BULK, schema=1, medium=medium))
+        assert cli.main(["bands", "--config", cfg,
+                         "--out", str(tmp_path)]) == 2
+        assert f"bad 'medium' in config: medium is a {kind}, not a JSON " \
+            "object" in capsys.readouterr().err
     # a key the command does not read is rejected, not silently defaulted
     typo = _defect_cfg(tmp_path, k1_sample=[5.0], loc_fraction=0.6)
     assert cli.main(["defect", "--config", typo, "--out", str(tmp_path)]) == 2
@@ -291,10 +302,42 @@ def test_a_malformed_value_is_refused_before_any_solve(
     _solves_fail(monkeypatch)
     cfg = {k: v for k, v in RUNS[cmd][0].items()
            if k not in IN_PLACE.get(key, ())}
-    for value in ("x", NONPOSITIVE.get(key, "x")):
+    for value in ("x", OUT_OF_RANGE.get(key, "x")):
         path = _cfg(tmp_path, "cfg.json", dict(cfg, schema=1, **{key: value}))
         assert cli.main([cmd, "--config", path, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_input_faults_exit_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # a fault of the input that the library finds (a margin outside the
+    # section, a strip wider than the grid, a spacing that under-resolves
+    # the section, a mask in two pieces or with a 3D origin) is bad input
+    # like a malformed value: exit 2, before any eigensolve
+    def solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(xsection, "_smallest_eig", solve)
+    monkeypatch.setattr(cli, "defect_spectrum", solve)
+    residual = RUNS["residual"][0]
+    wide = dict(MEDIUM, defect=dict(MEDIUM["defect"], l=20))
+    rows = ["0110", "1111", "1111", "0110"]
+    for cmd, cfg, message in (
+            ("residual", dict(residual, rho=0.6), "margin rho=0.6 must lie"),
+            ("residual", dict(residual, rho=-0.1), "margin rho=-0.1 must lie"),
+            ("defect", dict(GUIDE, medium=wide),
+             "strip cross-section exceeds transverse grid extent"),
+            ("nu", {"cross_section": DISK, "h": 0.2},
+             "spacing 0.2 under-resolves the domain"),
+            ("nu", {"cross_section": {"kind": "mask",
+                                      "rows": ["1110000111"] * 6}},
+             "mask has 2 connected pieces"),
+            ("nu", {"cross_section": {"kind": "mask", "rows": rows,
+                                      "origin": [0, 0, 0]}},
+             "mask origin needs 2 coordinates, not 3")):
+        path = _cfg(tmp_path, "cfg.json", dict(cfg, schema=1))
+        assert cli.main([cmd, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
 
 
 def test_unknown_command_and_missing_config_exit_2(tmp_path, capsys):

@@ -228,7 +228,7 @@ def test_density_reads_match_the_lifted_field(varies):
         values[0, 0] = 2.0
         eps = SampledEpsilon(grid, values)
     ds = defect_spectrum(eps, strip, GapInterval(1.50647, 5.24793),
-                         k1_samples=[4.5, 5.0], count=16)
+                         k1_samples=[4.5, 5.0], delta=0.15, count=16)
     assert len(ds.modes) >= 2
     walls = []
     for m in ds.modes:
@@ -254,7 +254,7 @@ def test_profile_needs_2d_field():
     bad = ModeResult(lam=1.0, field=bad_field, residual=0.0, k1=0.0)
     strip = StripSpec(Box((1.0,)), l=0.5, eps_inside=12.0)
     with pytest.raises(ValidationError):
-        profile(bad, strip)
+        profile(bad, strip, step=0.25)
 
 
 def test_ct_shape_values():

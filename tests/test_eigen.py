@@ -191,9 +191,9 @@ def test_small_window_holding_more_than_count_raises(defected, monkeypatch):
 def test_interior_eigs_window_validation_and_empty(defected):
     A = scalar_matrix(defected, (5.0, None))
     with pytest.raises(ValidationError):
-        interior_eigs([A], (3.0, 2.0))
+        interior_eigs([A], (3.0, 2.0), count=10)
     with pytest.raises(ValidationError):
-        interior_eigs([A], (-1.0, 2.0))
+        interior_eigs([A], (-1.0, 2.0), count=10)
     ref = np.sort(np.linalg.eigvalsh(A.toarray()))
     lo = 0.5 * (ref[3] + ref[4])
     hole = (lo, lo + 1e-6)
@@ -206,7 +206,7 @@ def test_interior_eigs_singular_shift_raises():
     A = sp.diags(np.arange(1.0, 4001.0))
     for window in ((1999.0, 2000.5), (1999.5, 2000.5)):
         with pytest.raises(IterationError):
-            interior_eigs([A], window)
+            interior_eigs([A], window, count=10)
 
 
 def test_interior_eigs_cross_checks_lanczos_against_the_count(monkeypatch):
@@ -231,7 +231,7 @@ def test_interior_eigs_cross_checks_lanczos_against_the_count(monkeypatch):
 ], ids=["bare-matrix", "not-square", "long-e", "2d-d", "list-pair"])
 def test_interior_eigs_rejects_malformed_blocks(blocks):
     with pytest.raises(ValidationError, match="list or tuple|a block must"):
-        interior_eigs(blocks, (0.5, 1.5))
+        interior_eigs(blocks, (0.5, 1.5), count=10)
 
 
 def test_window_count_matches_dense_count(supercell, defected, tm_gap):

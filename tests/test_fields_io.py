@@ -84,7 +84,7 @@ def test_field_round_trip(tmp_path):
 def test_truncated_field_dump_raises(tmp_path, cut):
     # one float64 entry or one byte short of the 4 x 4 the header states
     grid = GridSpec((4, 4), (0.25, 0.25))
-    bin_path = io.write_field(tmp_path / "mode", np.ones((4, 4)), grid)
+    bin_path = io.write_field(tmp_path / "mode", np.ones((4, 4)), grid, {})
     bin_path.write_bytes(bin_path.read_bytes()[:-cut])
     with pytest.raises(ValueError, match="header says 128"):
         _read_field(tmp_path / "mode")

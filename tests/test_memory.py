@@ -40,7 +40,7 @@ def test_a_defect_sweep_keeps_one_block_vector_per_mode():
     n2 = grid.shape[1]
     ds, kept = _kept(lambda: defect_spectrum(
         eps, strip, GapInterval(1.50647, 5.24793), k1_samples=[4.3, 5.3, 6.3],
-        count=40))
+        delta=0.15, count=40))
     assert len(ds.modes) >= 10
     assert kept <= 8 * n2 * (len(ds.modes) + 4)
     assert all(m.field.vector.nbytes == 8 * n2 for m in ds.modes)

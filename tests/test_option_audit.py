@@ -1,23 +1,25 @@
 """The package holds what its pipeline calls: every public function and
 class has a caller, every defaulted parameter takes another value
-somewhere, every parameter and every field of its dataclasses is read,
-and every command-line flag is read.
+somewhere and its default somewhere else, every parameter and every field
+of its dataclasses is read, and every command-line flag is read.
 
 Callers are the package itself, the demos and the benchmark (src/, demos/
 and bench/); a test is not one.  A public top-level function or class that
 only tests name is a test helper and belongs in tests/.  A default that no
 call ever overrides, or that every call overriding it sets to the default
 literal again, is a constant dressed up as an option: it doubles the
-configurations to cover and is exercised at one value only.  A call that
-spreads a mapping (`f(**kwargs)`) counts as setting every defaulted
-keyword of `f`.  Constructors are left out; their defaults are the fields
-of value objects.  A dataclass field that no caller loads as an attribute
-is written and carried for nothing.  A flag of `gapguide` that `cli.py`
-never reads as `args.<dest>` does nothing; the two kept only so that old
-command lines parse must say so in their help.  A config key in a
-command's reader table that neither the command nor a helper it calls
-names is accepted and read by nothing.  A parameter its function's body
-never loads is passed for nothing.
+configurations to cover and is exercised at one value only.  A default
+that every call overrides is never taken: the callers hold the value, and
+the library's copy can only drift from theirs.  A call that spreads a
+mapping (`f(**kwargs)`) may set any defaulted keyword of `f` or leave it
+be, so it passes both rules.  Constructors are left out; their defaults
+are the fields of value objects.  A dataclass field that no caller loads
+as an attribute is written and carried for nothing.  A flag of `gapguide`
+that `cli.py` never reads as `args.<dest>` does nothing; the two kept only
+so that old command lines parse must say so in their help.  A config key
+in a command's reader table that neither the command nor a helper it
+calls names is accepted and read by nothing.  A parameter its function's
+body never loads is passed for nothing.
 """
 
 import argparse
@@ -310,3 +312,21 @@ def test_every_parameter_is_read():
                        if not p.arg.startswith("_") and p.arg not in loaded]
     assert not unread, ("parameters their function never reads; delete "
                         "them: " + ", ".join(unread))
+
+
+def test_every_default_is_taken():
+    """Fails on a defaulted parameter that every call sets, positionally
+    or by keyword, with no `**` spread.  Calls are matched by name only,
+    like the other rules, not by binding: `DecayProfile.rows(d_lo, d_hi)`
+    escapes, as `BandTable.rows()` shares its name and is called bare."""
+    calls = _calls()
+    overridden = []
+    for qual, fn, param, index, _ in _defaulted_parameters():
+        sites = calls.get(fn, [])
+        if sites and all(
+                not spread and (param in kws or (
+                    index is not None and len(args) > index))
+                for args, kws, spread in sites):
+            overridden.append(f"{qual}({param})")
+    assert not overridden, ("defaulted parameters every caller sets; drop "
+                            "the default: " + ", ".join(overridden))

@@ -194,7 +194,8 @@ def test_every_medium_solve_runs_on_one_thread(monkeypatch, caller_threads):
     assert threads_in(lambda: bloch_modes(varied, [0.7], (2.0, 20.0),
                                           100)) == one
     assert threads_in(lambda: defect_spectrum(
-        guide, strip, GapInterval(*GAP_WINDOW), [5.0], count=40)) == one
+        guide, strip, GapInterval(*GAP_WINDOW), [5.0], delta=0.15,
+        count=40)) == one
     assert threads_in(lambda: band_structure(layered, [0.0, 1.0], 4)) == one
     assert threads_in(lambda: band_structure(crystal, [0.0, 1.0], 4)) == one
     def solves_in(call):

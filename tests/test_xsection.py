@@ -238,7 +238,7 @@ def test_refine_extrapolate_exact_second_order():
     out = refine_extrapolate(ests)
     assert out.value == pytest.approx(exact, abs=1e-10)
     assert out.order == pytest.approx(2.0, abs=1e-8)
-    assert out.extrapolated
+    assert out.record()["extrapolated"]
     assert out.lu_fill is None
 
 
@@ -255,7 +255,7 @@ def test_refine_extrapolate_warns_on_non_monotone():
     with pytest.warns(RuntimeWarning):
         out = refine_extrapolate(ests)
     assert out.value == pytest.approx(14.05)
-    assert not out.extrapolated
+    assert not out.record()["extrapolated"]
 
 
 def test_nu_estimate_must_be_positive():
