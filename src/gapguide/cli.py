@@ -8,7 +8,8 @@ each key a command reads its reader, and every value is parsed before the
 command solves anything: a malformed or misread value (a fractional count,
 an empty spacing list, a length that is not positive, a key beside the one
 read in its place) is refused, naming its key.  Config defaults (`bands`
-8, `delta` 0.15, `count` 30, `step` 0.125) live here alone.  Exit codes:
+8, `delta` 0.15, `count` 30, `step` 0.125, `h` the cross-section's
+diameter over 96) live here alone.  Exit codes:
 0 success, 2 bad input (a `ValidationError`), 3 numerical failure.
 """
 
@@ -141,8 +142,7 @@ def _samples(value) -> np.ndarray:
 
 
 def _grid(value) -> GridSpec:
-    return GridSpec(tuple(value["shape"]), tuple(value["spacing"]),
-                    tuple(value.get("origin", [0.0] * len(value["shape"]))))
+    return GridSpec(value["shape"], value["spacing"], value.get("origin"))
 
 
 def _medium(value) -> MediumSpec:
@@ -167,6 +167,11 @@ def _gap(value) -> GapInterval:
     return GapInterval(float(a), float(b))
 
 
+def _spacing(cfg: dict) -> float:
+    """cfg's "h", else 96 spacings across the cross-section's bounding box."""
+    return cfg.get("h", cfg["cross_section"].diameter() / 96)
+
+
 def _k1_samples(cfg: dict):
     """cfg's "k1_samples", else 8 over [0, pi / the medium's axial period]."""
     return cfg.get("k1_samples", np.linspace(
@@ -182,10 +187,9 @@ def _provenance(cfg, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_nu(cfg, out: Path) -> int:
-    cs = cfg["cross_section"]
     solver = cfg.get("kind", solve_nu_vector)
-    hs = cfg.get("h_values", [cfg.get("h", cs.diameter() / 96)])
-    estimates = [solver(cs, h) for h in hs]
+    hs = cfg.get("h_values", [_spacing(cfg)])
+    estimates = [solver(cfg["cross_section"], h) for h in hs]
     best = (refine_extrapolate(estimates) if len(estimates) >= 3
             else min(estimates, key=lambda e: e.grid_h))
     doc = best.record()
@@ -202,9 +206,8 @@ def cmd_check(cfg, out: Path) -> int:
     if "nu" in cfg:
         nu, grid_h = cfg["nu"], None
     else:
-        cs = cfg["cross_section"]
-        grid_h = cfg.get("h", cs.diameter() / 96)
-        nu = solve_nu_vector(cs, grid_h)
+        grid_h = _spacing(cfg)
+        nu = solve_nu_vector(cfg["cross_section"], grid_h)
     rep = check_condition(cfg["l"], cfg["eps"], gap, nu)
     doc = rep.record()
     doc["provenance"] = _provenance(cfg, module="existence", grid_h=grid_h)
@@ -215,8 +218,7 @@ def cmd_check(cfg, out: Path) -> int:
 
 
 def cmd_residual(cfg, out: Path) -> int:
-    cs = cfg["cross_section"]
-    h = cfg.get("h", cs.diameter() / 96)
+    cs, h = cfg["cross_section"], _spacing(cfg)
     tf = make_test_field(cs, cfg.get("rho", 0.1 * cs.inradius()), h)
     tp = TrialParams(l=cfg["l"], eps=cfg["eps"], mu=cfg["mu"],
                      delta=cfg["delta"], n=cfg.get("n", 1),
@@ -249,8 +251,7 @@ def cmd_bands(cfg, out: Path) -> int:
         "gaps": [[g.alpha, g.beta] for g in gaps],
         "provenance": _provenance(cfg, module="eigen",
                                   grid_h=float(max(eps.grid.spacing)))})
-    io.emit_plot_script(out / "plot_bands.py", "bands",
-                        out / "bands.csv", out / "bands.png")
+    io.emit_plot_script(out / "plot_bands.py", "bands")
     print(json.dumps({"gaps": [[g.alpha, g.beta] for g in gaps]}))
     return 0
 
@@ -307,8 +308,7 @@ def cmd_decay(cfg, out: Path) -> int:
         "provenance": _provenance(cfg, module="decay",
                                   grid_h=float(max(eps.grid.spacing)))})
     if dumped > 0:
-        io.emit_plot_script(out / "plot_decay.py", "decay",
-                            out / "profile_000.csv", out / "decay.png")
+        io.emit_plot_script(out / "plot_decay.py", "decay")
     print(json.dumps({"modes": len(fits), "rank_correlation": corr}))
     return 0
 
@@ -341,8 +341,7 @@ def cmd_sweep(cfg, out: Path) -> int:
     io.write_json(out / "existence_map.json", {
         "provenance": _provenance(cfg, module="cli",
                                   grid_h=float(max(grid.spacing)))})
-    io.emit_plot_script(out / "plot_map.py", "map",
-                        out / "existence_map.csv", out / "existence_map.png")
+    io.emit_plot_script(out / "plot_map.py", "map")
     print(json.dumps({"cells": len(rows)}))
     return 0
 
@@ -376,7 +375,7 @@ def cmd_report(_cfg, out: Path) -> int:
             lines += [f"## {heading}", "", *summary(io.read_json(out / name)),
                       ""]
     if len(lines) == 2:
-        lines += ["no artifacts found in " + str(out), ""]
+        lines += ["no artifacts found", ""]
     (out / "summary.md").write_text("\n".join(lines))
     print(f"report written to {out / 'summary.md'}")
     return 0

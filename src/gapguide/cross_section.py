@@ -76,8 +76,13 @@ class Disk(CrossSection):
     ndim = 2
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValidationError("disk radius must be positive")
+        if not self.radius > 0:
+            raise ValidationError(f"disk radius {self.radius!r} is not positive")
+        c = np.asarray(self.center, dtype=float)
+        if c.shape != (2,) or not np.all(np.isfinite(c)):
+            raise ValidationError(
+                f"disk center {self.center!r} is not 2 finite coordinates")
+        object.__setattr__(self, "center", tuple(map(float, c)))
 
     def contains(self, points):
         d = np.asarray(points, dtype=float) - np.asarray(self.center)
@@ -91,7 +96,7 @@ class Disk(CrossSection):
         return self.radius
 
     def scale(self, l):
-        return Disk(self.radius * l, tuple(np.asarray(self.center) * l))
+        return Disk(self.radius * l, np.asarray(self.center) * l)
 
     def boundary_distance(self, points):
         d = np.asarray(points, dtype=float) - np.asarray(self.center)
@@ -156,23 +161,30 @@ class Box(CrossSection):
 
 
 class MaskSection(CrossSection):
-    """Cross-section rasterized as a 0/1 cell mask."""
+    """Cross-section rasterized as a 0/1 cell mask.  A None `spacing` fits
+    the mask's longer side in 2; a None `origin` centres it."""
 
     ndim = 2
 
-    def __init__(self, mask: np.ndarray, spacing: float, origin=(0.0, 0.0)):
+    def __init__(self, mask: np.ndarray, spacing=None, origin=None):
         # a read-only copy: edits to the caller's array must not reach
         # `contains` while `_edt` stays as built
         mask = np.array(mask, dtype=bool)
         if mask.ndim != 2 or not mask.any():
             raise ValidationError("mask must be a non-empty 2D boolean array")
+        spacing = 2.0 / max(mask.shape) if spacing is None else float(spacing)
+        if not 0 < spacing < np.inf:
+            raise ValidationError(
+                f"mask spacing {spacing!r} is not positive and finite")
+        if origin is None:
+            origin = -0.5 * spacing * np.asarray(mask.shape)
         origin = tuple(float(o) for o in origin)
         if len(origin) != 2:
             raise ValidationError(
                 f"mask origin needs 2 coordinates, not {len(origin)}")
         mask.flags.writeable = False
         self.mask = mask
-        self.spacing = float(spacing)
+        self.spacing = spacing
         self.origin = origin
         # imported on use, so that `import gapguide` leaves scipy.ndimage out
         from scipy import ndimage
@@ -181,17 +193,11 @@ class MaskSection(CrossSection):
 
     @classmethod
     def from_ascii(cls, text: str, spacing, origin) -> "MaskSection":
-        """Parse an ASCII 0/1 grid (rows are lines, the first the top row);
-        None `spacing` fits the longer side in 2, None `origin` centres it."""
+        """Parse an ASCII 0/1 grid (rows are lines, the first the top row)."""
         rows = [line for line in text.splitlines() if line.strip()]
         arr = np.array([[c == "1" for c in row.strip()] for row in rows])
         # file rows top-to-bottom -> grid axis 1 descending; transpose to (x, y)
-        mask = arr[::-1].T
-        if spacing is None:
-            spacing = 2.0 / max(mask.shape)
-        if origin is None:
-            origin = -0.5 * spacing * np.asarray(mask.shape)
-        return cls(mask, spacing, origin)
+        return cls(arr[::-1].T, spacing, origin)
 
     def _indices(self, points):
         pts = np.asarray(points, dtype=float)

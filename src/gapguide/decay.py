@@ -41,13 +41,6 @@ class DecayProfile:
         if np.any(np.asarray(self.norms) < 0):
             raise ValidationError("windowed norms are nonnegative")
 
-    def rows(self, d_lo: float, d_hi: float):
-        """(dist, norm, log norm, in-window flag) rows for tabular output,
-        the window being [d_lo, d_hi]."""
-        for d, n in zip(self.distances, self.norms):
-            ok = d_lo <= d <= d_hi and n > 0
-            yield float(d), float(n), float(np.log(n)) if n > 0 else np.nan, ok
-
 
 @dataclass(frozen=True)
 class DecayFit:

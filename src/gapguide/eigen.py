@@ -41,12 +41,6 @@ class BandTable:
             if np.any(np.diff(v) < 0) or (len(v) and v[0] < -1e-9):
                 raise ValidationError("band samples must be sorted and >= 0")
 
-    def rows(self):
-        """(k, band_index, eigenvalue) triples for tabular output."""
-        for k, vals in zip(self.k_samples, self.eigenvalues):
-            for j, lam in enumerate(vals):
-                yield k, j, float(lam)
-
 
 @dataclass
 class ModeResult:

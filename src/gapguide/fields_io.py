@@ -1,8 +1,8 @@
 """Deterministic artifact I/O: field dumps, CSV tables, JSON records.
 
 Everything written here is a pure function of its inputs (sorted keys, fixed
-float formatting, no timestamps), so re-running a pipeline with the same
-config and seed reproduces artifacts byte-for-byte.
+float formatting, no timestamps, no paths), so re-running a pipeline with
+the same config reproduces artifacts byte-for-byte, in any directory.
 """
 
 from __future__ import annotations
@@ -93,7 +93,10 @@ def write_field(path_base, values: np.ndarray, grid: GridSpec,
 
 def band_csv(bt, path) -> Path:
     """BandTable as (k, band index, lambda) rows."""
-    return write_csv(path, ["k", "band", "lambda"], bt.rows())
+    return write_csv(path, ["k", "band", "lambda"],
+                     ((k, j, float(lam))
+                      for k, vals in zip(bt.k_samples, bt.eigenvalues)
+                      for j, lam in enumerate(vals)))
 
 
 def modes_csv(modes, path) -> Path:
@@ -104,65 +107,63 @@ def modes_csv(modes, path) -> Path:
 
 
 def profile_csv(prof, path, d_lo: float, d_hi: float) -> Path:
+    """DecayProfile as (distance, norm, log norm, in-window flag) rows, the
+    fit window being [d_lo, d_hi]."""
     return write_csv(path, ["dist", "norm", "log_norm", "in_window"],
-                     ((d, n, ln, int(ok))
-                      for d, n, ln, ok in prof.rows(d_lo, d_hi)))
+                     ((float(d), float(n),
+                       float(np.log(n)) if n > 0 else np.nan,
+                       int(d_lo <= d <= d_hi and n > 0))
+                      for d, n in zip(prof.distances, prof.norms)))
 
 
+# each script reads its CSV, or the path given as its argument, from its
+# own directory and saves its figure there
+_PLOT = """\
+import csv, sys
+from pathlib import Path
+import matplotlib.pyplot as plt
+
+here = Path(__file__).parent
+with open(sys.argv[1] if len(sys.argv) > 1 else here / {csv!r}) as fh:
+    rows = list(csv.DictReader(fh))
+{body}plt.savefig(here / {figure!r}, dpi=150)
+"""
 _PLOTS = {
-    "bands": """\
-import csv, sys
-from collections import defaultdict
-import matplotlib.pyplot as plt
-
-by_band = defaultdict(list)
-with open(sys.argv[1] if len(sys.argv) > 1 else {src!r}) as fh:
-    for row in csv.DictReader(fh):
-        by_band[int(row["band"])].append((float(row["k"]), float(row["lambda"])))
+    "bands": ("bands.csv", "bands.png", """\
+by_band = {}
+for row in rows:
+    by_band.setdefault(int(row["band"]), []).append(
+        (float(row["k"]), float(row["lambda"])))
 for band, pts in sorted(by_band.items()):
-    pts.sort()
-    plt.plot(*zip(*pts), "o-", ms=3, label=f"band {{band}}")
+    plt.plot(*zip(*sorted(pts)), "o-", ms=3, label=f"band {band}")
 plt.xlabel("Bloch momentum"); plt.ylabel("eigenvalue"); plt.legend()
-plt.savefig({out!r}, dpi=150)
-""",
-    "decay": """\
-import csv, sys
-import matplotlib.pyplot as plt
-
-dist, norm, flag = [], [], []
-with open(sys.argv[1] if len(sys.argv) > 1 else {src!r}) as fh:
-    for row in csv.DictReader(fh):
-        dist.append(float(row["dist"])); norm.append(float(row["norm"]))
-        flag.append(bool(int(row["in_window"])))
+"""),
+    "decay": ("profile_000.csv", "decay.png", """\
+dist = [float(row["dist"]) for row in rows]
+norm = [float(row["norm"]) for row in rows]
+fit = [i for i, row in enumerate(rows) if int(row["in_window"])]
 plt.semilogy(dist, norm, "o-", ms=3)
-plt.semilogy([d for d, f in zip(dist, flag) if f],
-             [n for n, f in zip(norm, flag) if f], "rs", ms=4, label="fit window")
+plt.semilogy([dist[i] for i in fit], [norm[i] for i in fit], "rs", ms=4,
+             label="fit window")
 plt.xlabel("distance to strip"); plt.ylabel("windowed norm"); plt.legend()
-plt.savefig({out!r}, dpi=150)
-""",
-    "map": """\
-import csv, sys
-import matplotlib.pyplot as plt
-
-ls, es, margin = [], [], []
-with open(sys.argv[1] if len(sys.argv) > 1 else {src!r}) as fh:
-    for row in csv.DictReader(fh):
-        ls.append(float(row["l"])); es.append(float(row["eps"]))
-        margin.append(float(row["margin"]))
-sc = plt.scatter(ls, es, c=margin, cmap="RdYlGn", s=120, marker="s")
+"""),
+    "map": ("existence_map.csv", "existence_map.png", """\
+sc = plt.scatter([float(row["l"]) for row in rows],
+                 [float(row["eps"]) for row in rows],
+                 c=[float(row["margin"]) for row in rows],
+                 cmap="RdYlGn", s=120, marker="s")
 plt.colorbar(sc, label="condition margin")
 plt.xlabel("l"); plt.ylabel("eps")
-plt.savefig({out!r}, dpi=150)
-""",
+"""),
 }
 
 
-def emit_plot_script(path, kind: str, source_csv, figure_out) -> Path:
-    """Write a standalone matplotlib script for a CSV artifact."""
+def emit_plot_script(path, kind: str) -> Path:
+    """Write a standalone matplotlib script for a CSV artifact beside it."""
     if kind not in _PLOTS:
         raise ValidationError(f"unknown plot kind {kind!r}")
+    csv_name, figure, body = _PLOTS[kind]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_PLOTS[kind].format(src=str(source_csv),
-                                        out=str(figure_out)))
+    path.write_text(_PLOT.format(csv=csv_name, figure=figure, body=body))
     return path

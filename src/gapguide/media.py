@@ -75,25 +75,31 @@ class MediumSpec:
         if not isinstance(doc, dict):
             raise ValidationError(
                 f"medium is a {type(doc).__name__}, not a JSON object")
-        incs = tuple((_dec_section(d), d["eps"])
-                     for d in doc.get("inclusions", []))
-        defect = None
-        if "defect" in doc:
-            dd = doc["defect"]
-            defect = StripSpec(_dec_section(dd["cross_section"]), dd["l"], dd["eps"])
-        return cls(tuple(doc["lattice"]), doc.get("background", 1.0),
-                   incs, defect)
+        # a key left out takes the field's default
+        given = {k: doc[k] for k in ("background", "inclusions", "defect")
+                 if k in doc}
+        if "inclusions" in given:
+            given["inclusions"] = [(_dec_section(d), d["eps"])
+                                   for d in given["inclusions"]]
+        if "defect" in given:
+            dd = given["defect"]
+            given["defect"] = StripSpec(_dec_section(dd["cross_section"]),
+                                        dd["l"], dd["eps"])
+        return cls(doc["lattice"], **given)
 
 
 def _dec_section(d):
-    """The shape a JSON object describes, an inclusion's or a strip's."""
+    """The shape a JSON object describes, an inclusion's or a strip's.  A
+    key left out takes the constructor's default; only `interval`'s
+    `half_width` 1 is the decoder's own."""
     kind = d["kind"]
     if kind == "disk":
-        return Disk(d.get("radius", 1.0), tuple(d.get("center", (0.0, 0.0))))
+        return Disk(**{k: d[k] for k in ("radius", "center") if k in d})
     if kind == "rect":
         return Box(d["half_widths"], d.get("center"))
     if kind == "interval":
-        return Box((d.get("half_width", 1.0),), (d.get("center", 0.0),))
+        return Box((d.get("half_width", 1.0),),
+                   (d["center"],) if "center" in d else None)
     if kind == "box":
         lo, hi = (np.asarray(d[k], dtype=float) for k in ("lo", "hi"))
         return Box((hi - lo) / 2, (lo + hi) / 2)

@@ -311,8 +311,9 @@ def test_a_malformed_value_is_refused_before_any_solve(
 def test_input_faults_exit_2_before_any_solve(tmp_path, capsys, monkeypatch):
     # a fault of the input that the library finds (a margin outside the
     # section, a strip wider than the grid, a spacing that under-resolves
-    # the section, a mask in two pieces or with a 3D origin) is bad input
-    # like a malformed value: exit 2, before any eigensolve
+    # the section, a mask in two pieces or with a 3D origin, empty or with
+    # a spacing that is not positive, a disk center without 2 coordinates)
+    # is bad input like a malformed value: exit 2, before any eigensolve
     def solve(*args, **kwargs):
         raise AssertionError("solved")
 
@@ -333,7 +334,19 @@ def test_input_faults_exit_2_before_any_solve(tmp_path, capsys, monkeypatch):
              "mask has 2 connected pieces"),
             ("nu", {"cross_section": {"kind": "mask", "rows": rows,
                                       "origin": [0, 0, 0]}},
-             "mask origin needs 2 coordinates, not 3")):
+             "mask origin needs 2 coordinates, not 3"),
+            ("nu", {"cross_section": {"kind": "mask", "rows": []}},
+             "mask must be a non-empty 2D boolean array"),
+            ("nu", {"cross_section": {"kind": "mask", "rows": rows,
+                                      "spacing": 0}},
+             "mask spacing 0.0 is not positive"),
+            ("nu", {"cross_section": {"kind": "mask", "rows": rows,
+                                      "spacing": -0.5}},
+             "mask spacing -0.5 is not positive"),
+            ("nu", {"cross_section": dict(DISK, center=[0, 0, 0])},
+             "disk center [0, 0, 0] is not 2 finite coordinates"),
+            ("nu", {"cross_section": dict(DISK, center=[0])},
+             "disk center [0] is not 2 finite coordinates")):
         path = _cfg(tmp_path, "cfg.json", dict(cfg, schema=1))
         assert cli.main([cmd, "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -553,6 +566,27 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
         args = cli.build_parser().parse_args(argv)
         if args.config:
             cli._load_config(args.config, args.command)
+
+
+def test_artifacts_do_not_depend_on_the_output_directory(tmp_path, capsys):
+    # the same configs write the same bytes into any --out, plot scripts
+    # included: each finds its CSV beside itself
+    configs = {"bands": BULK, "defect": GUIDE,
+               "decay": dict(GUIDE, step=0.25, d_min=1.5, d_max=2.5,
+                             dump_profiles=1),
+               "sweep": dict(GUIDE, nu=14.682, l_values=[1.5],
+                             eps_values=[12.0])}
+    trees = []
+    for out in (tmp_path / "a", tmp_path / "b" / "c" / "d"):
+        for cmd, cfg in configs.items():
+            path = _cfg(tmp_path, f"{cmd}.json", dict(cfg, schema=1))
+            assert cli.main([cmd, "--config", path, "--out", str(out)]) == 0
+        assert cli.main(["report", "--out", str(out)]) == 0
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    assert {p.name for p in trees[0]} >= {
+        "plot_bands.py", "plot_decay.py", "plot_map.py", "summary.md"}
+    assert trees[0] == trees[1]
 
 
 def test_report_command_idempotent(tmp_path, capsys):

@@ -13,6 +13,7 @@ from gapguide.eigen import (BandTable, _fraction_near, _near_strip,
                             defect_spectrum, find_gaps, interior_eigs)
 from gapguide.errors import IterationError, ValidationError
 from gapguide.existence import GapInterval
+from gapguide.fields_io import band_csv
 from gapguide.grids import GridSpec
 from gapguide.media import (MediumSpec, SampledEpsilon, StripSpec,
                             build_medium, with_defect)
@@ -39,11 +40,12 @@ def tm_gap():
     return GapInterval(bands[0][1], bands[1][0])
 
 
-def test_band_table_validation():
+def test_band_table_validation(tmp_path):
     with pytest.raises(ValidationError):
         BandTable(k_samples=(0.0,), eigenvalues=(np.array([2.0, 1.0]),))
     bt = BandTable(k_samples=(0.0,), eigenvalues=(np.array([1.0, 2.0]),))
-    assert list(bt.rows()) == [(0.0, 0, 1.0), (0.0, 1, 2.0)]
+    text = band_csv(bt, tmp_path / "bands.csv").read_text()
+    assert text.splitlines() == ["k,band,lambda", "0,0,1", "0,1,2"]
 
 
 def test_homogeneous_1d_has_no_gap():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,10 +120,13 @@ def test_band_and_profile_csv(tmp_path):
 
 
 def test_emit_plot_script(tmp_path):
-    p = io.emit_plot_script(tmp_path / "plot.py", "bands",
-                            tmp_path / "bands.csv", tmp_path / "bands.png")
+    # the script names its CSV and figure without a directory: it finds
+    # them beside itself, wherever it was written
+    p = io.emit_plot_script(tmp_path / "plot.py", "bands")
     text = p.read_text()
-    assert "bands.csv" in text and "bands.png" in text
+    assert re.findall(r"'([^']*\.(?:csv|png))'", text) == [
+        "bands.csv", "bands.png"]
+    assert str(tmp_path) not in text
     compile(text, str(p), "exec")      # script must at least parse
     with pytest.raises(ValidationError):
-        io.emit_plot_script(tmp_path / "x.py", "nope", "a.csv", "b.png")
+        io.emit_plot_script(tmp_path / "x.py", "nope")

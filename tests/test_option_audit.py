@@ -19,7 +19,9 @@ that `cli.py` never reads as `args.<dest>` does nothing; the two kept only
 so that old command lines parse must say so in their help.  A config key
 in a command's reader table that neither the command nor a helper it
 calls names is accepted and read by nothing.  A parameter its function's
-body never loads is passed for nothing.
+body never loads is passed for nothing.  A method whose name another
+package class's method shares is checked per class: a call on a receiver
+of one class does not keep the other's alive.
 """
 
 import argparse
@@ -317,8 +319,8 @@ def test_every_parameter_is_read():
 def test_every_default_is_taken():
     """Fails on a defaulted parameter that every call sets, positionally
     or by keyword, with no `**` spread.  Calls are matched by name only,
-    like the other rules, not by binding: `DecayProfile.rows(d_lo, d_hi)`
-    escapes, as `BandTable.rows()` shares its name and is called bare."""
+    like the other default rule: a method whose name another class's
+    method shares is judged on the calls of both."""
     calls = _calls()
     overridden = []
     for qual, fn, param, index, _ in _defaulted_parameters():
@@ -330,3 +332,162 @@ def test_every_default_is_taken():
             overridden.append(f"{qual}({param})")
     assert not overridden, ("defaulted parameters every caller sets; drop "
                             "the default: " + ", ".join(overridden))
+
+
+# methods that share their name with another package class's method and
+# that no receiver visibly of their class calls, though something does;
+# each with the reason the audit cannot see the call
+UNRESOLVED = {}
+
+
+class _Receivers:
+    """The package classes a receiver expression is visibly of: `self` or
+    `cls` in a method, a constructor call, an annotated parameter, a call
+    of a function whose definitions share one return annotation, a field
+    annotated in the class of its own receiver, a local name bound to one
+    of these, or a branch of a conditional expression.  A class stands
+    for itself and every subclass."""
+
+    def __init__(self):
+        self.classes, self.returns = {}, {}
+        for path in sorted((ROOT / "src" / "gapguide").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    assert node.name not in self.classes, node.name
+                    self.classes[node.name] = node
+                elif isinstance(node, ast.FunctionDef):
+                    self.returns.setdefault(node.name, []).append(
+                        node.returns)
+        self.methods = {c: {m.name for m in node.body
+                            if isinstance(m, ast.FunctionDef)}
+                        for c, node in self.classes.items()}
+        self.fields = {c: {f.target.id: f.annotation for f in node.body
+                           if isinstance(f, ast.AnnAssign)
+                           and isinstance(f.target, ast.Name)}
+                       for c, node in self.classes.items()}
+        self.bases = {c: [_name(b) for b in node.bases
+                          if _name(b) in self.classes]
+                      for c, node in self.classes.items()}
+
+    def annotated(self, node):
+        """The classes an annotation names: `C`, `mod.C`, `"C"`, `C | D`."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return self.annotated(ast.parse(node.value, mode="eval").body)
+        if isinstance(node, ast.BinOp):
+            return self.annotated(node.left) | self.annotated(node.right)
+        return {_name(node)} & set(self.classes)
+
+    def types(self, node, scope):
+        """The classes `node` is visibly of, given the names bound in
+        `scope`; empty where none is visible."""
+        if isinstance(node, ast.Name):
+            return scope.get(node.id, set())
+        if isinstance(node, ast.IfExp):
+            return (self.types(node.body, scope)
+                    | self.types(node.orelse, scope))
+        if isinstance(node, ast.Attribute):
+            return set().union(*(
+                self.annotated(self.fields[c][node.attr])
+                for c in self.types(node.value, scope)
+                if node.attr in self.fields[c]))
+        if isinstance(node, ast.Call):
+            name = _name(node.func)
+            if name in self.classes:
+                return {name}
+            returns = self.returns.get(name, [None])
+            if all(r is not None and ast.dump(r) == ast.dump(returns[0])
+                   for r in returns):
+                return self.annotated(returns[0])
+        return set()
+
+    def scope(self, cls, fn):
+        """Names bound in `fn` (a method of class `cls`, a function, or a
+        module's top level) to the classes they are visibly of."""
+        scope = {}
+        if isinstance(fn, ast.FunctionDef):
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            scope = {p.arg: self.annotated(p.annotation) for p in params
+                     if p.annotation is not None}
+            if cls in self.classes and params and not any(
+                    _name(d) == "staticmethod" for d in fn.decorator_list):
+                scope[params[0].arg] = {cls}
+        assigns = [n for stmt in _body(fn) for n in ast.walk(stmt)
+                   if isinstance(n, ast.Assign) and len(n.targets) == 1
+                   and isinstance(n.targets[0], ast.Name)]
+        for node in sorted(assigns, key=lambda n: (n.lineno, n.col_offset)):
+            name = node.targets[0].id
+            scope[name] = (scope.get(name, set())
+                           | self.types(node.value, scope))
+        return scope
+
+    def reached(self, cls, method):
+        """"C.method" for each class C whose `method` a call on a receiver
+        of class `cls` may run: each subclass's, and the one `cls`
+        inherits."""
+        below = {cls}
+        while more := {c for c, bases in self.bases.items()
+                       if below & set(bases)} - below:
+            below |= more
+        out = {f"{c}.{method}" for c in below if method in self.methods[c]}
+        todo = [cls]
+        while todo:
+            c = todo.pop(0)
+            if method in self.methods[c]:
+                return out | {f"{c}.{method}"}
+            todo += self.bases[c]
+        return out
+
+
+def _body(fn):
+    """The statements of a function, or those of a module other than its
+    functions and classes, whose methods are scopes of their own."""
+    if isinstance(fn, ast.FunctionDef):
+        return fn.body
+    return [s for s in fn.body
+            if not isinstance(s, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _scopes(tree):
+    """(class name or None, scope) for the module, each top-level
+    function, and each method of each class."""
+    yield None, tree
+    yield from ((None, fn) for fn in tree.body
+                if isinstance(fn, ast.FunctionDef))
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            yield from ((cls.name, fn) for fn in cls.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
+def test_every_shared_method_name_is_called_on_each_class():
+    # By name alone, a call of one class's method keeps alive every method
+    # of that name: StripSpec.contains once passed unseen because
+    # CrossSection.contains is called.  So a public method (or property)
+    # whose name two package classes define needs, in each class, a call or
+    # read whose receiver is visibly of that class or of a base class.
+    r = _Receivers()
+    owners = {}
+    for c, methods in r.methods.items():
+        for m in methods:
+            if not m.startswith("__"):
+                owners.setdefault(m, set()).add(c)
+    shared = {m for m, cs in owners.items() if len(cs) > 1}
+    defined = {f"{c}.{m}" for m in shared for c in owners[m]}
+    reached = set()
+    for _, tree in _caller_trees():
+        for cls, fn in _scopes(tree):
+            scope = r.scope(cls, fn)
+            for stmt in _body(fn):
+                for node in ast.walk(stmt):
+                    if (isinstance(node, ast.Attribute)
+                            and node.attr in shared
+                            and isinstance(node.ctx, ast.Load)):
+                        for c in r.types(node.value, scope):
+                            reached |= r.reached(c, node.attr)
+    unreached = sorted(defined - reached - set(UNRESOLVED))
+    stale = sorted(set(UNRESOLVED) - (defined - reached))
+    assert not unreached, ("methods no receiver of their class calls; "
+                           "delete them: " + ", ".join(unreached))
+    assert not stale, ("UNRESOLVED lists methods the audit resolves, or "
+                       "that do not exist: " + ", ".join(stale))
